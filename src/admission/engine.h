@@ -100,6 +100,7 @@ class Engine {
   struct StructureDigest {
     std::uint64_t interference_hash = 0;  ///< InterferenceMap::content_hash()
     std::uint64_t table_hash = 0;         ///< converged SubtaskTable::content_hash()
+    std::uint64_t dependency_hash = 0;    ///< ieert_dependency_hash() of the IEERT index
   };
   [[nodiscard]] virtual std::optional<StructureDigest> structure_digest() const {
     return std::nullopt;

@@ -50,7 +50,6 @@
 // leaving the engine bit-identical to before the request.
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,6 +88,12 @@ Task task_from_spec(const TaskSpec& spec) {
   return t;
 }
 
+void add_unique(std::vector<int>& processors, int p) {
+  if (std::find(processors.begin(), processors.end(), p) == processors.end()) {
+    processors.push_back(p);
+  }
+}
+
 class IncrementalDsEngine final : public Engine {
  public:
   explicit IncrementalDsEngine(bool refine) : refine_(refine) {}
@@ -106,13 +111,6 @@ class IncrementalDsEngine final : public Engine {
     const std::size_t old_tasks = system_->task_count();
     const std::size_t old_count = imap_.subtask_count();
 
-    // Flat -> ref for the residents, before growth (delta.appended flats
-    // are resident-only, so the old numbering is what we need).
-    std::vector<SubtaskRef> old_refs(old_count);
-    for (const Task& t : system_->tasks()) {
-      for (const Subtask& s : t.subtasks) old_refs[imap_.flat_index(s.ref)] = s.ref;
-    }
-
     // -- Grow every persistent structure by the whole batch. --
     std::vector<InterferenceMap::AdmitDelta> imap_deltas;
     std::vector<std::pair<std::size_t, std::uint32_t>> dep_pushes;
@@ -129,7 +127,7 @@ class IncrementalDsEngine final : public Engine {
       // built dep list below, after the whole batch is mapped.
       for (const auto& [flat, appended] : imap_deltas.back().appended) {
         if (flat >= old_count) continue;
-        const std::span<const Interferer> hp = imap_.of(old_refs[flat]);
+        const std::span<const Interferer> hp = imap_.of(imap_.ref_of(flat));
         std::uint32_t pushed = 0;
         for (std::size_t k = hp.size() - appended; k < hp.size(); ++k) {
           if (hp[k].ref.index <= 0) continue;
@@ -142,6 +140,7 @@ class IncrementalDsEngine final : public Engine {
     }
     const std::size_t count = imap_.subtask_count();
     state_.deps.resize(count);
+    state_.rdeps.resize(count);
     state_.warm.resize(count);
     for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
       const Task& t = system_->tasks()[ti];
@@ -156,6 +155,23 @@ class IncrementalDsEngine final : public Engine {
       }
       slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - old_tasks));
     }
+    // Reverse index, kept ascending (what ieert_index_dependencies
+    // builds): resident lists gain candidate readers at the tail in flat
+    // order; the candidates' own lists are new and sorted once.
+    for (const auto& [flat, pushed] : dep_pushes) {
+      const std::vector<std::uint32_t>& list = state_.deps[flat];
+      for (std::size_t k = list.size() - pushed; k < list.size(); ++k) {
+        state_.rdeps[list[k]].push_back(static_cast<std::uint32_t>(flat));
+      }
+    }
+    for (std::size_t f = old_count; f < count; ++f) {
+      for (const std::uint32_t d : state_.deps[f]) {
+        state_.rdeps[d].push_back(static_cast<std::uint32_t>(f));
+      }
+    }
+    for (std::size_t f = old_count; f < count; ++f) {
+      std::sort(state_.rdeps[f].begin(), state_.rdeps[f].end());
+    }
 
     // -- One analysis trajectory over the grown structures. --
     const Time new_cap = cap_of(*system_);
@@ -168,20 +184,14 @@ class IncrementalDsEngine final : public Engine {
       pre_warm = state_.warm;
       trial_converged = run_cold();
     } else {
-      state_.changed.assign(count, 0);  // arm the dependency dirty-skip
-      state_.force.assign(count, 0);
       // Equation-changed region: every subtask on a processor a
       // candidate occupies (candidates included -- their processors are
       // all touched). Interference sets and blocking terms there moved.
-      std::set<int> touched;
+      std::vector<int> touched;
       for (const TaskSpec& spec : specs) {
-        for (const SubtaskSpec& sub : spec.subtasks) touched.insert(sub.processor);
+        for (const SubtaskSpec& sub : spec.subtasks) add_unique(touched, sub.processor);
       }
-      for (const int p : touched) {
-        for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
-          state_.force[imap_.flat_index(ref)] = 1;
-        }
-      }
+      arm_sweep(touched);
       undo_.arm(count);
       trial_converged = sweep_to_fixpoint(&undo_);
       if (!trial_converged) {
@@ -221,8 +231,16 @@ class IncrementalDsEngine final : public Engine {
       table_.remove_row(old_tasks + k);
       system_->remove_task(old_tasks + k);
     }
+    for (std::size_t f = old_count; f < count; ++f) {
+      for (const std::uint32_t d : state_.deps[f]) {
+        if (d >= old_count) continue;
+        std::vector<std::uint32_t>& readers = state_.rdeps[d];
+        while (!readers.empty() && readers.back() >= old_count) readers.pop_back();
+      }
+    }
     state_.warm.resize(old_count);
     state_.deps.resize(old_count);
+    state_.rdeps.resize(old_count);
     for (const auto& [flat, pushed] : dep_pushes) {
       state_.deps[flat].resize(state_.deps[flat].size() - pushed);
     }
@@ -243,90 +261,66 @@ class IncrementalDsEngine final : public Engine {
     E2E_ASSERT(it != slots_.end(), "remove: slot not tracked");
     const auto idx = static_cast<std::size_t>(it - slots_.begin());
     const Task& departing = system_->tasks()[idx];
-    std::set<int> touched;
-    for (const Subtask& s : departing.subtasks) touched.insert(s.processor.value());
+    std::vector<int> touched;
+    for (const Subtask& s : departing.subtasks) add_unique(touched, s.processor.value());
     const std::size_t base =
         imap_.flat_index(SubtaskRef{TaskId{static_cast<std::int32_t>(idx)}, 0});
     const std::size_t len = departing.subtasks.size();
-    const std::size_t old_count = imap_.subtask_count();
-    const std::size_t count = old_count - len;
 
     // -- Shrink every persistent structure (removal always commits). --
     system_->remove_task(idx);
-    imap_.apply_remove(idx);
+    imap_.apply_remove(*system_, idx);
     table_.remove_row(idx);
     slots_.erase(it);
-    state_.warm.erase(state_.warm.begin() + static_cast<std::ptrdiff_t>(base),
-                      state_.warm.begin() + static_cast<std::ptrdiff_t>(base + len));
-    state_.deps.erase(state_.deps.begin() + static_cast<std::ptrdiff_t>(base),
-                      state_.deps.begin() + static_cast<std::ptrdiff_t>(base + len));
-    for (auto& list : state_.deps) {
-      // Drop the departed flats, shift the rest -- exactly the lists a
-      // fresh ieert_table_inputs pass over the shrunk system yields
-      // (value-level dedup and first-occurrence order are preserved).
-      std::size_t write = 0;
-      for (const std::uint32_t d : list) {
-        if (d >= base && d < base + len) continue;
-        list[write++] =
-            d >= base + len ? d - static_cast<std::uint32_t>(len) : d;
+    const auto first = static_cast<std::ptrdiff_t>(base);
+    const auto last = static_cast<std::ptrdiff_t>(base + len);
+    state_.warm.erase(state_.warm.begin() + first, state_.warm.begin() + last);
+    for (auto* index : {&state_.deps, &state_.rdeps}) {
+      index->erase(index->begin() + first, index->begin() + last);
+      for (auto& list : *index) {
+        // Drop the departed flats, shift the rest -- exactly the lists a
+        // fresh index over the shrunk system yields (value-level dedup
+        // and order are preserved).
+        std::size_t write = 0;
+        for (const std::uint32_t d : list) {
+          if (d >= base && d < base + len) continue;
+          list[write++] = d >= base + len ? d - static_cast<std::uint32_t>(len) : d;
+        }
+        list.resize(write);
       }
-      list.resize(write);
     }
 
     const Time new_cap = cap_of(*system_);
     if (new_cap != cap_ || !converged_) {
       converged_ = run_cold();
     } else {
-      state_.changed.assign(count, 0);
-      state_.force.assign(count, 0);
       // Dirty cone: the entries on the touched processors (equations
       // changed: interference sets shrank, blocking terms may have) ...
-      std::vector<std::uint8_t> in_cone(count, 0);
-      std::vector<std::uint32_t> queue;
-      for (const int p : touched) {
-        for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
-          const auto flat = static_cast<std::uint32_t>(imap_.flat_index(ref));
-          if (in_cone[flat] != 0) continue;
-          in_cone[flat] = 1;
-          queue.push_back(flat);
-        }
-      }
+      arm_sweep(touched);
+      std::vector<std::uint32_t>& cone = state_.force;
+      std::vector<std::uint8_t> in_cone(imap_.subtask_count(), 0);
+      for (const std::uint32_t flat : cone) in_cone[flat] = 1;
       // ... closed under reverse IEERT dependencies. Outside the cone no
       // input changes, so old values remain exact fixpoint entries.
-      std::vector<std::uint32_t> rdep_begin(count + 1, 0);
-      for (const auto& list : state_.deps) {
-        for (const std::uint32_t d : list) ++rdep_begin[d + 1];
-      }
-      for (std::size_t f = 0; f < count; ++f) rdep_begin[f + 1] += rdep_begin[f];
-      std::vector<std::uint32_t> rdep_flat(rdep_begin[count]);
-      std::vector<std::uint32_t> cursor(rdep_begin.begin(), rdep_begin.end() - 1);
-      for (std::size_t f = 0; f < count; ++f) {
-        for (const std::uint32_t d : state_.deps[f]) {
-          rdep_flat[cursor[d]++] = static_cast<std::uint32_t>(f);
-        }
-      }
-      while (!queue.empty()) {
-        const std::uint32_t flat = queue.back();
-        queue.pop_back();
-        for (std::uint32_t r = rdep_begin[flat]; r < rdep_begin[flat + 1]; ++r) {
-          const std::uint32_t dependent = rdep_flat[r];
-          if (in_cone[dependent] != 0) continue;
-          in_cone[dependent] = 1;
-          queue.push_back(dependent);
+      for (std::size_t next = 0; next < cone.size(); ++next) {
+        for (const std::uint32_t reader : state_.rdeps[cone[next]]) {
+          if (in_cone[reader] != 0) continue;
+          in_cone[reader] = 1;
+          cone.push_back(reader);
         }
       }
       // Cone entries restart from the optimistic init with cold seeds
-      // (their old values over-approximate the shrunk fixpoint).
-      for (const Task& t : system_->tasks()) {
+      // (their old values over-approximate the shrunk fixpoint); the
+      // sweep recomputes every one of them first.
+      for (const std::uint32_t flat : cone) {
+        const SubtaskRef ref = imap_.ref_of(flat);
+        const Task& t = system_->task(ref.task);
         Duration cumulative = 0;
-        for (const Subtask& s : t.subtasks) {
-          cumulative += s.execution_time;
-          const std::size_t flat = imap_.flat_index(s.ref);
-          if (in_cone[flat] == 0) continue;
-          table_.set(s.ref, cumulative);
-          state_.warm[flat] = IeertWarmEntry{};
-          state_.force[flat] = 1;
+        for (std::int32_t j = 0; j <= ref.index; ++j) {
+          cumulative += t.subtasks[static_cast<std::size_t>(j)].execution_time;
         }
+        table_.set(ref, cumulative);
+        state_.warm[flat] = IeertWarmEntry{};
       }
       converged_ = sweep_to_fixpoint(nullptr);
       if (!converged_) converged_ = run_cold();
@@ -358,7 +352,8 @@ class IncrementalDsEngine final : public Engine {
   std::optional<StructureDigest> structure_digest() const override {
     if (!system_.has_value()) return std::nullopt;
     return StructureDigest{.interference_hash = imap_.content_hash(),
-                           .table_hash = table_.content_hash()};
+                           .table_hash = table_.content_hash(),
+                           .dependency_hash = ieert_dependency_hash(state_)};
   }
 
  private:
@@ -384,14 +379,8 @@ class IncrementalDsEngine final : public Engine {
     const std::size_t count = imap_.subtask_count();
     table_ = SubtaskTable{*system_, 0};
     state_ = IeertIncrementalState{};
-    state_.deps.resize(count);
+    ieert_index_dependencies(*system_, imap_, state_);
     state_.warm.assign(count, {});
-    for (const Task& t : system_->tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        state_.deps[imap_.flat_index(s.ref)] =
-            ieert_table_inputs(imap_, s.ref, imap_.of(s.ref));
-      }
-    }
     for (std::size_t i = 0; i < specs.size(); ++i) {
       slots_.push_back(first_slot + static_cast<std::uint32_t>(i));
     }
@@ -467,9 +456,21 @@ class IncrementalDsEngine final : public Engine {
     SaDsResult result = analyze_sa_ds(*system_, imap_, options);
     table_ = std::move(result.analysis.subtask_bounds);
     state_.warm.assign(imap_.subtask_count(), {});
+    return result.converged;
+  }
+
+  /// Arms the next sweeps as a delta re-analysis: nothing counts as
+  /// changed yet, and every entry on the `touched` processors is forced
+  /// (their interference sets and blocking terms moved).
+  void arm_sweep(std::span<const int> touched) {
+    state_.recompute_all = false;
     state_.changed.clear();
     state_.force.clear();
-    return result.converged;
+    for (const int p : touched) {
+      for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
+        state_.force.push_back(static_cast<std::uint32_t>(imap_.flat_index(ref)));
+      }
+    }
   }
 
   /// Per-task EERs from the committed table: the last subtask's IEER

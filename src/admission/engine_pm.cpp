@@ -40,28 +40,30 @@ namespace {
 
 struct PmSub {
   int processor = -1;
-  int level = 0;
-  Duration exec = 0;
-  bool preemptible = true;
   Duration bound = 0;
   std::uint64_t signature = 0;
   SubtaskScratch scratch;
 };
 
 struct PmTask {
-  Duration period = 0;
-  Duration jitter = 0;
   Duration deadline = 0;
   Duration eer = 0;
   std::vector<PmSub> subs;
 };
 
 /// One resident subtask of a processor plane, ordered by (slot, sub) so
-/// hp signatures are stable for unchanged interference sets.
-struct PlaneRef {
+/// hp signatures are stable for unchanged interference sets. Carries
+/// every parameter a co-located subtask's demand equation reads, so
+/// assembling an equation is one contiguous scan of the plane.
+struct PlaneEntry {
   std::uint32_t slot = 0;
   std::uint32_t sub = 0;
-  friend bool operator<(const PlaneRef& a, const PlaneRef& b) noexcept {
+  int level = 0;
+  bool preemptible = true;
+  Duration period = 0;
+  Duration jitter = 0;
+  Duration exec = 0;
+  friend bool operator<(const PlaneEntry& a, const PlaneEntry& b) noexcept {
     return a.slot != b.slot ? a.slot < b.slot : a.sub < b.sub;
   }
 };
@@ -97,7 +99,7 @@ class IncrementalPmEngine final : public Engine {
     // Snapshot everything the trial may overwrite; the candidates' own
     // entries need none (a reject erases the whole batch).
     struct EntrySnap {
-      PlaneRef ref;
+      PlaneEntry ref;
       Duration bound;
       std::uint64_t signature;
       SubtaskScratch scratch;
@@ -109,9 +111,10 @@ class IncrementalPmEngine final : public Engine {
     std::set<std::uint32_t> dirty;
     for (std::size_t p = 0; p < planes_.size(); ++p) {
       if (touched[p] == 0) continue;
-      for (const PlaneRef& ref : planes_[p]) {
+      for (std::size_t k = 0; k < planes_[p].size(); ++k) {
+        const PlaneEntry& ref = planes_[p][k];
         PmSub& entry = sub_of(ref);
-        const ResponseEquation eq = equation_of(ref, entry, new_cap);
+        const ResponseEquation eq = equation_of(planes_[p], k, new_cap);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
         if (sig == entry.signature && entry.scratch.has) continue;
         if (ref.slot < first_slot) {
@@ -173,9 +176,10 @@ class IncrementalPmEngine final : public Engine {
     std::set<std::uint32_t> dirty;
     for (std::size_t p = 0; p < planes_.size(); ++p) {
       if (touched[p] == 0) continue;
-      for (const PlaneRef& ref : planes_[p]) {
+      for (std::size_t k = 0; k < planes_[p].size(); ++k) {
+        const PlaneEntry& ref = planes_[p][k];
         PmSub& entry = sub_of(ref);
-        const ResponseEquation eq = equation_of(ref, entry, new_cap);
+        const ResponseEquation eq = equation_of(planes_[p], k, new_cap);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
         if (sig == entry.signature && entry.scratch.has) continue;
         // Demand shrank: the old fixpoint over-approximates, so restart
@@ -213,7 +217,7 @@ class IncrementalPmEngine final : public Engine {
   const char* name() const noexcept override { return "incremental"; }
 
  private:
-  [[nodiscard]] PmSub& sub_of(const PlaneRef& ref) {
+  [[nodiscard]] PmSub& sub_of(const PlaneEntry& ref) {
     return live_.at(ref.slot).subs[ref.sub];
   }
 
@@ -225,31 +229,29 @@ class IncrementalPmEngine final : public Engine {
                              static_cast<double>(max_period));
   }
 
-  /// Assembles the demand equation of `ref` against the *current* plane
-  /// into the reusable hp buffers (valid until the next call).
-  [[nodiscard]] ResponseEquation equation_of(const PlaneRef& ref, const PmSub& entry,
-                                             Time cap) {
+  /// Assembles the demand equation of `plane[k]` against the *current*
+  /// plane into the reusable hp buffers (valid until the next call).
+  [[nodiscard]] ResponseEquation equation_of(const std::vector<PlaneEntry>& plane,
+                                             std::size_t k, Time cap) {
     hp_periods_.clear();
     hp_execs_.clear();
     hp_jitters_.clear();
+    const PlaneEntry& self = plane[k];
     Duration blocking = 0;
-    for (const PlaneRef& other_ref :
-         planes_[static_cast<std::size_t>(entry.processor)]) {
-      if (other_ref.slot == ref.slot && other_ref.sub == ref.sub) continue;
-      const PmTask& other_task = live_.at(other_ref.slot);
-      const PmSub& other = other_task.subs[other_ref.sub];
-      if (other.level <= entry.level) {  // the paper's H set: >= priority
-        hp_periods_.push_back(other_task.period);
+    for (std::size_t i = 0; i < plane.size(); ++i) {
+      if (i == k) continue;
+      const PlaneEntry& other = plane[i];
+      if (other.level <= self.level) {  // the paper's H set: >= priority
+        hp_periods_.push_back(other.period);
         hp_execs_.push_back(other.exec);
-        hp_jitters_.push_back(other_task.jitter);
+        hp_jitters_.push_back(other.jitter);
       } else if (!other.preemptible) {
         blocking = std::max(blocking, other.exec - 1);
       }
     }
-    const PmTask& task = live_.at(ref.slot);
-    return ResponseEquation{.period = task.period,
-                            .exec = entry.exec,
-                            .jitter = task.jitter,
+    return ResponseEquation{.period = self.period,
+                            .exec = self.exec,
+                            .jitter = self.jitter,
                             .blocking = blocking,
                             .cap = cap};
   }
@@ -272,20 +274,22 @@ class IncrementalPmEngine final : public Engine {
   }
 
   void insert_task(std::uint32_t slot, const TaskSpec& spec) {
-    PmTask task{.period = spec.period,
-                .jitter = spec.release_jitter,
-                .deadline = spec.deadline};
+    PmTask task{.deadline = spec.deadline};
     task.subs.reserve(spec.subtasks.size());
     for (const SubtaskSpec& sub : spec.subtasks) {
-      task.subs.push_back({.processor = sub.processor,
-                           .level = sub.priority_level,
-                           .exec = sub.execution_time,
-                           .preemptible = sub.preemptible});
+      task.subs.push_back({.processor = sub.processor});
     }
     live_.emplace(slot, std::move(task));
     for (std::uint32_t j = 0; j < spec.subtasks.size(); ++j) {
-      auto& plane = planes_[static_cast<std::size_t>(spec.subtasks[j].processor)];
-      const PlaneRef ref{slot, j};
+      const SubtaskSpec& sub = spec.subtasks[j];
+      auto& plane = planes_[static_cast<std::size_t>(sub.processor)];
+      const PlaneEntry ref{.slot = slot,
+                           .sub = j,
+                           .level = sub.priority_level,
+                           .preemptible = sub.preemptible,
+                           .period = spec.period,
+                           .jitter = spec.release_jitter,
+                           .exec = sub.execution_time};
       plane.insert(std::lower_bound(plane.begin(), plane.end(), ref), ref);
     }
     ++period_counts_[spec.period];
@@ -296,8 +300,8 @@ class IncrementalPmEngine final : public Engine {
     for (std::uint32_t j = 0; j < it->second.subs.size(); ++j) {
       auto& plane =
           planes_[static_cast<std::size_t>(it->second.subs[j].processor)];
-      const PlaneRef ref{slot, j};
-      const auto pos = std::lower_bound(plane.begin(), plane.end(), ref);
+      const auto pos =
+          std::lower_bound(plane.begin(), plane.end(), PlaneEntry{.slot = slot, .sub = j});
       plane.erase(pos);
     }
     live_.erase(it);
@@ -319,7 +323,7 @@ class IncrementalPmEngine final : public Engine {
   }
 
   std::map<std::uint32_t, PmTask> live_;
-  std::vector<std::vector<PlaneRef>> planes_;  // per processor, sorted
+  std::vector<std::vector<PlaneEntry>> planes_;  // per processor, sorted
   std::map<Duration, std::size_t> period_counts_;
   std::set<std::uint32_t> failing_;  // slots whose task is unschedulable
   Time cap_ = 0;                     // valid only while live_ is non-empty

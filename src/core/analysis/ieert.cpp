@@ -1,11 +1,12 @@
 #include "core/analysis/ieert.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/math.h"
-#include "core/analysis/blocking.h"
 #include "core/analysis/demand.h"
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/kernels.h"
@@ -40,23 +41,23 @@ Duration release_jitter(const TaskSystem& system, SubtaskRef ref,
                  task_jitter);
 }
 
-/// `hp_jitter` is a caller-owned buffer (reused across subtasks so one
-/// IEERT pass performs no per-subtask allocations once it reaches steady
-/// state); on return it holds this subtask's per-interferer jitters.
-Duration bound_subtask_ieer(const TaskSystem& system, const Subtask& subtask,
-                            std::span<const Interferer> hp_aos,
-                            const InterferenceMap::SoaView& hp,
-                            const SubtaskTable& current, const IeertOptions& options,
-                            std::vector<Duration>& hp_jitter, IeertWarmEntry* warm) {
-  const Task& task = system.task(subtask.ref.task);
+}  // namespace
+
+Duration ieert_bound_entry(const TaskSystem& system, const InterferenceMap& interference,
+                           const SubtaskTable& current, SubtaskRef ref,
+                           const IeertOptions& options, IeertWarmEntry* warm,
+                           std::vector<Duration>& hp_jitter) {
+  const Task& task = system.task(ref.task);
+  const Subtask& subtask = task.subtasks[static_cast<std::size_t>(ref.index)];
+  const std::span<const Interferer> hp_aos = interference.of(ref);
   const Duration period = task.period;
   const Duration exec = subtask.execution_time;
   // Constant offset added to every instance's IEER: the predecessor's
   // IEER bound plus (extension) the task's own first-release jitter.
   const Duration own_accum =
-      sat_add(current.predecessor_or_zero(subtask.ref), task.release_jitter);
-  const Duration own_jitter = release_jitter(system, subtask.ref, current, options);
-  const Duration blocking = blocking_term(system, subtask);
+      sat_add(current.predecessor_or_zero(ref), task.release_jitter);
+  const Duration own_jitter = release_jitter(system, ref, current, options);
+  const Duration blocking = interference.blocking(ref);
   if (is_infinite(own_accum)) return kTimeInfinity;
 
   const Duration cutoff =
@@ -67,6 +68,9 @@ Duration bound_subtask_ieer(const TaskSystem& system, const Subtask& subtask,
   // IEER >= predecessor IEER + own execution: already beyond salvation.
   if (own_accum > cutoff) return kTimeInfinity;
 
+  // On return hp_jitter holds this subtask's per-interferer jitters (the
+  // caller reuses the buffer, so a sweep allocates nothing in steady
+  // state).
   hp_jitter.resize(hp_aos.size());
   for (std::size_t k = 0; k < hp_aos.size(); ++k) {
     hp_jitter[k] = release_jitter(system, hp_aos[k].ref, current, options);
@@ -75,6 +79,7 @@ Duration bound_subtask_ieer(const TaskSystem& system, const Subtask& subtask,
 
   if (!options.legacy_demand_path) {
     // Fast path: the shared kernel, over this pass's jitter terms.
+    const InterferenceMap::SoaView hp = interference.soa_of(ref);
     const HpView hp_view{hp.periods, hp.execs, hp_jitter};
     const IeerEquation eq{.period = period,
                           .exec = exec,
@@ -144,12 +149,9 @@ Duration bound_subtask_ieer(const TaskSystem& system, const Subtask& subtask,
   return worst;
 }
 
-/// Flat indices of the `current` entries bound_subtask_ieer reads for
-/// `ref`: its own predecessor plus each interferer's predecessor (the
-/// jitter terms). Everything else in the equation is static per system.
-std::vector<std::uint32_t> table_inputs_of(const InterferenceMap& interference,
-                                           SubtaskRef ref,
-                                           std::span<const Interferer> hp) {
+std::vector<std::uint32_t> ieert_table_inputs(const InterferenceMap& interference,
+                                              SubtaskRef ref,
+                                              std::span<const Interferer> hp) {
   std::vector<std::uint32_t> deps;
   deps.reserve(hp.size() + 1);
   const auto push = [&](SubtaskRef pred) {
@@ -163,140 +165,141 @@ std::vector<std::uint32_t> table_inputs_of(const InterferenceMap& interference,
   return deps;
 }
 
-}  // namespace
+void ieert_index_dependencies(const TaskSystem& system,
+                              const InterferenceMap& interference,
+                              IeertIncrementalState& state) {
+  const std::size_t count = interference.subtask_count();
+  state.deps.assign(count, {});
+  state.rdeps.assign(count, {});
+  for (const Task& t : system.tasks()) {
+    for (const Subtask& s : t.subtasks) {
+      state.deps[interference.flat_index(s.ref)] =
+          ieert_table_inputs(interference, s.ref, interference.of(s.ref));
+    }
+  }
+  for (std::size_t f = 0; f < count; ++f) {
+    for (const std::uint32_t d : state.deps[f]) {
+      state.rdeps[d].push_back(static_cast<std::uint32_t>(f));
+    }
+  }
+}
 
-std::vector<std::uint32_t> ieert_table_inputs(const InterferenceMap& interference,
-                                              SubtaskRef ref,
-                                              std::span<const Interferer> hp) {
-  return table_inputs_of(interference, ref, hp);
+std::uint64_t ieert_dependency_hash(const IeertIncrementalState& state) {
+  std::uint64_t h = 0;
+  for (const auto* index : {&state.deps, &state.rdeps}) {
+    h = hash_combine(h, index->size());
+    for (const std::vector<std::uint32_t>& list : *index) {
+      h = hash_combine(h, list.size());
+      for (const std::uint32_t f : list) h = hash_combine(h, f);
+    }
+  }
+  return h;
 }
 
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo) {
   const std::size_t count = interference.subtask_count();
-  E2E_ASSERT(state.deps.size() == count, "ieert_sweep: deps not maintained");
+  E2E_ASSERT(state.deps.size() == count && state.rdeps.size() == count,
+             "ieert_sweep: dependency index not maintained");
   E2E_ASSERT(state.warm.size() == count, "ieert_sweep: warm not sized");
   E2E_ASSERT(undo == nullptr || undo->seen.size() == count,
              "ieert_sweep: undo journal not armed");
 
-  // Same staleness and ordering rules as ieert_pass's fast path; the only
-  // difference is that `table` doubles as both `current` and `next` (no
-  // per-sweep copy). Gauss-Seidel already feeds earlier updates into later
-  // entries within one sweep, so the converged fixpoint is unchanged.
-  const bool incremental = !state.changed.empty();
-  std::vector<std::uint8_t> sweep_changed(count, 0);
-  std::vector<Duration> hp_jitter;
+  // The worklist is a bitset over flat indices, drained lowest bit first,
+  // so entries are recomputed in the same ascending order a full scan
+  // visits them; draining costs one word test per 64 entries plus the
+  // entries themselves. `pending` is all zero between sweeps.
+  std::vector<std::uint64_t>& pending = state.pending;
+  const std::size_t words = (count + 63) / 64;
+  pending.resize(words, 0);
+  const auto enqueue = [&pending](std::uint32_t flat) {
+    pending[flat / 64] |= std::uint64_t{1} << (flat % 64);
+  };
+  if (state.recompute_all) {
+    for (std::size_t f = 0; f < count; ++f) enqueue(static_cast<std::uint32_t>(f));
+  } else {
+    // Stale at sweep start: forced entries and readers of the entries the
+    // previous sweep changed.
+    for (const std::uint32_t f : state.force) enqueue(f);
+    for (const std::uint32_t d : state.changed) {
+      for (const std::uint32_t r : state.rdeps[d]) enqueue(r);
+    }
+  }
+  state.recompute_all = false;
+  state.force.clear();  // one-shot: consumed by this sweep
+  state.changed.clear();
+
+  // `table` doubles as both `current` and `next` (in-place Gauss-Seidel:
+  // entries updated earlier in the sweep feed later ones immediately).
   std::size_t changed_count = 0;
-  for (const Task& t : system.tasks()) {
-    for (const Subtask& s : t.subtasks) {
-      const std::size_t flat = interference.flat_index(s.ref);
-      bool stale = true;
-      if (incremental) {
-        stale = !state.force.empty() && state.force[flat] != 0;
-        for (std::size_t d_idx = 0; !stale && d_idx < state.deps[flat].size();
-             ++d_idx) {
-          const std::uint32_t d = state.deps[flat][d_idx];
-          if (state.changed[d] != 0 || sweep_changed[d] != 0) stale = true;
-        }
-      }
-      if (!stale) continue;
+  for (std::size_t w = 0; w < words; ++w) {
+    // Re-read the word each time: recomputing an entry may enqueue later
+    // entries of the same word.
+    while (pending[w] != 0) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(pending[w]));
+      pending[w] &= pending[w] - 1;
+      const auto flat = static_cast<std::uint32_t>(w * 64 + bit);
+      const SubtaskRef ref = interference.ref_of(flat);
       if (undo != nullptr && undo->seen[flat] == 0) {
         undo->seen[flat] = 1;
         undo->entries.push_back(IeertSweepUndo::Entry{
-            .ref = s.ref,
-            .flat = static_cast<std::uint32_t>(flat),
-            .value = table.at(s.ref),
+            .ref = ref,
+            .flat = flat,
+            .value = table.at(ref),
             .warm = state.warm[flat],
         });
       }
-      const Duration bound =
-          bound_subtask_ieer(system, s, interference.of(s.ref),
-                             interference.soa_of(s.ref), table, options, hp_jitter,
-                             &state.warm[flat]);
-      if (bound != table.at(s.ref)) {
-        sweep_changed[flat] = 1;
-        ++changed_count;
-        table.set(s.ref, bound);
+      const Duration bound = ieert_bound_entry(system, interference, table, ref, options,
+                                               &state.warm[flat], state.hp_jitter);
+      if (bound == table.at(ref)) continue;
+      table.set(ref, bound);
+      ++changed_count;
+      state.changed.push_back(flat);
+      // Readers later in this sweep see the new value now; every reader
+      // is stale again next sweep (seeded from `changed` above).
+      for (const std::uint32_t r : state.rdeps[flat]) {
+        if (r > flat) enqueue(r);
       }
     }
   }
-  state.changed = std::move(sweep_changed);
-  state.force.clear();  // one-shot: consumed by this sweep
   return changed_count;
 }
 
 SubtaskTable ieert_pass(const TaskSystem& system, const InterferenceMap& interference,
                         const SubtaskTable& current, const IeertOptions& options,
                         IeertIncrementalState* state) {
-  const std::size_t count = interference.subtask_count();
-  if (state != nullptr && state->deps.size() != count) {
-    state->deps.resize(count);
-    // Preserve caller-seeded warm entries; only (re)shape on mismatch.
-    if (state->warm.size() != count) state->warm.assign(count, {});
-    for (const Task& t : system.tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        state->deps[interference.flat_index(s.ref)] =
-            table_inputs_of(interference, s.ref, interference.of(s.ref));
-      }
-    }
-  }
-  std::vector<Duration> hp_jitter;  // reused by every subtask in the pass
-
   if (state == nullptr) {
     // Jacobi sweep, exactly the paper's R' = IEERT(T, R): every entry is
     // recomputed against the immutable input table.
+    std::vector<Duration> hp_jitter;  // reused by every subtask in the pass
     SubtaskTable next{system, 0};
     for (const Task& t : system.tasks()) {
       for (const Subtask& s : t.subtasks) {
-        next.set(s.ref,
-                 bound_subtask_ieer(system, s, interference.of(s.ref),
-                                    interference.soa_of(s.ref), current, options,
-                                    hp_jitter, nullptr));
+        next.set(s.ref, ieert_bound_entry(system, interference, current, s.ref, options,
+                                          nullptr, hp_jitter));
       }
     }
     return next;
   }
 
-  // Fast path: one in-place Gauss-Seidel sweep. Entries updated earlier in
-  // the sweep feed later entries immediately, so a whole chain's growth
-  // propagates in one sweep instead of one link per sweep. Chaotic
-  // iteration of a monotone operator from an under-approximation converges
-  // to the same least fixpoint as the Jacobi sweeps (every intermediate
-  // table stays sandwiched between the start and the fixpoint), so the
-  // converged table -- the analysis result -- is bit-identical; only the
-  // number of sweeps to reach it shrinks.
-  const bool incremental = !state->changed.empty();
-  std::vector<std::uint8_t> sweep_changed(count, 0);
-  SubtaskTable next = current;
-  for (const Task& t : system.tasks()) {
-    for (const Subtask& s : t.subtasks) {
-      const std::size_t flat = interference.flat_index(s.ref);
-      bool stale = true;
-      if (incremental) {
-        // Stale iff the caller forced it (equation changed under its
-        // feet) or an input changed since this entry was last computed:
-        // either during the previous sweep or earlier in this one.
-        stale = !state->force.empty() && state->force[flat] != 0;
-        for (std::size_t d_idx = 0; !stale && d_idx < state->deps[flat].size();
-             ++d_idx) {
-          const std::uint32_t d = state->deps[flat][d_idx];
-          if (state->changed[d] != 0 || sweep_changed[d] != 0) stale = true;
-        }
-      }
-      if (!stale) continue;  // recomputing would reproduce the entry exactly
-      const Duration bound =
-          bound_subtask_ieer(system, s, interference.of(s.ref),
-                             interference.soa_of(s.ref), next, options, hp_jitter,
-                             &state->warm[flat]);
-      if (bound != next.at(s.ref)) {
-        sweep_changed[flat] = 1;
-        next.set(s.ref, bound);
-      }
-    }
+  // Fast path: one in-place Gauss-Seidel sweep over a copy. Entries
+  // updated earlier in the sweep feed later entries immediately, so a
+  // whole chain's growth propagates in one sweep instead of one link per
+  // sweep. Chaotic iteration of a monotone operator from an
+  // under-approximation converges to the same least fixpoint as the
+  // Jacobi sweeps (every intermediate table stays sandwiched between the
+  // start and the fixpoint), so the converged table -- the analysis
+  // result -- is bit-identical; only the number of sweeps to reach it
+  // shrinks.
+  const std::size_t count = interference.subtask_count();
+  if (state->deps.size() != count) {
+    ieert_index_dependencies(system, interference, *state);
+    // Preserve caller-seeded warm entries; only (re)shape on mismatch.
+    if (state->warm.size() != count) state->warm.assign(count, {});
   }
-  state->changed = std::move(sweep_changed);
-  state->force.clear();  // one-shot: consumed by this sweep
+  SubtaskTable next = current;
+  ieert_sweep(system, interference, next, options, *state);
   return next;
 }
 

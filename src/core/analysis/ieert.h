@@ -16,7 +16,10 @@
 // with R_{u,0} := 0 (first subtasks have no jitter).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/analysis/bounds.h"
 #include "core/analysis/interference.h"
@@ -50,14 +53,6 @@ struct IeertOptions {
   bool legacy_demand_path = false;
 };
 
-/// Dirty-tracking state for incremental IEERT iteration. A subtask's
-/// refined bound is a pure function of the `current` entries of its own
-/// predecessor and of each interferer's predecessor (the jitter terms);
-/// everything else in its equation is static. When none of those inputs
-/// changed in the last table transition, recomputing the entry would
-/// reproduce it exactly, so the incremental pass copies it instead.
-/// Converging iterations stabilize most entries early, making the final
-/// passes nearly free; the result table is bit-identical to full passes.
 /// Per-subtask fixpoint seeds carried across passes. The IEERT iteration
 /// is a Kleene sequence -- the table only grows -- so every jitter term
 /// only grows pass over pass, and with it each subtask's busy-period and
@@ -70,27 +65,71 @@ struct IeertWarmEntry {
   std::vector<Time> completions;  ///< last pass's C(m), 1-indexed by m-1
 };
 
+/// Dirty-tracking state for incremental IEERT iteration. A subtask's
+/// refined bound is a pure function of the `current` entries of its own
+/// predecessor and of each interferer's predecessor (the jitter terms);
+/// everything else in its equation is static. When none of those inputs
+/// changed since the entry was last computed, recomputing it would
+/// reproduce it exactly, so the incremental sweep skips it. Converging
+/// iterations stabilize most entries early, making the final passes
+/// nearly free; the result table is bit-identical to full passes.
+///
+/// The sweep never scans the entries' inputs for staleness: it drains a
+/// worklist seeded from `force` and from the reverse dependencies of the
+/// entries `changed` by the previous sweep, so its cost is the entries
+/// it recomputes plus one word test per 64 entries.
 struct IeertIncrementalState {
-  /// Per flat subtask index: flat indices of its table inputs (built on
-  /// first use, fixed per system).
+  /// Per flat subtask index: flat indices of its table inputs
+  /// (ieert_table_inputs), fixed per system.
   std::vector<std::vector<std::uint32_t>> deps;
-  /// Which entries changed in the last current -> next transition; empty
-  /// means "first pass, recompute everything".
-  std::vector<std::uint8_t> changed;
-  /// One-shot override consumed by the next sweep: entries marked 1 are
-  /// treated as stale regardless of the dependency check. Callers that
-  /// seed `current` from a previous analysis of a *different* system (the
-  /// admission engine's delta re-analysis) use this to force exactly the
-  /// entries whose demand equations changed -- interference sets on the
-  /// touched processors -- while the dependency tracking handles the
-  /// transitive jitter propagation from there. Must be empty or sized
-  /// like the table; cleared by the sweep that consumes it.
-  std::vector<std::uint8_t> force;
+  /// Reverse index of `deps`: per flat index, the entries whose inputs
+  /// include it, ascending. Must be kept in step with `deps`.
+  std::vector<std::vector<std::uint32_t>> rdeps;
+  /// When set, the next sweep recomputes every entry (first pass of a
+  /// fresh analysis); the sweep clears it.
+  bool recompute_all = true;
+  /// Flat indices of the entries the last sweep changed, ascending.
+  std::vector<std::uint32_t> changed;
+  /// One-shot override consumed by the next sweep: flat indices treated
+  /// as stale regardless of the dependency check (any order, duplicates
+  /// allowed). Callers that seed the table from a previous analysis of a
+  /// *different* system (the admission engine's delta re-analysis) use
+  /// this to force exactly the entries whose demand equations changed --
+  /// interference sets and blocking terms on the touched processors --
+  /// while the dependency tracking handles the transitive jitter
+  /// propagation from there. Cleared by the sweep that consumes it.
+  std::vector<std::uint32_t> force;
   /// Per flat subtask index: fixpoint seeds from the last recomputation.
   /// Pre-seeded entries (sized to the table before the first pass) are
   /// honored; they must under-approximate the fixpoints being solved.
   std::vector<IeertWarmEntry> warm;
+  /// Sweep scratch: the worklist bitset over flat indices (all zero
+  /// between sweeps) and the per-interferer jitter buffer of
+  /// ieert_bound_entry.
+  std::vector<std::uint64_t> pending;
+  std::vector<Duration> hp_jitter;
 };
+
+/// Builds `state.deps` and `state.rdeps` for every subtask of `system`
+/// from scratch; incremental callers delta-maintain them afterwards.
+void ieert_index_dependencies(const TaskSystem& system,
+                              const InterferenceMap& interference,
+                              IeertIncrementalState& state);
+
+/// Order-dependent hash of `state.deps` and `state.rdeps`, for proving a
+/// delta-maintained index equal to a fresh ieert_index_dependencies one.
+[[nodiscard]] std::uint64_t ieert_dependency_hash(const IeertIncrementalState& state);
+
+/// The Algorithm IEERT equation of one subtask (Figure 10 steps 1-4)
+/// against `table`, exactly as the passes and sweeps recompute it.
+/// `warm` (optional) is read as a seed and overwritten with this solve's
+/// fixpoints; `hp_jitter` is a caller-owned scratch buffer.
+[[nodiscard]] Duration ieert_bound_entry(const TaskSystem& system,
+                                         const InterferenceMap& interference,
+                                         const SubtaskTable& table, SubtaskRef ref,
+                                         const IeertOptions& options,
+                                         IeertWarmEntry* warm,
+                                         std::vector<Duration>& hp_jitter);
 
 /// One application R' = IEERT(T, R). `current` holds IEER bounds
 /// (cumulative along each chain); entries may be kTimeInfinity, in which
@@ -107,6 +146,9 @@ struct IeertIncrementalState {
 /// *converged* table is bit-identical; intermediate tables and the sweep
 /// count needed to converge differ (fewer sweeps). Callers must feed
 /// passes in sequence (each pass's `current` being the previous result).
+/// The fast path is ieert_sweep over a copy of `current`; it indexes the
+/// dependencies on first use (when `state->deps` is not sized to the
+/// system).
 [[nodiscard]] SubtaskTable ieert_pass(const TaskSystem& system,
                                       const InterferenceMap& interference,
                                       const SubtaskTable& current,
@@ -117,7 +159,7 @@ struct IeertIncrementalState {
 /// reads: its own predecessor plus each interferer's predecessor (the
 /// jitter terms). Everything else in the equation is static per system.
 /// `hp` must be `interference.of(ref)`. Deduplicated, first occurrence
-/// first -- the list ieert_pass builds internally, exposed so the
+/// first -- the lists ieert_index_dependencies builds, exposed so the
 /// admission engine can delta-maintain IeertIncrementalState::deps
 /// across admits/removes instead of rebuilding all lists per request.
 [[nodiscard]] std::vector<std::uint32_t> ieert_table_inputs(
@@ -150,10 +192,15 @@ struct IeertSweepUndo {
 /// ieert_pass's fast path for engines that persist the converged table
 /// across requests. Returns the number of entries whose value changed;
 /// 0 means `table` is the (least) fixpoint. Unlike ieert_pass, `state`
-/// is required and its deps/warm must already be sized to the system
-/// (the caller delta-maintains them); `state.changed` empty means
-/// "recompute everything". With `undo`, pre-recomputation values and
-/// warm seeds are journaled (first touch only) for trial rollback.
+/// is required and its deps/rdeps/warm must already be sized to the
+/// system (the caller delta-maintains them).
+///
+/// Recomputes, in ascending flat order, exactly the entries that are
+/// forced, read an entry the previous sweep changed, or read an entry
+/// this sweep changed earlier (lower flat index) -- the staleness rule
+/// of a full scan, found through `state.rdeps` instead of by scanning.
+/// With `undo`, pre-recomputation values and warm seeds are journaled
+/// (first touch only) for trial rollback.
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo = nullptr);

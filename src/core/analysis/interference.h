@@ -6,12 +6,14 @@
 // IEERT sum demand over this set; precomputing it once per system keeps
 // the fixpoint inner loops tight.
 //
-// Two representations are kept in sync:
-//  * of(ref): array-of-structs spans of Interferer (refs + parameters),
+// Each subtask owns one row holding its set in two representations:
+//  * of(ref): array-of-structs span of Interferer (refs + parameters),
 //    used where the interferers' identities matter (IEERT's jitter terms);
-//  * soa_of(ref): structure-of-arrays spans over flat parallel vectors of
-//    periods / execution times / task release jitters, consumed by the
-//    inlined DemandEvaluator kernels (core/analysis/demand.h).
+//  * soa_of(ref): structure-of-arrays spans over the row's own parallel
+//    vectors of periods / execution times / task release jitters, consumed
+//    by the inlined DemandEvaluator kernels (core/analysis/demand.h).
+// The row also stores the subtask's non-preemptive blocking term
+// (blocking(ref)), which like the set is static per system.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/ids.h"
 #include "common/time.h"
 #include "task/system.h"
@@ -50,8 +53,9 @@ struct Interferer {
 /// admission property tests pin this via content_hash()): the builder
 /// lays per-processor resident lists out task-major, so an appended
 /// task's subtasks land at the END of every scan a fresh constructor
-/// would do -- appends patch in as pure set suffixes, and removals as
-/// order-preserving compaction.
+/// would do -- appends patch each touched row in place as a pure suffix,
+/// and removals as order-preserving compaction. Blocking terms change
+/// only on the admitted or removed task's processors.
 class InterferenceMap {
  public:
   /// Empty map; delta-populate via apply_admit or assign a fresh one.
@@ -59,37 +63,59 @@ class InterferenceMap {
   explicit InterferenceMap(const TaskSystem& system);
 
   /// H_{i,j} for the given subtask (same processor, priority >=, not self).
-  [[nodiscard]] std::span<const Interferer> of(SubtaskRef ref) const;
+  [[nodiscard]] std::span<const Interferer> of(SubtaskRef ref) const {
+    return row(ref).set;
+  }
 
-  /// Structure-of-arrays view of H_{i,j}: parallel spans over contiguous
-  /// flat storage. `jitters` holds the interferers' task release jitters
-  /// (the jitter term SA/PM uses; IEERT substitutes its own per-pass
-  /// jitter vector of the same length).
+  /// Structure-of-arrays view of H_{i,j}: parallel spans over the row's
+  /// contiguous storage. `jitters` holds the interferers' task release
+  /// jitters (the jitter term SA/PM uses; IEERT substitutes its own
+  /// per-pass jitter vector of the same length).
   struct SoaView {
     std::span<const Duration> periods;
     std::span<const Duration> execs;
     std::span<const Duration> jitters;
     [[nodiscard]] std::size_t size() const noexcept { return periods.size(); }
   };
-  [[nodiscard]] SoaView soa_of(SubtaskRef ref) const;
+  [[nodiscard]] SoaView soa_of(SubtaskRef ref) const {
+    const Row& r = row(ref);
+    return SoaView{.periods = r.periods, .execs = r.execs, .jitters = r.jitters};
+  }
+
+  /// B_{i,j} (core/analysis/blocking.h) of the given subtask, stored so
+  /// the fixpoint solvers never rescan the processor.
+  [[nodiscard]] Duration blocking(SubtaskRef ref) const { return row(ref).blocking; }
 
   /// Task-major flat index of a subtask (stable for the system's lifetime);
   /// the incremental IEERT pass keys its dirty flags on it.
-  [[nodiscard]] std::size_t flat_index(SubtaskRef ref) const;
-  /// Total number of subtasks in the system.
-  [[nodiscard]] std::size_t subtask_count() const noexcept {
-    return range_begin_.empty() ? 0 : range_begin_.size() - 1;
+  [[nodiscard]] std::size_t flat_index(SubtaskRef ref) const {
+    E2E_ASSERT(ref.task.value() >= 0 && ref.task.index() + 1 < task_base_.size(),
+               "InterferenceMap: task out of range");
+    const std::size_t flat = task_base_[ref.task.index()] + static_cast<std::size_t>(ref.index);
+    E2E_ASSERT(ref.index >= 0 && flat < task_base_[ref.task.index() + 1],
+               "InterferenceMap: subtask index out of range");
+    return flat;
   }
+  /// The subtask at a flat index (inverse of flat_index).
+  [[nodiscard]] SubtaskRef ref_of(std::size_t flat) const {
+    E2E_ASSERT(flat < rows_.size(), "InterferenceMap: flat index out of range");
+    return rows_[flat].ref;
+  }
+  /// Total number of subtasks in the system.
+  [[nodiscard]] std::size_t subtask_count() const noexcept { return rows_.size(); }
 
-  /// Revert token for one apply_admit: the pre-admit shape plus which
-  /// resident sets grew by how much. Enough to restore the map
-  /// byte-for-byte after a rejected trial.
+  /// Revert token for one apply_admit: the pre-admit shape, which rows
+  /// grew by how much, and the blocking terms the admit raised. Enough to
+  /// restore the map byte-for-byte after a rejected trial.
   struct AdmitDelta {
     std::size_t old_tasks = 0;
     std::size_t old_subtasks = 0;
-    /// (flat subtask index in the OLD numbering, interferers appended at
-    /// the end of its set), residents only.
+    /// (flat subtask index, interferers appended at the end of its set),
+    /// residents only.
     std::vector<std::pair<std::size_t, std::uint32_t>> appended;
+    /// (flat subtask index, blocking term before the admit), residents
+    /// whose blocking term the admit raised.
+    std::vector<std::pair<std::size_t, Duration>> old_blocking;
   };
 
   /// Patches the map for `system`, which must be the currently mapped
@@ -101,31 +127,41 @@ class InterferenceMap {
   /// admits revert in reverse order of application.
   void revert_admit(const AdmitDelta& delta);
 
-  /// Patches the map for the removal of task `removed`: drops its row and
+  /// Patches the map for the removal of task `removed`: drops its rows and
   /// every Interferer it contributed, renumbering later tasks down by
-  /// one. Bit-identical to fresh construction over the shrunk system.
-  void apply_remove(std::size_t removed);
+  /// one, and recomputes the blocking terms on its processors. `system`
+  /// is the shrunk system (TaskSystem::remove_task already applied).
+  /// Bit-identical to fresh construction over it.
+  void apply_remove(const TaskSystem& system, std::size_t removed);
 
-  /// Order-dependent hash of every interference set (refs + parameters),
-  /// which fully determines the SoA mirror as well -- the delta-vs-fresh
-  /// equivalence check of the admission property tests.
+  /// Order-dependent hash of every row: the interference set (refs +
+  /// parameters), its SoA arrays and the blocking term -- the
+  /// delta-vs-fresh equivalence check of the admission property tests.
   [[nodiscard]] std::uint64_t content_hash() const noexcept;
 
  private:
-  /// Rebuilds task_base_/range_begin_/flat_* from per_subtask_ (the
-  /// source of truth), reusing capacity. O(total interferers), which on
-  /// admission-sized systems is a few microseconds -- the delta work
-  /// proper is the AoS surgery above.
-  void rebuild_mirror();
+  struct Row {
+    SubtaskRef ref;
+    ProcessorId processor;
+    Duration blocking = 0;
+    std::vector<Interferer> set;
+    std::vector<Duration> periods;  // parallel to `set`
+    std::vector<Duration> execs;
+    std::vector<Duration> jitters;
 
-  std::vector<std::vector<std::vector<Interferer>>> per_subtask_;  // [task][index]
-  // Flat SoA mirror: subtask (task-major order) f has interferers in
-  // [range_begin_[f], range_begin_[f + 1]) of the flat arrays.
-  std::vector<std::size_t> task_base_;     // flat subtask index of each task's first subtask
-  std::vector<std::size_t> range_begin_;   // size: total subtasks + 1
-  std::vector<Duration> flat_periods_;
-  std::vector<Duration> flat_execs_;
-  std::vector<Duration> flat_jitters_;
+    void push(const Interferer& h);
+    void truncate(std::size_t size);
+  };
+
+  /// The row of `system`'s subtask `s` built from scratch: the
+  /// constructor's scan of its processor.
+  [[nodiscard]] static Row build_row(const TaskSystem& system, const Subtask& s);
+
+  [[nodiscard]] const Row& row(SubtaskRef ref) const { return rows_[flat_index(ref)]; }
+
+  /// Flat index of each task's first row, plus the total: size tasks + 1.
+  std::vector<std::size_t> task_base_{0};
+  std::vector<Row> rows_;  ///< task-major (flat index order)
 };
 
 }  // namespace e2e

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "common/math.h"
-#include "core/analysis/blocking.h"
 #include "core/analysis/demand.h"
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/kernels.h"
@@ -130,7 +129,7 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
   for (const Task& t : system.tasks()) {
     Duration eer = 0;
     for (const Subtask& s : t.subtasks) {
-      const Duration blocking = blocking_term(system, s);
+      const Duration blocking = interference.blocking(s.ref);
       const InterferenceMap::SoaView hp = interference.soa_of(s.ref);
       const ResponseEquation eq{.period = t.period,
                                 .exec = s.execution_time,

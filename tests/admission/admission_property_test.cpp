@@ -6,8 +6,10 @@
 //
 // For the delta-maintained SA/DS engines the lockstep additionally
 // checks the interference-delta invariant: after every request the
-// engine's persistent InterferenceMap and converged SubtaskTable must
-// hash-match structures built FRESH from the committed live set. This
+// engine's persistent InterferenceMap (rows, SoA arrays and blocking
+// terms), IEERT dependency index (deps and reverse deps) and converged
+// SubtaskTable must hash-match structures built FRESH from the
+// committed live set. This
 // covers the rejected-trial revert paths too -- a rejection leaves the
 // committed state unchanged, so a revert that leaks even one patched
 // interferer or journal entry diverges from fresh construction on the
@@ -25,6 +27,7 @@
 #include "admission/controller.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/sa_ds.h"
 #include "exec/thread_pool.h"
@@ -80,6 +83,10 @@ void expect_digest_matches_fresh(const AdmissionController& incremental,
       incremental.state().build_with(nullptr, 0, std::nullopt);
   const InterferenceMap fresh_map{built.system};
   EXPECT_EQ(digest->interference_hash, fresh_map.content_hash())
+      << "request " << request_index;
+  IeertIncrementalState fresh_index;
+  ieert_index_dependencies(built.system, fresh_map, fresh_index);
+  EXPECT_EQ(digest->dependency_hash, ieert_dependency_hash(fresh_index))
       << "request " << request_index;
   const SaDsOptions options{.refine_jitter_with_best_case =
                                 policy == Policy::kHolistic};

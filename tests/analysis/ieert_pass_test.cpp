@@ -1,9 +1,16 @@
 // Direct unit tests of one Algorithm IEERT pass (Figure 10), with
-// hand-iterated expectations on the paper's Example 2.
+// hand-iterated expectations on the paper's Example 2, plus the
+// equivalence of the worklist sweep with a full staleness scan.
 #include "core/analysis/ieert.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "common/math.h"
+#include "common/rng.h"
 #include "task/builder.h"
 #include "task/paper_examples.h"
 
@@ -95,6 +102,202 @@ TEST(IeertPass, FailureMultiplierShortCircuits) {
                                      {.cap = 100000, .failure_period_multiplier = 1.1});
   EXPECT_TRUE(is_infinite(p1.at(SubtaskRef{TaskId{2}, 0})));
   EXPECT_EQ(p1.at(SubtaskRef{TaskId{0}, 0}), 2);
+}
+
+// --- Worklist sweep vs. full staleness scan ------------------------------
+
+/// The full-scan form of ieert_sweep's staleness rule, kept as a
+/// reference: visit every entry in flat order and recompute it iff it is
+/// forced or one of its inputs changed in the previous sweep or earlier
+/// in this one. Flags instead of lists; `changed` empty means "first
+/// sweep, recompute everything".
+struct ScanState {
+  std::vector<std::vector<std::uint32_t>> deps;
+  std::vector<std::uint8_t> changed;
+  std::vector<std::uint8_t> force;
+  std::vector<IeertWarmEntry> warm;
+};
+
+std::size_t reference_scan_sweep(const TaskSystem& system,
+                                 const InterferenceMap& interference,
+                                 SubtaskTable& table, const IeertOptions& options,
+                                 ScanState& state, IeertSweepUndo* undo) {
+  const std::size_t count = interference.subtask_count();
+  const bool incremental = !state.changed.empty();
+  std::vector<std::uint8_t> sweep_changed(count, 0);
+  std::vector<Duration> hp_jitter;
+  std::size_t changed_count = 0;
+  for (const Task& t : system.tasks()) {
+    for (const Subtask& s : t.subtasks) {
+      const std::size_t flat = interference.flat_index(s.ref);
+      bool stale = true;
+      if (incremental) {
+        stale = !state.force.empty() && state.force[flat] != 0;
+        for (const std::uint32_t d : state.deps[flat]) {
+          if (state.changed[d] != 0 || sweep_changed[d] != 0) stale = true;
+        }
+      }
+      if (!stale) continue;
+      if (undo != nullptr && undo->seen[flat] == 0) {
+        undo->seen[flat] = 1;
+        undo->entries.push_back(IeertSweepUndo::Entry{.ref = s.ref,
+                                                      .flat = static_cast<std::uint32_t>(flat),
+                                                      .value = table.at(s.ref),
+                                                      .warm = state.warm[flat]});
+      }
+      const Duration bound = ieert_bound_entry(system, interference, table, s.ref, options,
+                                               &state.warm[flat], hp_jitter);
+      if (bound != table.at(s.ref)) {
+        sweep_changed[flat] = 1;
+        ++changed_count;
+        table.set(s.ref, bound);
+      }
+    }
+  }
+  state.changed = std::move(sweep_changed);
+  state.force.clear();
+  return changed_count;
+}
+
+constexpr int kSweepProcessors = 3;
+
+TaskSystem random_ds_system(Rng& rng, int tasks) {
+  TaskSystemBuilder b{kSweepProcessors};
+  for (int i = 0; i < tasks; ++i) {
+    auto handle = b.add_task({.period = rng.uniform_int(40, 160),
+                              .release_jitter = rng.uniform_int(0, 2)});
+    const auto length = rng.uniform_int(1, 4);
+    for (std::int64_t j = 0; j < length; ++j) {
+      handle.subtask(
+          ProcessorId{static_cast<std::int32_t>(rng.uniform_int(0, kSweepProcessors - 1))},
+          rng.uniform_int(1, 6), Priority{static_cast<std::int32_t>(rng.uniform_int(0, 4))});
+      if (rng.uniform_int(0, 4) == 0) handle.non_preemptible();
+    }
+  }
+  return std::move(b).build();
+}
+
+void expect_same_warm(const IeertWarmEntry& a, const IeertWarmEntry& b, const char* what) {
+  EXPECT_EQ(a.busy, b.busy) << what;
+  EXPECT_EQ(a.completions, b.completions) << what;
+}
+
+/// Runs up to `budget` sweeps of both implementations in lockstep from
+/// `start`, comparing everything observable after every sweep. Returns
+/// the last sweep's change count (nonzero: the budget ran out first).
+std::size_t lockstep_sweeps(const TaskSystem& system, const InterferenceMap& imap,
+                            const SubtaskTable& start, const IeertOptions& options,
+                            const std::vector<std::uint32_t>* force, int budget) {
+  const std::size_t count = imap.subtask_count();
+  IeertIncrementalState worklist;
+  ieert_index_dependencies(system, imap, worklist);
+  worklist.warm.assign(count, {});
+  ScanState scan{.deps = worklist.deps, .warm = std::vector<IeertWarmEntry>(count)};
+  if (force != nullptr) {
+    // A delta re-analysis: only the forced entries (and what they reach)
+    // are recomputed.
+    worklist.recompute_all = false;
+    worklist.force = *force;
+    scan.changed.assign(count, 0);
+    scan.force.assign(count, 0);
+    for (const std::uint32_t f : *force) scan.force[f] = 1;
+  }
+  SubtaskTable worklist_table = start;
+  SubtaskTable scan_table = start;
+  IeertSweepUndo worklist_undo;
+  IeertSweepUndo scan_undo;
+  worklist_undo.arm(count);
+  scan_undo.arm(count);
+
+  std::size_t changes = 0;
+  for (int sweep = 0; sweep < budget; ++sweep) {
+    changes = ieert_sweep(system, imap, worklist_table, options, worklist, &worklist_undo);
+    const std::size_t scan_changes =
+        reference_scan_sweep(system, imap, scan_table, options, scan, &scan_undo);
+    EXPECT_EQ(changes, scan_changes) << "sweep " << sweep;
+    EXPECT_EQ(worklist_table, scan_table) << "sweep " << sweep;
+    std::vector<std::uint32_t> scan_changed;
+    for (std::size_t f = 0; f < count; ++f) {
+      if (scan.changed[f] != 0) scan_changed.push_back(static_cast<std::uint32_t>(f));
+    }
+    EXPECT_EQ(worklist.changed, scan_changed) << "sweep " << sweep;
+    for (std::size_t f = 0; f < count; ++f) {
+      expect_same_warm(worklist.warm[f], scan.warm[f], "warm seed");
+    }
+    if (::testing::Test::HasFailure() || changes == 0) break;
+  }
+  EXPECT_EQ(worklist_undo.seen, scan_undo.seen);
+  EXPECT_EQ(worklist_undo.entries.size(), scan_undo.entries.size());
+  for (std::size_t k = 0;
+       k < std::min(worklist_undo.entries.size(), scan_undo.entries.size()); ++k) {
+    const IeertSweepUndo::Entry& a = worklist_undo.entries[k];
+    const IeertSweepUndo::Entry& b = scan_undo.entries[k];
+    EXPECT_EQ(a.ref, b.ref) << "journal " << k;
+    EXPECT_EQ(a.flat, b.flat) << "journal " << k;
+    EXPECT_EQ(a.value, b.value) << "journal " << k;
+    expect_same_warm(a.warm, b.warm, "journaled warm seed");
+  }
+  return changes;
+}
+
+/// Figure 11 step 1 on any system.
+SubtaskTable optimistic_init(const TaskSystem& sys) { return example2_init(sys); }
+
+IeertOptions sa_ds_like_options(const TaskSystem& sys, double multiplier) {
+  return IeertOptions{.cap = sat_mul(static_cast<Duration>(multiplier *
+                                                           static_cast<double>(sys.max_period())),
+                                     2),
+                      .failure_period_multiplier = multiplier};
+}
+
+TEST(IeertSweep, WorklistMatchesFullScanFromScratch) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng{seed};
+    const TaskSystem sys = random_ds_system(rng, 10);
+    const InterferenceMap imap{sys};
+    for (const bool refine : {false, true}) {
+      IeertOptions options = sa_ds_like_options(sys, 300.0);
+      options.refine_jitter_with_best_case = refine;
+      EXPECT_EQ(lockstep_sweeps(sys, imap, optimistic_init(sys), options, nullptr, 200), 0u)
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(IeertSweep, WorklistMatchesFullScanUnderRandomForceSets) {
+  for (const std::uint64_t seed : {7u, 8u, 9u, 10u, 11u, 12u}) {
+    Rng rng{seed};
+    const TaskSystem sys = random_ds_system(rng, 10);
+    const InterferenceMap imap{sys};
+    const std::size_t count = imap.subtask_count();
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::uint32_t> force;
+      for (std::size_t f = 0; f < count; ++f) {
+        if (rng.uniform_int(0, 3) == 0) force.push_back(static_cast<std::uint32_t>(f));
+      }
+      // Duplicates and arbitrary order are allowed in the force list.
+      if (!force.empty()) force.push_back(force.front());
+      std::reverse(force.begin(), force.end());
+      (void)lockstep_sweeps(sys, imap, optimistic_init(sys),
+                            sa_ds_like_options(sys, 300.0), &force, 200);
+    }
+  }
+}
+
+TEST(IeertSweep, WorklistMatchesFullScanAtAPassBudgetBlowout) {
+  // Heavily loaded systems iterate for many sweeps; stopping at a small
+  // budget compares the mid-iteration tables, seeds and journals too.
+  int blowouts = 0;
+  for (std::uint64_t seed = 100; seed < 140; ++seed) {
+    Rng rng{seed};
+    const TaskSystem sys = random_ds_system(rng, 22);
+    const InterferenceMap imap{sys};
+    if (lockstep_sweeps(sys, imap, optimistic_init(sys), sa_ds_like_options(sys, 300.0),
+                        nullptr, 3) != 0) {
+      ++blowouts;
+    }
+  }
+  EXPECT_GT(blowouts, 0) << "no system outlived the sweep budget";
 }
 
 }  // namespace

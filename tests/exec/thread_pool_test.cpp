@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -53,17 +54,29 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 }
 
 TEST(ThreadPool, CallingThreadIsWorkerZero) {
+  // Schedule-independent: the caller runs its indices as worker 0 and no
+  // other thread ever does. Caller participation is forced rather than
+  // hoped for: every other worker holds its first index until the caller
+  // has run one, so the workers cannot drain the range first (which they
+  // do under TSan's slowed-down scheduling). The wait is bounded, so a
+  // pool that never lets the caller in fails instead of hanging.
   ThreadPool pool{3};
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> caller_participated{false};
+  std::atomic<int> misnumbered{0};
   pool.parallel_for_indexed(64, [&](std::int64_t, int worker) {
     if (std::this_thread::get_id() == caller) {
-      EXPECT_EQ(worker, 0);
+      if (worker != 0) ++misnumbered;
       caller_participated.store(true);
-    } else {
-      EXPECT_NE(worker, 0);
+      return;
+    }
+    if (worker == 0) ++misnumbered;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!caller_participated.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
   });
+  EXPECT_EQ(misnumbered.load(), 0);
   EXPECT_TRUE(caller_participated.load());
 }
 
