@@ -1,6 +1,5 @@
 #include "experiments/breakdown.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -105,7 +104,7 @@ std::vector<BreakdownResult> run_breakdown_experiment(int systems, std::uint64_t
         seed ^ (static_cast<std::uint64_t>(n) << 40), systems);
     const std::vector<std::pair<double, double>> utilizations =
         executor.map<std::pair<double, double>>(
-            systems, [&](std::int64_t i, std::optional<Engine>&) {
+            systems, [&](std::int64_t i, ScenarioExecutor::WorkerSlot&) {
               Rng rng = streams[static_cast<std::size_t>(i)];
               // The base utilization only sets the starting point of the
               // scale; 50% keeps every generated system analyzable.

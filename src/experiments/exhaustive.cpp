@@ -1,7 +1,6 @@
 #include "experiments/exhaustive.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.h"
 #include "common/math.h"
@@ -97,21 +96,18 @@ ExhaustiveResult exhaustive_worst_eer(const TaskSystem& system, ProtocolKind kin
   for (std::int64_t chunk_begin = 0; chunk_begin < combinations;
        chunk_begin += chunk_size) {
     const std::int64_t count = std::min(chunk_size, combinations - chunk_begin);
-    executor.for_each(count, [&](std::int64_t offset, std::optional<Engine>& engine) {
+    executor.for_each(count, [&](std::int64_t offset,
+                                 ScenarioExecutor::WorkerSlot& slot) {
       std::vector<Time> phases;
       decode(chunk_begin + offset, phases);
       const TaskSystem phased = with_phases(system, phases);
       const auto protocol = make_protocol(kind, phased, &pm_bounds.subtask_bounds);
       const EngineOptions engine_options{.horizon =
                                              phased.max_phase() + base_horizon};
-      if (engine.has_value()) {
-        engine->reset(phased, *protocol, engine_options);
-      } else {
-        engine.emplace(phased, *protocol, engine_options);
-      }
+      Engine& engine = slot.engine_for(phased, *protocol, engine_options);
       EerCollector eer{phased};
-      engine->add_sink(&eer);
-      engine->run();
+      engine.add_sink(&eer);
+      engine.run();
       std::vector<Duration>& worst = chunk_worst[static_cast<std::size_t>(offset)];
       worst.resize(phased.task_count());
       for (const Task& t : phased.tasks()) worst[t.id.index()] = eer.worst_eer(t.id);

@@ -120,7 +120,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
   const std::int64_t items =
       static_cast<std::int64_t>(severities.size() * protocols.size()) * per_cell;
   const std::vector<RunOutcome> outcomes = executor.map<RunOutcome>(
-      items, [&](std::int64_t item, std::optional<Engine>& engine) {
+      items, [&](std::int64_t item, ScenarioExecutor::WorkerSlot& slot) {
         const std::int64_t cell_index = item / per_cell;
         const FaultSeverity& severity =
             severities[static_cast<std::size_t>(cell_index) / protocols.size()];
@@ -143,18 +143,14 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
             .horizon = sc.horizon,
             .faults = &faults,
             .timesvc = timesvc.has_value() ? &*timesvc : nullptr};
-        if (engine.has_value()) {
-          engine->reset(sc.system, *protocol, engine_options);
-        } else {
-          engine.emplace(sc.system, *protocol, engine_options);
-        }
+        Engine& engine = slot.engine_for(sc.system, *protocol, engine_options);
         ScheduleHash hash;
-        engine->add_sink(&hash);
-        engine->run();
+        engine.add_sink(&hash);
+        engine.run();
 
         RunOutcome outcome;
-        outcome.stats = engine->stats();
-        outcome.completions = end_to_end_completions(*engine);
+        outcome.stats = engine.stats();
+        outcome.completions = end_to_end_completions(engine);
         outcome.schedule_hash = hash.value();
         if (const auto* mpm =
                 dynamic_cast<const ModifiedPmProtocol*>(protocol.get())) {

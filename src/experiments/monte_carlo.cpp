@@ -145,12 +145,7 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
             .horizon = variant->max_phase() + horizon,
             .execution =
                 options.execution_min_fraction < 1.0 ? &variation : nullptr};
-        std::optional<Engine>& engine = slot.engine;
-        if (engine.has_value()) {
-          engine->reset(*variant, protocol, engine_options);
-        } else {
-          engine.emplace(*variant, protocol, engine_options);
-        }
+        Engine& engine = slot.engine_for(*variant, protocol, engine_options);
 
         // The collector is reference-bound to the worker's clone (a
         // stable object mutated in place), so it too survives across
@@ -162,9 +157,9 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
         }
         EerCollector& eer = *scratch.eer;
         ScheduleHash hash;
-        engine->add_sink(&eer);
-        engine->add_sink(&hash);
-        engine->run();
+        engine.add_sink(&eer);
+        engine.add_sink(&hash);
+        engine.run();
 
         RunOutcome outcome;
         outcome.series.reserve(variant->task_count());
@@ -172,7 +167,7 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
           outcome.series.push_back(eer.eer_series(t.id));
         }
         outcome.schedule_hash = hash.value();
-        outcome.events = engine->stats().events_processed;
+        outcome.events = engine.stats().events_processed;
         return outcome;
       });
 

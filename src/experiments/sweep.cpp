@@ -42,25 +42,21 @@ struct SystemEvaluation {
 /// reset engine reproduces a fresh one exactly, so which worker runs a
 /// system cannot affect its evaluation); returns the EER collector and
 /// folds the run's schedule hash and event count into `eval`.
-EerCollector simulate(std::optional<Engine>& engine, const TaskSystem& system,
+EerCollector simulate(ScenarioExecutor::WorkerSlot& slot, const TaskSystem& system,
                       SyncProtocol& protocol, Time horizon,
                       SystemEvaluation& eval) {
   EerCollector collector{system};
   ScheduleHash hash;
-  if (engine.has_value()) {
-    engine->reset(system, protocol, {.horizon = horizon});
-  } else {
-    engine.emplace(system, protocol, EngineOptions{.horizon = horizon});
-  }
-  engine->add_sink(&collector);
-  engine->add_sink(&hash);
-  engine->run();
+  Engine& engine = slot.engine_for(system, protocol, {.horizon = horizon});
+  engine.add_sink(&collector);
+  engine.add_sink(&hash);
+  engine.run();
   eval.schedule_hash = hash_combine(eval.schedule_hash, hash.value());
-  eval.events += engine->stats().events_processed;
+  eval.events += engine.stats().events_processed;
   return collector;
 }
 
-SystemEvaluation evaluate_system(std::optional<Engine>& engine, Rng rng,
+SystemEvaluation evaluate_system(ScenarioExecutor::WorkerSlot& slot, Rng rng,
                                  const GeneratorOptions& gen_options,
                                  const SweepOptions& options) {
   SystemEvaluation eval;
@@ -114,9 +110,9 @@ SystemEvaluation evaluate_system(std::optional<Engine>& engine, Rng rng,
   PhaseModificationProtocol pm_protocol{system, pm.subtask_bounds};
   ReleaseGuardProtocol rg_protocol{system};
 
-  const EerCollector ds_eer = simulate(engine, system, ds_protocol, horizon, eval);
-  const EerCollector pm_eer = simulate(engine, system, pm_protocol, horizon, eval);
-  const EerCollector rg_eer = simulate(engine, system, rg_protocol, horizon, eval);
+  const EerCollector ds_eer = simulate(slot, system, ds_protocol, horizon, eval);
+  const EerCollector pm_eer = simulate(slot, system, pm_protocol, horizon, eval);
+  const EerCollector rg_eer = simulate(slot, system, rg_protocol, horizon, eval);
 
   for (const Task& t : system.tasks()) {
     const double ds_avg = ds_eer.average_eer(t.id);
@@ -154,7 +150,7 @@ SystemEvaluation evaluate_system(std::optional<Engine>& engine, Rng rng,
 
   if (options.run_rg_no_idle_rule) {
     ReleaseGuardProtocol rg_noidle{system, {.enable_idle_point_rule = false}};
-    const EerCollector noidle_eer = simulate(engine, system, rg_noidle, horizon, eval);
+    const EerCollector noidle_eer = simulate(slot, system, rg_noidle, horizon, eval);
     for (const Task& t : system.tasks()) {
       const double ds_avg = ds_eer.average_eer(t.id);
       if (ds_avg > 0.0 && noidle_eer.completed_instances(t.id) > 0) {
@@ -212,8 +208,8 @@ ConfigResult run_configuration(const Configuration& config, const SweepOptions& 
   const std::vector<SystemEvaluation> evaluations =
       executor.map<SystemEvaluation>(
           options.systems_per_config,
-          [&](std::int64_t i, std::optional<Engine>& engine) {
-            return evaluate_system(engine, streams[static_cast<std::size_t>(i)],
+          [&](std::int64_t i, ScenarioExecutor::WorkerSlot& slot) {
+            return evaluate_system(slot, streams[static_cast<std::size_t>(i)],
                                    gen_options, options);
           });
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -38,7 +37,20 @@ class ScenarioExecutor {
   /// steady-state runs then recycle every allocation instead of
   /// rebuilding per work item.
   struct WorkerSlot {
+    /// Empty until the worker's first engine_for().
     std::optional<Engine> engine;
+
+    /// The worker's engine bound to (system, protocol, options): reset
+    /// when the worker already has one, constructed on its first use.
+    Engine& engine_for(const TaskSystem& system, SyncProtocol& protocol,
+                       EngineOptions options) {
+      if (engine.has_value()) {
+        engine->reset(system, protocol, options);
+      } else {
+        engine.emplace(system, protocol, options);
+      }
+      return *engine;
+    }
 
     /// The worker's scratch of type T, constructed via `make()` on first
     /// use. A different T than the current occupant (another experiment
@@ -87,20 +99,13 @@ class ScenarioExecutor {
     return streams;
   }
 
-  /// Runs fn for every index in [0, n) over the pool, passing the
-  /// running worker's persistent slot: either fn(index, WorkerSlot&) or
-  /// the narrower fn(index, std::optional<Engine>&) (the engine is empty
-  /// on the worker's first item; fn decides reset-vs-emplace).
-  /// Exceptions follow ThreadPool: the lowest-index one is rethrown.
+  /// Runs fn(index, WorkerSlot&) for every index in [0, n) over the
+  /// pool, passing the running worker's persistent slot. Exceptions
+  /// follow ThreadPool: the lowest-index one is rethrown.
   template <typename Fn>
   void for_each(std::int64_t n, Fn&& fn) {
     pool_.parallel_for_indexed(n, [&](std::int64_t index, int worker) {
-      WorkerSlot& slot = slots_[static_cast<std::size_t>(worker)];
-      if constexpr (std::is_invocable_v<Fn&, std::int64_t, WorkerSlot&>) {
-        fn(index, slot);
-      } else {
-        fn(index, slot.engine);
-      }
+      fn(index, slots_[static_cast<std::size_t>(worker)]);
     });
   }
 
@@ -111,11 +116,7 @@ class ScenarioExecutor {
   [[nodiscard]] std::vector<T> map(std::int64_t n, Fn&& fn) {
     std::vector<T> results(static_cast<std::size_t>(n));
     for_each(n, [&](std::int64_t index, WorkerSlot& slot) {
-      if constexpr (std::is_invocable_v<Fn&, std::int64_t, WorkerSlot&>) {
-        results[static_cast<std::size_t>(index)] = fn(index, slot);
-      } else {
-        results[static_cast<std::size_t>(index)] = fn(index, slot.engine);
-      }
+      results[static_cast<std::size_t>(index)] = fn(index, slot);
     });
     return results;
   }

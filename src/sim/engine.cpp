@@ -57,6 +57,9 @@ void Engine::bind(const TaskSystem& system, SyncProtocol& protocol,
 
   processors_.resize(system.processor_count());
   for (ProcessorState& proc : processors_) proc.rewind();
+  completion_at_.assign(system.processor_count(), kTimeInfinity);
+  completion_order_.assign(system.processor_count(), 0);
+  dropped_until_ = 0;
   // Unmark every processor by bumping the epoch; stamps are only ever set
   // to the then-current epoch, so none can collide with the new value.
   ++dispatch_epoch_;
@@ -309,8 +312,10 @@ void Engine::run() {
   protocol_->initialize(*this);
   initializing_ = false;
 
-  // One iteration per *instant*: drain every event at the head timestamp
-  // into batch_, process the batch, then run scheduling decisions once.
+  // One iteration per *instant*, the earlier of the heap head and the
+  // earliest completion slot. Completions due at the instant retire first,
+  // in dispatch order; then every queued event at the instant is drained
+  // into batch_ and processed; then scheduling decisions run once.
   // Handlers may enqueue same-instant events; every such event carries a
   // larger seq than the whole batch, so it sorts after the batch entry
   // that created it unless its phase is strictly smaller -- the
@@ -318,11 +323,13 @@ void Engine::run() {
   // order, keeping the batched loop's event order identical to the
   // one-pop-per-iteration loop it replaced (engine_soa_test pins this
   // against pre-refactor golden hashes).
-  while (!queue_.empty()) {
-    const Time t = queue_.top_time();
-    if (t > options_.horizon) break;
-    E2E_ASSERT(t >= now_, "event queue went backwards in time");
+  while (true) {
+    const Time due = next_completion_time();
+    const Time t = queue_.empty() ? due : std::min(due, queue_.top_time());
+    if (is_infinite(t) || t > options_.horizon) break;
+    E2E_ASSERT(t >= now_, "simulation clock went backwards");
     now_ = t;
+    if (due == t) retire_completions();
     queue_.pop_batch_at(t, batch_);
     for (std::size_t i = 0; i < batch_.size(); ++i) {
       EventQueue::Packed mid;
@@ -334,10 +341,36 @@ void Engine::run() {
     EventQueue::Packed tail;
     while (queue_.pop_if_at(t, ~std::uint64_t{0}, tail)) process(tail);
     // Scheduling decisions fire once per instant, after every simultaneous
-    // event has been absorbed. The flush itself only enqueues future
-    // completions (executions are >= 1 tick), so it cannot reopen the
+    // event has been absorbed. The flush only fills completion slots with
+    // future times (executions are >= 1 tick), so it cannot reopen the
     // instant.
     flush_dispatches();
+  }
+  // A dropped completion within the horizon counts as processed (see
+  // SimStats), so the clock ends no earlier than it.
+  now_ = std::max(now_, dropped_until_);
+}
+
+Time Engine::next_completion_time() const noexcept {
+  Time due = kTimeInfinity;
+  for (const Time at : completion_at_) due = std::min(due, at);
+  return due;
+}
+
+void Engine::retire_completions() {
+  // No handler can fill a slot with now_ (dispatch waits for the end of
+  // the instant and executions are >= 1 tick), so the due set only shrinks.
+  const std::size_t count = completion_at_.size();
+  while (true) {
+    std::size_t next = count;
+    for (std::size_t p = 0; p < count; ++p) {
+      if (completion_at_[p] == now_ &&
+          (next == count || completion_order_[p] < completion_order_[next])) {
+        next = p;
+      }
+    }
+    if (next == count) return;
+    handle_completion(next);
   }
 }
 
@@ -354,9 +387,6 @@ void Engine::process(const EventQueue::Packed& packed) {
     case EventKind::kTimer:
       ++stats_.timer_interrupts;
       proto_on_timer(event.ref, event.instance);
-      break;
-    case EventKind::kCompletion:
-      handle_completion(event.processor, event.slot, event.generation);
       break;
     case EventKind::kSignal:
       // Delayed delivery of a faulted sync signal (the ideal path never
@@ -535,19 +565,14 @@ void Engine::flush_deferred(SubtaskRef pred, std::int64_t completed) {
   }
 }
 
-void Engine::handle_completion(ProcessorId processor, JobSlot slot,
-                               std::uint32_t generation) {
-  // Stale completion events (the job was preempted, or the slot recycled)
-  // are dropped: the generation recorded at dispatch no longer matches.
-  if (!pool_.occupied(slot)) return;
+void Engine::handle_completion(std::size_t processor) {
+  ++stats_.events_processed;
+  completion_at_[processor] = kTimeInfinity;
+  ProcessorState& proc = processors_[processor];
+  const JobSlot slot = static_cast<JobSlot>(proc.running_slot);
   Job& job = pool_.get(slot);
-  if (job.generation != generation) return;
-
-  ProcessorState& proc = processors_[processor.index()];
-  E2E_ASSERT(proc.running_slot == static_cast<std::int64_t>(slot),
-             "valid completion for a job that is not running");
   E2E_ASSERT(now_ == job.last_dispatch_time + job.remaining,
-             "completion event at the wrong time");
+             "completion at the wrong time");
   job.remaining = 0;
   proc.busy_time += now_ - job.last_dispatch_time;
   proc.running_slot = -1;
@@ -619,14 +644,19 @@ void Engine::dispatch(ProcessorState& proc) {
   const ProcessorState::ReadyEntry& top = proc.ready.front();
   if (top.priority_level >= running.priority.level) return;  // no strict preemption
 
-  // Preempt: account for the work done since the last dispatch and
-  // invalidate the in-flight completion event.
+  // Preempt: account for the work done since the last dispatch and drop
+  // the in-flight completion, charging it to events_processed if it was
+  // due within the horizon (see SimStats).
   proc.busy_time += now_ - running.last_dispatch_time;
   running.remaining -= now_ - running.last_dispatch_time;
   E2E_ASSERT(running.remaining > 0,
              "a job with no remaining work must have completed, not preempted");
-  ++running.generation;
   ++stats_.preemptions;
+  const Time dropped = completion_at_[running.processor.index()];
+  if (dropped <= options_.horizon) {
+    ++stats_.events_processed;
+    dropped_until_ = std::max(dropped_until_, dropped);
+  }
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_preempt(running, now_);
   }
@@ -644,14 +674,10 @@ void Engine::start_job(ProcessorState& proc, JobSlot slot) {
   Job& job = pool_.get(slot);
   proc.running_slot = static_cast<std::int64_t>(slot);
   job.last_dispatch_time = now_;
-  ++job.generation;
   ++stats_.dispatches;
-  queue_.push(Event{.time = now_ + job.remaining,
-                    .phase = kCompletionPhase,
-                    .kind = EventKind::kCompletion,
-                    .processor = job.processor,
-                    .slot = slot,
-                    .generation = job.generation});
+  // The dispatch count doubles as the slot's dispatch order.
+  completion_at_[job.processor.index()] = now_ + job.remaining;
+  completion_order_[job.processor.index()] = stats_.dispatches;
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_start(job, now_);
   }

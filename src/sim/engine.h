@@ -32,9 +32,10 @@
 // Memory layout (DESIGN.md section 9): all per-run tables live in a
 // MonotonicArena as flat SoA planes indexed by a precomputed
 // (task, chain index) -> flat-subtask offset table; reset() rewinds the
-// arena cursor instead of clear()ing nested containers. The run loop
-// drains one timestamp at a time from the event queue into a batch
-// buffer (see run() for the interleaving rule) and devirtualizes the
+// arena cursor instead of clear()ing nested containers. Job completions
+// sit in one slot per processor, outside the event queue. The run loop
+// advances to the earlier of the queue head and the earliest slot, one
+// timestamp at a time (see run() for the order), and devirtualizes the
 // protocol callbacks of the four built-in protocols behind a sealed-kind
 // switch.
 #pragma once
@@ -72,6 +73,8 @@ struct SimStats {
   std::int64_t precedence_violations = 0;
   std::int64_t deadline_misses = 0;   ///< end-to-end deadline misses
   std::int64_t idle_points = 0;
+  /// Queued events plus one per dispatch whose completion time falls
+  /// within the horizon, whether the job completed then or was preempted.
   std::int64_t events_processed = 0;
   // --- fault-layer counters (all zero under ideal conditions) ---------
   std::int64_t dropped_signals = 0;     ///< no copy of the signal arrived
@@ -305,8 +308,11 @@ class Engine {
   static JobSlot pop_ready(ProcessorState& proc);
   void process(const EventQueue::Packed& packed);
   void handle_arrival(SubtaskRef ref, std::int64_t instance);
-  void handle_completion(ProcessorId processor, JobSlot slot,
-                         std::uint32_t generation);
+  /// Earliest completion slot; kTimeInfinity if every processor is idle.
+  [[nodiscard]] Time next_completion_time() const noexcept;
+  /// Retires the completions due at now_, in dispatch order.
+  void retire_completions();
+  void handle_completion(std::size_t processor);
   void do_release(SubtaskRef ref, std::int64_t instance);
   /// The release proper (job allocation, precedence check, dispatch),
   /// after do_release's duplicate filtering and defer-policy gate.
@@ -366,6 +372,13 @@ class Engine {
 
   /// Same-timestamp batch buffer drained from queue_ by run().
   std::vector<EventQueue::Packed> batch_;
+
+  /// Completion slots (DESIGN.md section 9): per processor, the running
+  /// job's completion time (kTimeInfinity when idle) and dispatch order,
+  /// which orders same-instant completions. A preemption overwrites both.
+  std::vector<Time> completion_at_;
+  std::vector<std::int64_t> completion_order_;
+  Time dropped_until_ = 0;  ///< latest preempted completion <= horizon
 
   // --- arena-backed per-run SoA state (DESIGN.md section 9) -----------
   // All pointers below are into arena_ and are re-established by bind();

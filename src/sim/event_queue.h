@@ -1,10 +1,12 @@
-// The simulator's event queue.
+// The simulator's event queue: arrivals, releases, protocol timers and
+// delayed sync signals. Job completions are not queued; they live in the
+// engine's per-processor completion slots (see Engine::run).
 //
 // Determinism contract: events are processed in ascending (time, phase,
 // insertion sequence) order. The phase encodes the paper's idle-point
-// semantics at a shared timestamp t:
+// semantics at a shared timestamp t, where all work finishing exactly at
+// t has already been retired from the completion slots:
 //
-//   kCompletionPhase  -- all work finishing exactly at t is retired first,
 //   kTimerPhase       -- protocol timers at t see completed predecessors,
 //   kReleasePhase     -- instances "released at the instant" come last, so
 //                        an idle point at t is observable before them.
@@ -31,7 +33,6 @@
 #include "common/error.h"
 #include "common/ids.h"
 #include "common/time.h"
-#include "sim/job.h"
 
 namespace e2e {
 
@@ -39,16 +40,14 @@ enum class EventKind : std::uint8_t {
   kArrival,     ///< periodic/sporadic arrival of a task instance (releases T_{i,1})
   kRelease,     ///< release of subtask instance (ref, instance)
   kTimer,       ///< protocol timer for (ref, instance) -- MPM bound timer, RG guard
-  kCompletion,  ///< tentative completion of the job in (processor, slot, generation)
   kSignal,      ///< delayed sync-signal delivery for (ref, instance); only the
                 ///< fault layer produces these (ideal signals are synchronous)
 };
 
 /// Intra-timestamp ordering phases (see file comment).
 enum : std::uint8_t {
-  kCompletionPhase = 0,
-  kTimerPhase = 1,
-  kReleasePhase = 2,
+  kTimerPhase = 0,
+  kReleasePhase = 1,
 };
 
 struct Event {
@@ -57,12 +56,10 @@ struct Event {
   std::uint64_t seq = 0;  ///< assigned by the queue; insertion order
   EventKind kind = EventKind::kArrival;
 
-  // Payload (interpreted per kind).
-  SubtaskRef ref;                ///< kArrival (first subtask) / kRelease / kTimer
-  std::int64_t instance = 0;     ///< kArrival / kRelease / kTimer
-  ProcessorId processor;         ///< kCompletion
-  JobSlot slot = 0;              ///< kCompletion
-  std::uint32_t generation = 0;  ///< kCompletion
+  // Payload: the subtask instance the event is about (the first subtask
+  // for kArrival).
+  SubtaskRef ref;
+  std::int64_t instance = 0;
 };
 
 /// Min-heap by (time, phase, seq). push() assigns the sequence number.
@@ -81,8 +78,8 @@ class EventQueue {
   struct Packed {
     Time time = 0;
     std::uint64_t key = 0;
-    std::uint64_t a = 0;  ///< ref (task<<32|index) or processor<<32|slot
-    std::uint64_t b = 0;  ///< instance or completion generation
+    std::uint64_t a = 0;  ///< ref (task<<32|index)
+    std::uint64_t b = 0;  ///< instance
 
     [[nodiscard]] std::uint8_t phase() const noexcept {
       return static_cast<std::uint8_t>(key >> 61);
@@ -96,19 +93,11 @@ class EventQueue {
     p.time = event.time;
     p.key = (static_cast<std::uint64_t>(event.phase) << 61) | (seq << 3) |
             static_cast<std::uint64_t>(event.kind);
-    if (event.kind == EventKind::kCompletion) {
-      p.a = (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(event.processor.value()))
-             << 32) |
-            event.slot;
-      p.b = event.generation;
-    } else {
-      p.a = (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(event.ref.task.value()))
-             << 32) |
-            static_cast<std::uint32_t>(event.ref.index);
-      p.b = static_cast<std::uint64_t>(event.instance);
-    }
+    p.a = (static_cast<std::uint64_t>(
+               static_cast<std::uint32_t>(event.ref.task.value()))
+           << 32) |
+          static_cast<std::uint32_t>(event.ref.index);
+    p.b = static_cast<std::uint64_t>(event.instance);
     return p;
   }
 
@@ -118,15 +107,9 @@ class EventQueue {
     event.phase = p.phase();
     event.seq = (p.key << 3) >> 6;
     event.kind = static_cast<EventKind>(p.key & 0x7);
-    if (event.kind == EventKind::kCompletion) {
-      event.processor = ProcessorId{static_cast<std::int32_t>(p.a >> 32)};
-      event.slot = static_cast<JobSlot>(p.a & 0xffffffffu);
-      event.generation = static_cast<std::uint32_t>(p.b);
-    } else {
-      event.ref = SubtaskRef{TaskId{static_cast<std::int32_t>(p.a >> 32)},
-                             static_cast<std::int32_t>(p.a & 0xffffffffu)};
-      event.instance = static_cast<std::int64_t>(p.b);
-    }
+    event.ref = SubtaskRef{TaskId{static_cast<std::int32_t>(p.a >> 32)},
+                           static_cast<std::int32_t>(p.a & 0xffffffffu)};
+    event.instance = static_cast<std::int64_t>(p.b);
     return event;
   }
 

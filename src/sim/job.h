@@ -25,8 +25,6 @@ struct Job {
   Duration remaining = 0;         ///< work left (<= execution_time)
   Time last_dispatch_time = 0;    ///< when it last started/resumed running
   std::uint64_t seq = 0;          ///< global release order (FIFO tie-break)
-  std::uint32_t generation = 0;   ///< bumped on every dispatch; stale
-                                  ///< completion events carry an old value
 };
 
 }  // namespace e2e

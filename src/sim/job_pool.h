@@ -2,15 +2,10 @@
 //
 // A long simulation releases millions of jobs but only a handful are alive
 // at any instant; the pool recycles slots so memory stays proportional to
-// the number of in-flight jobs. Slot generations are preserved across
-// recycling, which (together with the per-dispatch generation bump) makes
-// stale completion events detectable.
+// the number of in-flight jobs.
 //
-// Header-only: allocate/release/get/occupied run several times per
-// simulated event, so they must inline into the engine's dispatch loop.
-// The occupancy flags live in their own byte plane beside the Job records
-// so the stale-completion check (occupied + generation) touches one hot
-// line instead of dragging whole Job records through the cache.
+// Header-only: allocate/release/get run several times per simulated
+// event, so they must inline into the engine's dispatch loop.
 #pragma once
 
 #include <vector>
@@ -22,16 +17,12 @@ namespace e2e {
 
 class JobPool {
  public:
-  /// Allocates a slot and move-initializes it from `job`, preserving the
-  /// slot's generation counter (monotone across recycling).
-  JobSlot allocate(Job job) {
+  /// Allocates a slot (the most recently freed one, if any) holding `job`.
+  JobSlot allocate(const Job& job) {
     JobSlot slot = 0;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
-      // Preserve the recycled slot's generation so completion events queued
-      // against the previous occupant can never validate against this one.
-      job.generation = jobs_[slot].generation;
       jobs_[slot] = job;
       occupied_[slot] = 1;
     } else {
@@ -43,13 +34,11 @@ class JobPool {
     return slot;
   }
 
-  /// Releases a slot for reuse. The Job's generation survives.
+  /// Releases a slot for reuse.
   void release(JobSlot slot) {
     E2E_ASSERT(slot < jobs_.size() && occupied_[slot] != 0,
                "releasing a dead job slot");
     occupied_[slot] = 0;
-    // Bump the generation so any event still referring to this slot is stale.
-    ++jobs_[slot].generation;
     free_.push_back(slot);
     --live_;
   }
@@ -73,8 +62,8 @@ class JobPool {
 
   /// Forgets every slot (live or free) but keeps the arena's allocated
   /// storage. A cleared pool is observationally identical to a fresh one
-  /// -- slot indices and generations restart from zero -- which is what
-  /// lets a reused Engine reproduce a fresh engine's schedule exactly.
+  /// -- slot indices restart from zero -- which is what lets a reused
+  /// Engine reproduce a fresh engine's schedule exactly.
   void clear() noexcept {
     jobs_.clear();
     occupied_.clear();

@@ -43,7 +43,7 @@ TEST(ScenarioExecutor, ForkStreamsAdvancesMaster) {
 TEST(ScenarioExecutor, MapReturnsIndexOrder) {
   ScenarioExecutor executor{4};
   const std::vector<std::int64_t> values = executor.map<std::int64_t>(
-      100, [](std::int64_t i, std::optional<Engine>&) { return i * i; });
+      100, [](std::int64_t i, ScenarioExecutor::WorkerSlot&) { return i * i; });
   ASSERT_EQ(values.size(), 100u);
   for (std::int64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(values[static_cast<std::size_t>(i)], i * i);
@@ -55,7 +55,7 @@ TEST(ScenarioExecutor, ResultsIdenticalAcrossThreadCounts) {
     ScenarioExecutor executor{threads};
     const std::vector<Rng> streams = ScenarioExecutor::fork_streams(42, 64);
     const std::vector<std::uint64_t> values = executor.map<std::uint64_t>(
-        64, [&](std::int64_t i, std::optional<Engine>&) {
+        64, [&](std::int64_t i, ScenarioExecutor::WorkerSlot&) {
           Rng rng = streams[static_cast<std::size_t>(i)];
           std::uint64_t acc = 0;
           for (int draw = 0; draw < 16; ++draw) acc ^= rng.next_u64();
@@ -69,21 +69,27 @@ TEST(ScenarioExecutor, ResultsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ScenarioExecutor, EngineSlotsPersistAcrossCalls) {
-  // Single worker: the engine emplaced during the first pass must still
-  // be there (same simulated system) on the next for_each.
+  // Single worker: the engine constructed during the first pass must
+  // still be there (same simulated system) on the next for_each, and a
+  // later engine_for() resets that same engine instead of replacing it.
   ScenarioExecutor executor{1};
   const TaskSystem system = paper::example2();
   const auto protocol = make_protocol(ProtocolKind::kReleaseGuard, system);
+  const EngineOptions options{.horizon = system.default_horizon()};
 
-  executor.for_each(1, [&](std::int64_t, std::optional<Engine>& engine) {
-    EXPECT_FALSE(engine.has_value());
-    engine.emplace(system, *protocol,
-                   EngineOptions{.horizon = system.default_horizon()});
-    engine->run();
+  const Engine* first = nullptr;
+  executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
+    EXPECT_FALSE(slot.engine.has_value());
+    Engine& engine = slot.engine_for(system, *protocol, options);
+    engine.run();
+    first = &engine;
   });
-  executor.for_each(1, [&](std::int64_t, std::optional<Engine>& engine) {
-    ASSERT_TRUE(engine.has_value());
-    EXPECT_GT(engine->stats().events_processed, 0);
+  executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
+    ASSERT_TRUE(slot.engine.has_value());
+    EXPECT_GT(slot.engine->stats().events_processed, 0);
+    Engine& engine = slot.engine_for(system, *protocol, options);
+    EXPECT_EQ(&engine, first);
+    EXPECT_EQ(engine.stats().events_processed, 0);  // reset, not yet run
   });
 }
 

@@ -4,7 +4,9 @@
 // per-event heap dispatch) whose results are pinned in
 // engine_soa_golden.h. 100 systems x {DS, PM, RG, MPM-R} x 3 fault
 // ladder rungs, both on a fresh engine per cell and on one engine reused
-// via reset() -- the production executors' idiom.
+// via reset() -- the production executors' idiom. Each cell's end state
+// (final clock, per-processor busy time, dispatch/preemption/idle-point
+// counts) is pinned too.
 #include "engine_soa_cases.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +29,22 @@ std::string cell_name(int s, int p, int r) {
          std::to_string(r);
 }
 
+void expect_golden(const SoaCaseResult& got, int s, int p, int r,
+                   const std::string& label) {
+  const soa_golden::GoldenCase& want = soa_golden::kGolden[s][p][r];
+  ASSERT_EQ(got.hash, want.hash) << label;
+  ASSERT_EQ(got.events, want.events) << label;
+  const soa_golden::EndState& end = soa_golden::kEndState[s][p][r];
+  ASSERT_EQ(got.end_time, end.end_time) << label;
+  for (int k = 0; k < soa_cases::kSoaProcessors; ++k) {
+    ASSERT_EQ(got.busy[static_cast<std::size_t>(k)], end.busy[k])
+        << label << " / P" << k;
+  }
+  ASSERT_EQ(got.dispatches, end.dispatches) << label;
+  ASSERT_EQ(got.preemptions, end.preemptions) << label;
+  ASSERT_EQ(got.idle_points, end.idle_points) << label;
+}
+
 TEST(EngineSoaTest, GoldenTableIsFullyPopulated) {
   // The golden capture ran every cell; a skip marker would mean the
   // generated systems changed under us.
@@ -42,10 +60,8 @@ TEST(EngineSoaTest, FreshEngineMatchesPreRefactorGolden) {
   for (int s = 0; s < kSoaSystems; ++s) {
     for (int p = 0; p < kSoaProtocols; ++p) {
       for (int r = 0; r < kSoaRungs; ++r) {
-        const SoaCaseResult got = run_soa_case(s, p, r);
-        const soa_golden::GoldenCase& want = soa_golden::kGolden[s][p][r];
-        ASSERT_EQ(got.hash, want.hash) << cell_name(s, p, r);
-        ASSERT_EQ(got.events, want.events) << cell_name(s, p, r);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_golden(run_soa_case(s, p, r), s, p, r, cell_name(s, p, r)));
       }
     }
   }
@@ -58,10 +74,8 @@ TEST(EngineSoaTest, ReusedEngineMatchesPreRefactorGolden) {
   for (int s = 0; s < kSoaSystems; ++s) {
     for (int p = 0; p < kSoaProtocols; ++p) {
       for (int r = 0; r < kSoaRungs; ++r) {
-        const SoaCaseResult got = run_soa_case(s, p, r, &engine);
-        const soa_golden::GoldenCase& want = soa_golden::kGolden[s][p][r];
-        ASSERT_EQ(got.hash, want.hash) << cell_name(s, p, r) << " (reused)";
-        ASSERT_EQ(got.events, want.events) << cell_name(s, p, r) << " (reused)";
+        ASSERT_NO_FATAL_FAILURE(expect_golden(run_soa_case(s, p, r, &engine), s, p,
+                                              r, cell_name(s, p, r) + " (reused)"));
       }
     }
   }

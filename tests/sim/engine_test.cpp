@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/protocols/direct_sync.h"
@@ -36,6 +37,24 @@ class EventLog final : public TraceSink {
                       std::to_string(job.ref.index + 1) + "#" +
                       std::to_string(job.instance) + "@" + std::to_string(now));
   }
+};
+
+/// Sets one timer at `at` and logs its firing into `log`, interleaved
+/// with whatever a sink writes there.
+class TimerProbe final : public SyncProtocol {
+ public:
+  TimerProbe(Time at, std::vector<std::string>& log) : at_(at), log_(&log) {}
+  [[nodiscard]] std::string_view name() const override { return "timer-probe"; }
+  void initialize(Engine& engine) override {
+    engine.set_timer(at_, SubtaskRef{TaskId{0}, 0}, 0);
+  }
+  void on_timer(Engine& engine, SubtaskRef, std::int64_t) override {
+    log_->push_back("timer@" + std::to_string(engine.now()));
+  }
+
+ private:
+  Time at_;
+  std::vector<std::string>* log_;
 };
 
 TEST(Engine, SingleTaskRunsPeriodically) {
@@ -224,6 +243,65 @@ TEST(Engine, BusyTimeAccountsAllExecution) {
   // P1: instances at 0 and 40; the one at 40 has not run yet.
   EXPECT_EQ(engine.busy_time(ProcessorId{1}), 5);
   EXPECT_GT(engine.stats().preemptions, 0);  // the scenario really preempts
+}
+
+TEST(Engine, SameInstantCompletionsRetireInDispatchOrderFirst) {
+  // Three processors finish at t=10. They were dispatched P2 (t=0), P0
+  // (t=2), P1 (t=4), so the completions retire in that order rather than
+  // by processor index -- and all of them before the timer and the
+  // release that share the instant.
+  TaskSystemBuilder b{3};
+  b.add_task({.period = 100, .phase = 0}).subtask(ProcessorId{2}, 10, Priority{0});
+  b.add_task({.period = 100, .phase = 2}).subtask(ProcessorId{0}, 8, Priority{0});
+  b.add_task({.period = 100, .phase = 4}).subtask(ProcessorId{1}, 6, Priority{0});
+  b.add_task({.period = 100, .phase = 10}).subtask(ProcessorId{0}, 1, Priority{0});
+  const TaskSystem sys = std::move(b).build();
+  EventLog log;
+  TimerProbe protocol{10, log.entries};
+  Engine engine{sys, protocol, {.horizon = 20}};
+  engine.add_sink(&log);
+  engine.run();
+
+  const std::vector<std::string> expected = {
+      "release T1,1#0@0",   "start T1,1#0@0",   "release T2,1#0@2",
+      "start T2,1#0@2",     "release T3,1#0@4", "start T3,1#0@4",
+      "complete T1,1#0@10", "idle@10",          "complete T2,1#0@10",
+      "idle@10",            "complete T3,1#0@10", "idle@10",
+      "timer@10",           "release T4,1#0@10", "start T4,1#0@10",
+      "complete T4,1#0@11", "idle@11"};
+  EXPECT_EQ(log.entries, expected);
+  EXPECT_EQ(engine.stats().timer_interrupts, 1);
+}
+
+TEST(Engine, DroppedCompletionInsideHorizonCountsAsAnEvent) {
+  // lo starts at 0 with its completion due at 10; hi preempts it at 2, so
+  // that completion is dropped (lo resumes at 5 and would finish at 13).
+  TaskSystemBuilder b{1};
+  b.add_task({.period = 100, .phase = 2, .name = "hi"})
+      .subtask(ProcessorId{0}, 3, Priority{0});
+  b.add_task({.period = 100, .phase = 0, .name = "lo"})
+      .subtask(ProcessorId{0}, 10, Priority{1});
+  const TaskSystem sys = std::move(b).build();
+  NullProtocol protocol;
+
+  // Inside the horizon: the arrivals at 0 and 2, hi's completion at 5,
+  // plus the dropped completion at 10, which also ends the clock there.
+  Engine inside{sys, protocol, {.horizon = 10}};
+  inside.run();
+  EXPECT_EQ(inside.stats().preemptions, 1);
+  EXPECT_EQ(inside.stats().events_processed, 4);
+  EXPECT_EQ(inside.now(), 10);
+  // lo ran 0-2, hi 2-5, and lo is credited 5-10 in flight.
+  EXPECT_EQ(inside.busy_time(ProcessorId{0}), 10);
+
+  // Past the horizon: the dropped completion neither counts nor moves
+  // the clock past hi's completion.
+  Engine past{sys, protocol, {.horizon = 9}};
+  past.run();
+  EXPECT_EQ(past.stats().preemptions, 1);
+  EXPECT_EQ(past.stats().events_processed, 3);
+  EXPECT_EQ(past.now(), 5);
+  EXPECT_EQ(past.busy_time(ProcessorId{0}), 5);
 }
 
 TEST(EngineDeathTest, RunTwiceAborts) {

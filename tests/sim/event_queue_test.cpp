@@ -26,11 +26,10 @@ TEST(EventQueue, OrdersByTime) {
 }
 
 TEST(EventQueue, PhaseBreaksTimeTies) {
+  // A timer at t fires before a release at t, even if queued later.
   EventQueue q;
   q.push(at(10, kReleasePhase));
-  q.push(at(10, kCompletionPhase));
   q.push(at(10, kTimerPhase));
-  EXPECT_EQ(q.pop().phase, kCompletionPhase);
   EXPECT_EQ(q.pop().phase, kTimerPhase);
   EXPECT_EQ(q.pop().phase, kReleasePhase);
 }
@@ -45,17 +44,6 @@ TEST(EventQueue, InsertionOrderBreaksFullTies) {
   for (std::int64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(q.pop().instance, i);
   }
-}
-
-TEST(EventQueue, CompletionAtTPrecedesReleaseAtT) {
-  // The idle-point semantics depend on this exact ordering.
-  EventQueue q;
-  q.push(at(7, kReleasePhase));
-  Event completion = at(7, kCompletionPhase);
-  completion.kind = EventKind::kCompletion;
-  q.push(completion);
-  EXPECT_EQ(q.pop().kind, EventKind::kCompletion);
-  EXPECT_EQ(q.pop().kind, EventKind::kRelease);
 }
 
 TEST(EventQueue, SizeTracksContents) {
@@ -125,7 +113,7 @@ TEST(EventQueue, PopBatchAtDrainsExactlyOneTimestampInOrder) {
   for (std::int64_t i = 0; i < 500; ++i) {
     Event e;
     e.time = rng.uniform_int(0, 19);  // ~25 events per timestamp
-    e.phase = static_cast<std::uint8_t>(rng.uniform_int(0, 2));
+    e.phase = static_cast<std::uint8_t>(rng.uniform_int(kTimerPhase, kReleasePhase));
     e.kind = EventKind::kRelease;
     e.instance = i;  // identifies the event across both queues
     batched.push(e);
@@ -158,24 +146,23 @@ TEST(EventQueue, PopIfAtRespectsTimeAndKeyBounds) {
   // `before_key` may be popped (a handler-enqueued event must not jump
   // ahead of the batch position that enqueued it).
   EventQueue q;
-  Event now = at(10, kCompletionPhase);
+  Event now = at(10, kTimerPhase);
   q.push(now);
   Event later_phase = at(10, kReleasePhase);
   q.push(later_phase);
-  Event next_time = at(11, kCompletionPhase);
+  Event next_time = at(11, kTimerPhase);
   q.push(next_time);
 
-  const std::uint64_t completion_key =
-      EventQueue::pack(now, /*seq=*/0).key;
+  const std::uint64_t timer_key = EventQueue::pack(now, /*seq=*/0).key;
 
   EventQueue::Packed out;
-  // Head is the completion itself: not strictly before its own key.
-  EXPECT_FALSE(q.pop_if_at(10, completion_key, out));
-  // With a bound above it, the completion pops; the release (higher
-  // phase, hence higher key) then stays put.
-  EXPECT_TRUE(q.pop_if_at(10, completion_key + 1, out));
-  EXPECT_EQ(EventQueue::unpack(out).phase, kCompletionPhase);
-  EXPECT_FALSE(q.pop_if_at(10, completion_key + 1, out));
+  // Head is the timer itself: not strictly before its own key.
+  EXPECT_FALSE(q.pop_if_at(10, timer_key, out));
+  // With a bound above it, the timer pops; the release (higher phase,
+  // hence higher key) then stays put.
+  EXPECT_TRUE(q.pop_if_at(10, timer_key + 1, out));
+  EXPECT_EQ(EventQueue::unpack(out).phase, kTimerPhase);
+  EXPECT_FALSE(q.pop_if_at(10, timer_key + 1, out));
   // Wrong timestamp never pops, even with a permissive key bound.
   (void)q.pop();  // drain the release at 10
   EXPECT_FALSE(q.pop_if_at(10, ~0ull, out));

@@ -34,20 +34,6 @@ TEST(JobPool, RecyclesSlots) {
   EXPECT_EQ(pool.get(b).instance, 2);
 }
 
-TEST(JobPool, GenerationSurvivesRecycling) {
-  // A completion event for the old occupant must never validate against
-  // the new occupant: the generation is preserved across allocate() and
-  // bumped on release().
-  JobPool pool;
-  const JobSlot a = pool.allocate(make_job(1));
-  pool.get(a).generation = 41;
-  const std::uint32_t old_generation = pool.get(a).generation;
-  pool.release(a);
-  const JobSlot b = pool.allocate(make_job(2));
-  ASSERT_EQ(a, b);
-  EXPECT_GT(pool.get(b).generation, old_generation);
-}
-
 TEST(JobPool, ManyLiveJobs) {
   JobPool pool;
   std::vector<JobSlot> slots;
@@ -61,11 +47,10 @@ TEST(JobPool, ManyLiveJobs) {
 }
 
 TEST(JobPool, ClearIsObservationallyFresh) {
-  // A cleared pool must hand out the same slot indices and generations a
-  // brand-new pool would (the engine-reuse contract depends on it).
+  // A cleared pool must hand out the same slot indices a brand-new pool
+  // would (the engine-reuse contract depends on it).
   JobPool pool;
   const JobSlot a = pool.allocate(make_job(1));
-  pool.get(a).generation = 17;
   (void)pool.allocate(make_job(2));
   pool.release(a);
   pool.clear();
@@ -75,7 +60,7 @@ TEST(JobPool, ClearIsObservationallyFresh) {
   const JobSlot recycled = pool.allocate(make_job(9));
   const JobSlot pristine = fresh.allocate(make_job(9));
   EXPECT_EQ(recycled, pristine);
-  EXPECT_EQ(pool.get(recycled).generation, fresh.get(pristine).generation);
+  EXPECT_EQ(pool.get(recycled).instance, 9);
 }
 
 TEST(JobPool, ClearKeepsCapacityAndReserveGrowsIt) {

@@ -8,8 +8,8 @@
 #   CHECK_BUILD_DIR (default: build-check) -- sanitizer build tree
 #   PERF_BUILD_DIR  (default: build)       -- unsanitized tree for the gate
 #   JOBS            (default: nproc)       -- build parallelism
-#   E2E_TSAN        (default: unset)       -- when set (and not 0), also build
-#                     with E2E_SANITIZE=thread (TSAN_BUILD_DIR, default
+#   E2E_TSAN        (default: 1)           -- unless 0, also build with
+#                     E2E_SANITIZE=thread (TSAN_BUILD_DIR, default
 #                     build-tsan) and run the multi-threaded tests under it.
 #   E2E_BENCH_GATE  (default: unset)       -- when set (and not 0), also run
 #                     the perf-labelled thread-scaling gates. The gate
@@ -27,9 +27,10 @@ cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
   -L "scenario|bench-smoke|timesvc|admission"
 
-# Opt-in data-race gate: the tests that drive the thread pool (directly,
-# through the scenario executor, or through sharded replays).
-if [[ -n "${E2E_TSAN:-}" && "${E2E_TSAN}" != "0" ]]; then
+# Data-race gate (E2E_TSAN=0 opts out): the tests that drive the thread
+# pool (directly, through the scenario executor, or through sharded
+# replays).
+if [[ "${E2E_TSAN:-1}" != "0" ]]; then
   TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
   TSAN_TESTS=(thread_pool_test analysis_cache_test scenario_executor_test
               determinism_test admission_property_test monte_carlo_test)
