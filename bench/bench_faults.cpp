@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
           }
           return outcome;
         },
-        std::cout);
+        e2e::PerfWriteOptions{}, std::cout);
   } catch (const e2e::InvalidArgument& e) {
     std::cerr << "bench_faults: " << e.what() << "\n";
     return 1;

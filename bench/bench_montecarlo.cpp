@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
             return e2e::PerfRunOutcome{.events = result.events_processed,
                                        .schedule_hash = result.schedule_hash};
           },
-          std::cout);
+          e2e::PerfWriteOptions{}, std::cout);
     }
 
     const e2e::MonteCarloResult result = e2e::estimate_latency(

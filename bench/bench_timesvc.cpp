@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
           }
           return outcome;
         },
-        std::cout);
+        e2e::PerfWriteOptions{}, std::cout);
   } catch (const e2e::InvalidArgument& e) {
     std::cerr << "bench_timesvc: " << e.what() << "\n";
     return 1;

@@ -8,7 +8,8 @@
 // times), so the *variation* in release times -- which is what inflates
 // the interference ceilings -- is at most R_{u,v-1} - B_{u,v-1}. Running
 // the same fixpoint with the refined jitter yields bounds that are sound
-// and never worse than SA/DS; `bench_ablation` quantifies the gap.
+// and never worse than SA/DS; ablation A (examples/scenarios/ablation.e2es)
+// quantifies the gap.
 #pragma once
 
 #include "core/analysis/sa_ds.h"

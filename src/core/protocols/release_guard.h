@@ -37,7 +37,8 @@ class ReleaseGuardProtocol final : public SyncProtocol {
   struct Options {
     /// Disable guard rule 2 (idle-point reset). The paper argues rule 2
     /// shortens average EER times without hurting the worst case;
-    /// bench_ablation measures exactly that by flipping this off.
+    /// the ablation report (examples/scenarios/ablation.e2es) measures
+    /// exactly that by flipping this off.
     bool enable_idle_point_rule = true;
   };
 

@@ -1,6 +1,7 @@
 // Static implementation-complexity traits of each protocol, as compared in
-// the paper's Section 3.3. `bench_overhead` prints these next to the
-// dynamically measured interrupt counts.
+// the paper's Section 3.3. The overhead report
+// (examples/scenarios/overhead.e2es) prints these next to the dynamically
+// measured interrupt counts.
 #pragma once
 
 namespace e2e {

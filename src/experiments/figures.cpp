@@ -2,14 +2,13 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "core/analysis/reconfiguration.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "core/protocols/overhead_aware.h"
 #include "core/protocols/factory.h"
-#include "scenario/defaults.h"
+#include "scenario/executor.h"
 #include "task/builder.h"
 #include "metrics/eer_collector.h"
 #include "report/table.h"
@@ -39,31 +38,16 @@ std::string ratio_cell(const RunningStats& stats) {
 }
 
 double max_ci(const std::vector<ConfigResult>& results,
-              const std::function<const RunningStats&(const ConfigResult&)>& pick) {
+              RunningStats ConfigResult::*field) {
   double worst = 0.0;
   for (const ConfigResult& r : results) {
-    const double ci = pick(r).ci_half_width(0.90);
+    const double ci = (r.*field).ci_half_width(0.90);
     if (ci > worst) worst = ci;
   }
   return worst;
 }
 
-}  // namespace
-
-SweepOptions sweep_options_from_env(bool simulation_figure) {
-  const ScenarioDefaults defaults = ScenarioDefaults::load();
-  SweepOptions options;
-  options.systems_per_config =
-      simulation_figure ? defaults.figure_sim_systems : defaults.figure_systems;
-  options.seed = defaults.figure_seed;
-  options.horizon_periods = defaults.figure_horizon_periods;
-  options.threads = defaults.threads;
-  options.run_simulation = simulation_figure;
-  options.run_analysis = !simulation_figure;
-  return options;
-}
-
-void run_fig12_failure_rate(std::ostream& out, const SweepOptions& options) {
+void fig12_failure_rate(std::ostream& out, const SweepOptions& options) {
   out << "== Figure 12: SA/DS failure rate (bound > 300 periods == 'infinite') ==\n"
       << "paper: near 0 for most cells; >0.1 at (8,80),(7,90),(7,80),(6,90); "
          "~1 at (8,90)\n"
@@ -75,7 +59,7 @@ void run_fig12_failure_rate(std::ostream& out, const SweepOptions& options) {
   });
 }
 
-void run_fig13_bound_ratio(std::ostream& out, const SweepOptions& options) {
+void fig13_bound_ratio(std::ostream& out, const SweepOptions& options) {
   out << "== Figure 13: average bound ratio (SA/DS EER bound / SA-PM EER bound) ==\n"
       << "paper: ~1-2 and flat at low utilization; climbs to ~10-20 as N and U "
          "grow; >2 for roughly a third of the cells\n"
@@ -86,54 +70,26 @@ void run_fig13_bound_ratio(std::ostream& out, const SweepOptions& options) {
              [](const ConfigResult& r) { return ratio_cell(r.bound_ratio); });
   out << "\ncells with 'n/a' had no system with finite SA/DS bounds\n";
   out << "max 90% CI half-width across cells: "
-      << TextTable::fmt(
-             max_ci(results,
-                    [](const ConfigResult& r) -> const RunningStats& {
-                      return r.bound_ratio;
-                    }),
-             3)
-      << "\n";
+      << TextTable::fmt(max_ci(results, &ConfigResult::bound_ratio), 3) << "\n";
 }
 
-void run_eer_ratio_figure(std::ostream& out, EerRatioFigure figure,
-                          const SweepOptions& options) {
-  const char* title = nullptr;
-  const char* expectation = nullptr;
-  std::function<const RunningStats&(const ConfigResult&)> pick;
-  switch (figure) {
-    case EerRatioFigure::kPmDs:
-      title = "== Figure 14: PM/DS average EER-time ratio ==";
-      expectation =
-          "paper: >1 everywhere; decreases slightly with utilization; grows "
-          "with N; >2 for N>=5; ~3-4 at N=8";
-      pick = [](const ConfigResult& r) -> const RunningStats& { return r.pm_ds_ratio; };
-      break;
-    case EerRatioFigure::kRgDs:
-      title = "== Figure 15: RG/DS average EER-time ratio ==";
-      expectation =
-          "paper: mostly within 1-2 for all cells, rising toward/above 2 only "
-          "at 90% utilization (rule 2 fires rarely on busy processors)";
-      pick = [](const ConfigResult& r) -> const RunningStats& { return r.rg_ds_ratio; };
-      break;
-    case EerRatioFigure::kPmRg:
-      title = "== Figure 16: PM/RG average EER-time ratio ==";
-      expectation =
-          "paper: consistently >1; reaches ~2-3 for N in {6,7,8}";
-      pick = [](const ConfigResult& r) -> const RunningStats& { return r.pm_rg_ratio; };
-      break;
-  }
+/// Figures 14/15/16: one simulation sweep, reported as the ratio in
+/// `field`.
+void eer_ratio_figure(std::ostream& out, const SweepOptions& options,
+                      const char* title, const char* expectation,
+                      RunningStats ConfigResult::*field) {
   out << title << "\n"
       << expectation << "\n"
       << "systems/config: " << options.systems_per_config << ", seed " << options.seed
       << ", horizon " << options.horizon_periods << " max-periods\n\n";
   const std::vector<ConfigResult> results = run_grid(options);
   print_grid(out, results,
-             [&](const ConfigResult& r) { return ratio_cell(pick(r)); });
+             [&](const ConfigResult& r) { return ratio_cell(r.*field); });
   out << "\nmax 90% CI half-width across cells: "
-      << TextTable::fmt(max_ci(results, pick), 3) << "\n";
+      << TextTable::fmt(max_ci(results, field), 3) << "\n";
 }
 
-void run_overhead_report(std::ostream& out, const SweepOptions& options) {
+void overhead_report(std::ostream& out, const SweepOptions& options) {
   out << "== Section 3.3: implementation complexity and run-time overhead ==\n\n";
 
   TextTable traits_table({"protocol", "interrupts/instance", "variables/subtask",
@@ -170,16 +126,12 @@ void run_overhead_report(std::ostream& out, const SweepOptions& options) {
   // One engine, reset per protocol: the warm event heap and job arena
   // carry over, and no sinks are registered, so the no-sink fast path and
   // the reuse path both get exercised here.
-  std::optional<Engine> engine;
+  ScenarioExecutor::WorkerSlot slot;
   for (const ProtocolKind kind : kAllProtocolKinds) {
     const auto protocol = make_protocol(kind, system, &baseline.subtask_bounds);
-    if (engine.has_value()) {
-      engine->reset(system, *protocol, {.horizon = horizon});
-    } else {
-      engine.emplace(system, *protocol, EngineOptions{.horizon = horizon});
-    }
-    engine->run();
-    const SimStats& s = engine->stats();
+    Engine& engine = slot.engine_for(system, *protocol, {.horizon = horizon});
+    engine.run();
+    const SimStats& s = engine.stats();
     const double jobs = static_cast<double>(s.jobs_released);
     measured.add_row({std::string(to_string(kind)), std::to_string(s.jobs_released),
                       TextTable::fmt(static_cast<double>(s.sync_signals) / jobs, 3),
@@ -274,15 +226,12 @@ void run_overhead_report(std::ostream& out, const SweepOptions& options) {
       << overhead_bounds.to_string();
 }
 
-void run_jitter_report(std::ostream& out, const SweepOptions& options) {
+void jitter_report(std::ostream& out, const SweepOptions& options) {
   out << "== Extension: output jitter |EER(m) - EER(m-1)|, normalized by period ==\n"
       << "paper Section 6: PM/MPM jitter is bounded by the last subtask's "
          "response bound; RG's can reach the whole EER bound; DS floats "
          "freely. Expect DS >= RG > PM.\n\n";
-  SweepOptions sim_options = options;
-  sim_options.run_simulation = true;
-  sim_options.run_analysis = false;
-  const std::vector<ConfigResult> results = run_grid(sim_options);
+  const std::vector<ConfigResult> results = run_grid(options);
 
   out << "-- DS mean normalized jitter --\n";
   print_grid(out, results,
@@ -295,7 +244,7 @@ void run_jitter_report(std::ostream& out, const SweepOptions& options) {
              [](const ConfigResult& r) { return ratio_cell(r.rg_jitter); });
 }
 
-void run_ablation_report(std::ostream& out, const SweepOptions& options) {
+void ablation_report(std::ostream& out, const SweepOptions& options) {
   out << "== Ablation A: SA/DS vs holistic (best-case-refined jitter) bounds ==\n"
       << "the refined jitter never hurts: expect ratio <= SA/DS ratio and a "
          "lower failure rate\n\n";
@@ -397,6 +346,49 @@ void run_ablation_report(std::ostream& out, const SweepOptions& options) {
   out << "\n-- bound ratio SA-DS / SA-PM --\n";
   print_grid(out, jitter_results,
              [](const ConfigResult& r) { return ratio_cell(r.bound_ratio); });
+}
+
+}  // namespace
+
+void run_figure(std::ostream& out, FigureKind figure, const SweepOptions& options) {
+  SweepOptions sweep = options;
+  sweep.run_simulation = simulation_figure(figure);
+  sweep.run_analysis = !sweep.run_simulation;
+  switch (figure) {
+    case FigureKind::kFig12:
+      fig12_failure_rate(out, sweep);
+      break;
+    case FigureKind::kFig13:
+      fig13_bound_ratio(out, sweep);
+      break;
+    case FigureKind::kFig14:
+      eer_ratio_figure(out, sweep, "== Figure 14: PM/DS average EER-time ratio ==",
+                       "paper: >1 everywhere; decreases slightly with utilization; "
+                       "grows with N; >2 for N>=5; ~3-4 at N=8",
+                       &ConfigResult::pm_ds_ratio);
+      break;
+    case FigureKind::kFig15:
+      eer_ratio_figure(out, sweep, "== Figure 15: RG/DS average EER-time ratio ==",
+                       "paper: mostly within 1-2 for all cells, rising toward/above "
+                       "2 only at 90% utilization (rule 2 fires rarely on busy "
+                       "processors)",
+                       &ConfigResult::rg_ds_ratio);
+      break;
+    case FigureKind::kFig16:
+      eer_ratio_figure(out, sweep, "== Figure 16: PM/RG average EER-time ratio ==",
+                       "paper: consistently >1; reaches ~2-3 for N in {6,7,8}",
+                       &ConfigResult::pm_rg_ratio);
+      break;
+    case FigureKind::kOverhead:
+      overhead_report(out, sweep);
+      break;
+    case FigureKind::kJitter:
+      jitter_report(out, sweep);
+      break;
+    case FigureKind::kAblation:
+      ablation_report(out, sweep);
+      break;
+  }
 }
 
 }  // namespace e2e

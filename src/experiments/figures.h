@@ -1,8 +1,9 @@
-// Per-figure experiment drivers. Each bench/bench_fig*.cpp binary is a
-// thin main() around one of these functions; tests call them with tiny
-// sample counts to keep the harness itself covered.
+// The paper's figures and reports, behind one entry point. `e2e run` on a
+// `scenario figure` spec (examples/scenarios/fig12.e2es and its siblings)
+// is the way to produce them; tests call run_figure with tiny sample
+// counts to keep the harness itself covered.
 //
-// Every driver prints (a) the same series the paper plots, as an N x U
+// Every figure prints (a) the same series the paper plots, as an N x U
 // table, and (b) the shape expectations from the paper so a reader can
 // eyeball the reproduction without the original figures at hand.
 #pragma once
@@ -10,37 +11,20 @@
 #include <ostream>
 
 #include "experiments/sweep.h"
+#include "scenario/spec.h"
 
 namespace e2e {
 
-/// Reads E2E_* environment overrides into a SweepOptions. Analysis-only
-/// figures (12/13) default to more systems per cell than simulation
-/// figures (14-16) because analysis is much cheaper.
-[[nodiscard]] SweepOptions sweep_options_from_env(bool simulation_figure);
-
-/// Figure 12: SA/DS failure rate per configuration.
-void run_fig12_failure_rate(std::ostream& out, const SweepOptions& options);
-
-/// Figure 13: average per-task bound ratio SA-DS / SA-PM.
-void run_fig13_bound_ratio(std::ostream& out, const SweepOptions& options);
-
-/// Figures 14/15/16: average-EER ratios PM/DS, RG/DS, PM/RG from
-/// simulation. One simulation sweep feeds whichever ratio is requested.
-enum class EerRatioFigure { kPmDs, kRgDs, kPmRg };
-void run_eer_ratio_figure(std::ostream& out, EerRatioFigure figure,
-                          const SweepOptions& options);
-
-/// Section 3.3: implementation complexity and measured run-time overhead
-/// of all four protocols.
-void run_overhead_report(std::ostream& out, const SweepOptions& options);
-
-/// Extension: output jitter (normalized by period) under DS/PM/RG,
-/// quantifying the paper's Section 6 jitter claims.
-void run_jitter_report(std::ostream& out, const SweepOptions& options);
-
-/// Ablations called out in DESIGN.md: (a) SA/DS vs the holistic
-/// jitter-refined bound, (b) RG with guard rule 2 disabled, (c) priority
-/// assignment policies.
-void run_ablation_report(std::ostream& out, const SweepOptions& options);
+/// Prints `figure` to `out`:
+///   12/13      SA/DS failure rate; average SA-DS / SA-PM bound ratio;
+///   14/15/16   average-EER ratios PM/DS, RG/DS, PM/RG from simulation;
+///   overhead   Section 3.3 complexity traits and measured run-time
+///              overhead of all four protocols;
+///   jitter     output jitter under DS/PM/RG (the Section 6 claims);
+///   ablation   DESIGN.md ablations A-F.
+/// Whether the sweep runs the analyses or the simulations is decided
+/// here, from simulation_figure(); `options`' own run_* flags are
+/// ignored.
+void run_figure(std::ostream& out, FigureKind figure, const SweepOptions& options);
 
 }  // namespace e2e

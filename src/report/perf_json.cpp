@@ -443,24 +443,6 @@ int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,
                       const std::function<PerfRunOutcome(int threads)>& run,
-                      std::ostream& out) {
-  return write_perf_report(bench, workload, path, thread_counts, run,
-                           PerfWriteOptions{}, out);
-}
-
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      const std::vector<PerfVariant>& variants, std::ostream& out) {
-  return write_perf_report(bench, workload, path, thread_counts, run,
-                           PerfWriteOptions{.variants = variants}, out);
-}
-
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
                       const PerfWriteOptions& options, std::ostream& out) {
   PerfReport report = run_perf_harness(bench, workload, thread_counts, run);
   report.variants = options.variants;

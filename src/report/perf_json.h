@@ -109,27 +109,11 @@ void validate_perf_json(const std::string& json);
 [[nodiscard]] std::optional<std::string> scaling_gate_failure(
     const PerfReport& report, double floor);
 
-/// Bench driver: runs the harness, validates its own JSON, writes it to
-/// `path`, prints a one-line summary per thread count to `out`, and
-/// returns the process exit code (nonzero when the workload was not
-/// deterministic across thread counts).
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      std::ostream& out);
-
-/// As above, attaching a pre-measured code-path variant comparison to the
-/// report. Exits nonzero additionally when the variants' result hashes
-/// disagree (the fast paths must be bit-identical to the legacy path).
-int write_perf_report(const std::string& bench, const std::string& workload,
-                      const std::string& path,
-                      const std::vector<int>& thread_counts,
-                      const std::function<PerfRunOutcome(int threads)>& run,
-                      const std::vector<PerfVariant>& variants, std::ostream& out);
-
 /// Extra knobs for write_perf_report beyond the common defaults.
 struct PerfWriteOptions {
+  /// Pre-measured code-path variant comparison attached to the report.
+  /// The bench exits nonzero when the variants' result hashes disagree
+  /// (the fast paths must be bit-identical to the legacy path).
   std::vector<PerfVariant> variants;
   /// Sets PerfReport::gate_exempt: the report says -- explicitly, in the
   /// committed JSON -- that its thread ladder does not measure scaling
@@ -137,6 +121,12 @@ struct PerfWriteOptions {
   bool gate_exempt = false;
 };
 
+/// Bench driver: runs the harness, validates its own JSON, writes it to
+/// `path`, prints a one-line summary per variant and thread count to
+/// `out`, and returns the process exit code: 2 when `path` cannot be
+/// written, 4 when the workload was not deterministic across thread
+/// counts, 5 when the variants disagree, 6 when the opt-in scaling gate
+/// (E2E_BENCH_GATE) fails.
 int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,

@@ -12,8 +12,11 @@
 
 namespace e2e {
 
-/// Raw accessors for odd cases (computed fallbacks); prefer the typed
-/// ScenarioDefaults fields. Empty or unset variables yield the fallback.
+/// Raw accessors for odd cases (bench gate floors); prefer the typed
+/// ScenarioDefaults fields. Empty or unset variables yield the fallback;
+/// a value with trailing characters, or one outside the type's range,
+/// throws InvalidArgument naming the variable. ScenarioDefaults::load()
+/// additionally rejects values that do not fit the field's type.
 [[nodiscard]] std::int64_t env_int(const std::string& name, std::int64_t fallback);
 [[nodiscard]] double env_double(const std::string& name, double fallback);
 
@@ -45,16 +48,17 @@ struct ScenarioDefaults {
   int fault_subtasks = 4;               ///< E2E_FAULT_SUBTASKS
   int fault_utilization = 60;           ///< E2E_FAULT_UTILIZATION
 
-  // --- breakdown scenarios / bench_breakdown --------------------------
+  // --- breakdown scenarios (examples/scenarios/breakdown.e2es) --------
   std::uint64_t breakdown_seed = 20260706;  ///< E2E_SEED
   int breakdown_systems = 20;               ///< E2E_BREAKDOWN_SYSTEMS
 
-  // --- figure scenarios / bench_fig* ----------------------------------
+  // --- figure scenarios (examples/scenarios/fig12.e2es, ...) ----------
   std::uint64_t figure_seed = 20260706;   ///< E2E_SEED
   double figure_horizon_periods = 30.0;   ///< E2E_HORIZON_PERIODS
   int figure_systems = 200;               ///< E2E_SYSTEMS_PER_CONFIG
   /// E2E_SIM_SYSTEMS_PER_CONFIG, falling back to E2E_SYSTEMS_PER_CONFIG,
   /// falling back to 50 (simulation figures cost far more per system).
+  /// The ablation report defaults to max(2, half of this).
   int figure_sim_systems = 50;
 
   // --- analysis benches (bench_analysis / bench_hopa / ...) -----------

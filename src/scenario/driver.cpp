@@ -364,7 +364,7 @@ int run_breakdown(const ScenarioSpec& spec, std::ostream& out) {
 
   switch (spec.report) {
     case ReportFormat::kTable: {
-      // The bench_breakdown report, byte for byte.
+      // The breakdown report (examples/scenarios/breakdown.e2es).
       out << "== Breakdown utilization (deadline = period, PDM priorities) ==\n"
           << "mean over " << spec.systems
           << " random 4-processor/12-task systems per chain length\n\n";
@@ -416,7 +416,7 @@ int run_breakdown(const ScenarioSpec& spec, std::ostream& out) {
 
 // --- figure -----------------------------------------------------------
 
-int run_figure(const ScenarioSpec& spec, std::ostream& out) {
+int run_figure_spec(const ScenarioSpec& spec, std::ostream& out) {
   if (spec.report != ReportFormat::kTable) {
     throw InvalidArgument(
         "scenario figure: only the table report is supported (figure "
@@ -427,37 +427,7 @@ int run_figure(const ScenarioSpec& spec, std::ostream& out) {
   options.seed = spec.seed;
   options.horizon_periods = spec.horizon_periods;
   options.threads = spec.threads;
-  switch (spec.figure) {
-    case FigureKind::kFig12:
-      options.run_simulation = false;
-      run_fig12_failure_rate(out, options);
-      break;
-    case FigureKind::kFig13:
-      options.run_simulation = false;
-      run_fig13_bound_ratio(out, options);
-      break;
-    case FigureKind::kFig14:
-      options.run_analysis = false;
-      run_eer_ratio_figure(out, EerRatioFigure::kPmDs, options);
-      break;
-    case FigureKind::kFig15:
-      options.run_analysis = false;
-      run_eer_ratio_figure(out, EerRatioFigure::kRgDs, options);
-      break;
-    case FigureKind::kFig16:
-      options.run_analysis = false;
-      run_eer_ratio_figure(out, EerRatioFigure::kPmRg, options);
-      break;
-    case FigureKind::kOverhead:
-      run_overhead_report(out, options);
-      break;
-    case FigureKind::kJitter:
-      run_jitter_report(out, options);
-      break;
-    case FigureKind::kAblation:
-      run_ablation_report(out, options);
-      break;
-  }
+  run_figure(out, spec.figure, options);
   return 0;
 }
 
@@ -470,7 +440,7 @@ int run_scenario(const ScenarioSpec& spec, std::istream& in, std::ostream& out) 
     case ScenarioKind::kSweep: return run_sweep(spec, out);
     case ScenarioKind::kFaults: return run_faults(spec, out);
     case ScenarioKind::kBreakdown: return run_breakdown(spec, out);
-    case ScenarioKind::kFigure: return run_figure(spec, out);
+    case ScenarioKind::kFigure: return run_figure_spec(spec, out);
   }
   throw InvalidArgument("scenario: unknown kind");
 }

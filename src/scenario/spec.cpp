@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <istream>
@@ -98,8 +99,13 @@ FigureKind parse_figure(int line, const std::string& name) {
                  "' (12, 13, 14, 15, 16, overhead, jitter, ablation)");
 }
 
-/// True for the simulation-driven figures (fewer systems by default,
-/// matching each bench_* binary's sweep_options_from_env argument).
+std::vector<ProtocolKind> extended_protocols() {
+  return std::vector<ProtocolKind>(std::begin(kExtendedProtocolKinds),
+                                   std::end(kExtendedProtocolKinds));
+}
+
+}  // namespace
+
 bool simulation_figure(FigureKind figure) {
   switch (figure) {
     case FigureKind::kFig14:
@@ -115,13 +121,6 @@ bool simulation_figure(FigureKind figure) {
   }
   return false;
 }
-
-std::vector<ProtocolKind> extended_protocols() {
-  return std::vector<ProtocolKind>(std::begin(kExtendedProtocolKinds),
-                                   std::end(kExtendedProtocolKinds));
-}
-
-}  // namespace
 
 std::vector<FaultSeverity> default_fault_severities() {
   return {
@@ -395,6 +394,11 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
         spec.systems = simulation_figure(spec.figure)
                            ? defaults.figure_sim_systems
                            : defaults.figure_systems;
+        // The ablation runs nine sweeps; half the sample keeps its runtime
+        // in line with a single figure.
+        if (spec.figure == FigureKind::kAblation) {
+          spec.systems = std::max(2, spec.systems / 2);
+        }
       }
       if (!has_horizon) spec.horizon_periods = defaults.figure_horizon_periods;
       break;

@@ -54,6 +54,12 @@ enum class FigureKind {
   kAblation,  ///< DESIGN.md ablations A-F
 };
 
+/// True for the simulation-driven figures (14-16, overhead, jitter,
+/// ablation); false for the analysis-only figures 12/13. The one owner of
+/// that split: parse_scenario picks the default sample size from it and
+/// run_figure picks which half of the sweep to run.
+[[nodiscard]] bool simulation_figure(FigureKind figure);
+
 enum class ReportFormat { kTable, kCsv, kJson };
 
 /// Where a montecarlo scenario gets its task system.

@@ -1,6 +1,6 @@
 // Utilization scaling of a TaskSystem -- the knob behind the breakdown-
-// utilization experiment (bench_breakdown): multiply every execution time
-// by a factor and see where schedulability breaks.
+// utilization experiment (examples/scenarios/breakdown.e2es): multiply
+// every execution time by a factor and see where schedulability breaks.
 #pragma once
 
 #include "task/system.h"

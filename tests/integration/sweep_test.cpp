@@ -84,10 +84,8 @@ TEST(Sweep, HighLoadCellShowsMoreFailuresThanLowLoad) {
 }
 
 TEST(Figures, Fig12PrintsGrid) {
-  SweepOptions o = tiny_options();
-  o.run_simulation = false;
   std::ostringstream out;
-  run_fig12_failure_rate(out, o);
+  run_figure(out, FigureKind::kFig12, tiny_options());
   const std::string text = out.str();
   EXPECT_NE(text.find("Figure 12"), std::string::npos);
   EXPECT_NE(text.find("90%"), std::string::npos);
@@ -99,17 +97,14 @@ TEST(Figures, Fig12PrintsGrid) {
 }
 
 TEST(Figures, RatioFigurePrints) {
-  SweepOptions o = tiny_options();
-  o.run_analysis = false;
   std::ostringstream out;
-  run_eer_ratio_figure(out, EerRatioFigure::kRgDs, o);
+  run_figure(out, FigureKind::kFig15, tiny_options());
   EXPECT_NE(out.str().find("Figure 15"), std::string::npos);
 }
 
 TEST(Figures, OverheadReportPrints) {
-  SweepOptions o = tiny_options();
   std::ostringstream out;
-  run_overhead_report(out, o);
+  run_figure(out, FigureKind::kOverhead, tiny_options());
   const std::string text = out.str();
   EXPECT_NE(text.find("DS"), std::string::npos);
   EXPECT_NE(text.find("MPM"), std::string::npos);
@@ -117,10 +112,8 @@ TEST(Figures, OverheadReportPrints) {
 }
 
 TEST(Figures, JitterReportPrintsThreeGrids) {
-  SweepOptions o = tiny_options();
-  o.run_analysis = false;
   std::ostringstream out;
-  run_jitter_report(out, o);
+  run_figure(out, FigureKind::kJitter, tiny_options());
   const std::string text = out.str();
   EXPECT_NE(text.find("DS mean normalized jitter"), std::string::npos);
   EXPECT_NE(text.find("PM mean normalized jitter"), std::string::npos);
@@ -154,15 +147,6 @@ TEST(Sweep, PessimismStatsPopulatedWhenBothRun) {
   if (r.ds_bound_pessimism.count() > 0) {
     EXPECT_GE(r.ds_bound_pessimism.min(), 1.0);
   }
-}
-
-TEST(Figures, EnvDefaultsDifferByFigureKind) {
-  const SweepOptions analysis = sweep_options_from_env(false);
-  const SweepOptions simulation = sweep_options_from_env(true);
-  EXPECT_TRUE(analysis.run_analysis);
-  EXPECT_FALSE(analysis.run_simulation);
-  EXPECT_TRUE(simulation.run_simulation);
-  EXPECT_FALSE(simulation.run_analysis);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Golden parity: `e2e run` with a scenario spec must reproduce the
-// legacy montecarlo/sweep/faults subcommands byte for byte, at every
-// thread count (the spec layer may not perturb results or formatting).
+// legacy montecarlo/sweep/faults subcommands byte for byte, and the
+// figure/report specs must reproduce the committed small-size goldens in
+// tests/scenario/figure_goldens/, at every thread count (the spec layer
+// may not perturb results or formatting).
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scenario/driver.h"
 #include "task/paper_examples.h"
 #include "task/serialize.h"
 #include "tools/cli.h"
@@ -103,6 +107,51 @@ TEST(ScenarioParity, FaultsMatchesLegacy) {
   expect_parity({"faults", "--systems=1", "--subtasks=2", "--utilization=40",
                  "--seed=9"},
                 "", spec);
+}
+
+// The goldens are the figure/report outputs at E2E_SYSTEMS_PER_CONFIG=3,
+// E2E_SIM_SYSTEMS_PER_CONFIG=4, E2E_HORIZON_PERIODS=5,
+// E2E_BREAKDOWN_SYSTEMS=3 and the default seed; the specs write those
+// values as keys, so the environment cannot change what runs.
+void expect_golden(const std::string& name, const std::string& keys) {
+  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name + ".txt"};
+  ASSERT_TRUE(file) << "missing golden " << name;
+  std::ostringstream want;
+  want << file.rdbuf();
+
+  const std::string text = "e2esync-scenario v1\n" + keys + "seed 20260706\n";
+  for (const int threads : {1, 2, 8}) {
+    ScenarioSpec spec = parse_scenario(text, ScenarioDefaults{});
+    spec.threads = threads;
+    std::istringstream in;
+    std::ostringstream got;
+    ASSERT_EQ(run_scenario(spec, in, got), 0);
+    EXPECT_EQ(got.str(), want.str()) << name << " threads=" << threads;
+  }
+}
+
+std::string figure_keys(const std::string& figure, int systems) {
+  return "scenario figure\nfigure " + figure + "\nsystems " +
+         std::to_string(systems) + "\nhorizon-periods 5\n";
+}
+
+TEST(ScenarioParity, Fig12MatchesGolden) { expect_golden("fig12", figure_keys("12", 3)); }
+TEST(ScenarioParity, Fig13MatchesGolden) { expect_golden("fig13", figure_keys("13", 3)); }
+TEST(ScenarioParity, Fig14MatchesGolden) { expect_golden("fig14", figure_keys("14", 4)); }
+TEST(ScenarioParity, Fig15MatchesGolden) { expect_golden("fig15", figure_keys("15", 4)); }
+TEST(ScenarioParity, Fig16MatchesGolden) { expect_golden("fig16", figure_keys("16", 4)); }
+TEST(ScenarioParity, OverheadMatchesGolden) {
+  expect_golden("overhead", figure_keys("overhead", 4));
+}
+TEST(ScenarioParity, JitterMatchesGolden) {
+  expect_golden("jitter", figure_keys("jitter", 4));
+}
+TEST(ScenarioParity, AblationMatchesGolden) {
+  // Half the simulation sample, as the ablation's default would pick.
+  expect_golden("ablation", figure_keys("ablation", 2));
+}
+TEST(ScenarioParity, BreakdownMatchesGolden) {
+  expect_golden("breakdown", "scenario breakdown\nsystems 3\n");
 }
 
 }  // namespace

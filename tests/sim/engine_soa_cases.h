@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "core/protocols/factory.h"
 #include "metrics/schedule_hash.h"
+#include "scenario/executor.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_injector.h"
 #include "workload/generator.h"
@@ -71,11 +72,11 @@ inline TaskSystem soa_system(int system_index) {
   return generate_system(rng, options);
 }
 
-/// Runs one (system, protocol, rung) cell; `engine`, when provided, is
-/// reused via reset() (the production executors' idiom), which must be
-/// observationally identical to fresh construction.
+/// Runs one (system, protocol, rung) cell; `slot`, when provided, has its
+/// engine reused via WorkerSlot::engine_for (the production executors'
+/// idiom), which must be observationally identical to fresh construction.
 inline SoaCaseResult run_soa_case(int system_index, int protocol_index, int rung,
-                                  std::optional<Engine>* engine = nullptr) {
+                                  ScenarioExecutor::WorkerSlot* slot = nullptr) {
   const TaskSystem system = soa_system(system_index);
 
   std::unique_ptr<SyncProtocol> protocol;
@@ -108,28 +109,23 @@ inline SoaCaseResult run_soa_case(int system_index, int protocol_index, int rung
   options.precedence_policy =
       rung >= 2 ? PrecedencePolicy::kDeferRelease : PrecedencePolicy::kRecord;
 
-  std::optional<Engine> local;
-  std::optional<Engine>& slot = engine != nullptr ? *engine : local;
-  if (slot.has_value()) {
-    slot->reset(system, *protocol, options);
-  } else {
-    slot.emplace(system, *protocol, options);
-  }
+  ScenarioExecutor::WorkerSlot local;
+  Engine& engine =
+      (slot != nullptr ? *slot : local).engine_for(system, *protocol, options);
 
   ScheduleHash hash;
-  slot->add_sink(&hash);
-  slot->run();
-  const Engine& run = *slot;
+  engine.add_sink(&hash);
+  engine.run();
   SoaCaseResult result{.hash = hash.value(),
-                       .events = run.stats().events_processed,
-                       .end_time = run.now(),
-                       .dispatches = run.stats().dispatches,
-                       .preemptions = run.stats().preemptions,
-                       .idle_points = run.stats().idle_points};
+                       .events = engine.stats().events_processed,
+                       .end_time = engine.now(),
+                       .dispatches = engine.stats().dispatches,
+                       .preemptions = engine.stats().preemptions,
+                       .idle_points = engine.stats().idle_points};
   E2E_ASSERT(system.processor_count() == static_cast<std::size_t>(kSoaProcessors),
              "soa systems span exactly kSoaProcessors processors");
   for (int p = 0; p < kSoaProcessors; ++p) {
-    result.busy[static_cast<std::size_t>(p)] = run.busy_time(ProcessorId{p});
+    result.busy[static_cast<std::size_t>(p)] = engine.busy_time(ProcessorId{p});
   }
   return result;
 }

@@ -70,18 +70,18 @@ TEST(EngineSoaTest, FreshEngineMatchesPreRefactorGolden) {
 TEST(EngineSoaTest, ReusedEngineMatchesPreRefactorGolden) {
   // One engine slot across all 1200 cells: reset() must replay each
   // schedule exactly, with the arena rewound instead of reallocated.
-  std::optional<Engine> engine;
+  ScenarioExecutor::WorkerSlot slot;
   for (int s = 0; s < kSoaSystems; ++s) {
     for (int p = 0; p < kSoaProtocols; ++p) {
       for (int r = 0; r < kSoaRungs; ++r) {
-        ASSERT_NO_FATAL_FAILURE(expect_golden(run_soa_case(s, p, r, &engine), s, p,
+        ASSERT_NO_FATAL_FAILURE(expect_golden(run_soa_case(s, p, r, &slot), s, p,
                                               r, cell_name(s, p, r) + " (reused)"));
       }
     }
   }
-  ASSERT_TRUE(engine.has_value());
+  ASSERT_TRUE(slot.engine.has_value());
   // The arena should have settled into a stable footprint, not grown per run.
-  EXPECT_LT(engine->arena_bytes(), std::size_t{1} << 20);
+  EXPECT_LT(slot.engine->arena_bytes(), std::size_t{1} << 20);
 }
 
 }  // namespace

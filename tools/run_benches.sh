@@ -11,10 +11,11 @@
 #   BUILD_DIR   (default: build)    -- cmake build tree with the benches
 #   RESULTS_DIR (default: results)  -- where BENCH_<name>.json land
 #
-# --figures regenerates the figure tables from the checked-in scenario
-# specs (examples/scenarios/fig*.e2es) through `e2e run`, writing one
-# FIG_<name>.txt per spec -- the declarative path to the same numbers
-# the bench_fig* binaries print.
+# --figures regenerates the paper's figures and reports from the nine
+# checked-in specs (examples/scenarios/{fig12..fig16,overhead,jitter,
+# ablation,breakdown}.e2es) through `e2e run`, writing one
+# RESULTS_DIR/FIG_<name>.txt per spec. Sample sizes follow the E2E_*
+# defaults (docs/cli_and_formats.md).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,8 +31,8 @@ if [[ "${1:-}" == "--figures" ]]; then
   fi
   mkdir -p "${RESULTS_DIR}"
   status=0
-  for spec in examples/scenarios/fig*.e2es; do
-    name="$(basename "${spec}" .e2es)"
+  for name in fig12 fig13 fig14 fig15 fig16 overhead jitter ablation breakdown; do
+    spec="examples/scenarios/${name}.e2es"
     echo "== e2e run ${spec} =="
     if ! "${e2e}" run "${spec}" > "${RESULTS_DIR}/FIG_${name}.txt"; then
       echo "run_benches: e2e run ${spec} failed" >&2
