@@ -98,14 +98,16 @@ Replay replay(const std::vector<Request>& stream, Policy policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ScenarioDefaults defaults = ScenarioDefaults::load();
-  const auto processors = static_cast<std::size_t>(defaults.admission_processors);
-  ChurnShape shape;
-  shape.processors = processors;
-  shape.initial_admits = static_cast<std::size_t>(defaults.admission_initial_tasks);
-  shape.requests = static_cast<std::size_t>(defaults.admission_requests);
-
   try {
+    const ScenarioDefaults defaults = ScenarioDefaults::load();
+    const auto processors =
+        static_cast<std::size_t>(defaults.admission_processors);
+    ChurnShape shape;
+    shape.processors = processors;
+    shape.initial_admits =
+        static_cast<std::size_t>(defaults.admission_initial_tasks);
+    shape.requests = static_cast<std::size_t>(defaults.admission_requests);
+
     const ArgParser args{argc, argv};
     args.expect_known({"json"});
 

@@ -108,15 +108,15 @@ double timed(const Fn& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ScenarioDefaults defaults = ScenarioDefaults::load();
-  const int system_count = defaults.analysis_systems;
-  const int subtasks = defaults.analysis_subtasks;
-  const int utilization = defaults.analysis_utilization;
-  const int hopa_iters = defaults.hopa_iters;
-  const int hopa_repeats = defaults.analysis_repeats;
-  const std::uint64_t seed = defaults.analysis_seed;
-
   try {
+    const ScenarioDefaults defaults = ScenarioDefaults::load();
+    const int system_count = defaults.analysis_systems;
+    const int subtasks = defaults.analysis_subtasks;
+    const int utilization = defaults.analysis_utilization;
+    const int hopa_iters = defaults.hopa_iters;
+    const int hopa_repeats = defaults.analysis_repeats;
+    const std::uint64_t seed = defaults.analysis_seed;
+
     const ArgParser args{argc, argv};
     args.expect_known({"json"});
 

@@ -18,16 +18,16 @@
 #include "scenario/defaults.h"
 
 int main(int argc, char** argv) {
-  const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
-  e2e::FaultSweepOptions options;
-  options.systems = defaults.fault_systems;
-  options.seed = defaults.fault_seed;
-  options.horizon_periods = defaults.fault_horizon_periods;
-  options.config.subtasks_per_task = defaults.fault_subtasks;
-  options.config.utilization_percent = defaults.fault_utilization;
-  options.threads = defaults.threads;
-
   try {
+    const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
+    e2e::FaultSweepOptions options;
+    options.systems = defaults.fault_systems;
+    options.seed = defaults.fault_seed;
+    options.horizon_periods = defaults.fault_horizon_periods;
+    options.config.subtasks_per_task = defaults.fault_subtasks;
+    options.config.utilization_percent = defaults.fault_utilization;
+    options.threads = defaults.threads;
+
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
     if (!args.has("json")) {

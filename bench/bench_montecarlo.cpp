@@ -21,27 +21,27 @@
 #include "workload/generator.h"
 
 int main(int argc, char** argv) {
-  const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
-  const int runs = defaults.bench_mc_runs;
-  // E2E_SEED; the bench shares the sweep-context fallback (20260706), not
-  // the CLI montecarlo default of 1.
-  const std::uint64_t seed = defaults.sweep_seed;
-  const int subtasks = defaults.mc_subtasks;
-  const int utilization = defaults.mc_utilization;
-
-  e2e::Rng rng{seed};
-  e2e::GeneratorOptions gen = e2e::options_for(
-      {.subtasks_per_task = subtasks, .utilization_percent = utilization});
-  const e2e::TaskSystem system = e2e::generate_system(rng, gen);
-
-  e2e::MonteCarloOptions options;
-  options.runs = runs;
-  options.seed = seed;
-  options.horizon_periods = defaults.mc_horizon_periods;
-  options.execution_min_fraction = 0.8;
-  options.threads = defaults.threads;
-
   try {
+    const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
+    const int runs = defaults.bench_mc_runs;
+    // E2E_SEED; the bench shares the sweep-context fallback (20260706), not
+    // the CLI montecarlo default of 1.
+    const std::uint64_t seed = defaults.sweep_seed;
+    const int subtasks = defaults.mc_subtasks;
+    const int utilization = defaults.mc_utilization;
+
+    e2e::Rng rng{seed};
+    e2e::GeneratorOptions gen = e2e::options_for(
+        {.subtasks_per_task = subtasks, .utilization_percent = utilization});
+    const e2e::TaskSystem system = e2e::generate_system(rng, gen);
+
+    e2e::MonteCarloOptions options;
+    options.runs = runs;
+    options.seed = seed;
+    options.horizon_periods = defaults.mc_horizon_periods;
+    options.execution_min_fraction = 0.8;
+    options.threads = defaults.threads;
+
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
     if (args.has("json")) {

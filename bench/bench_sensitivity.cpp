@@ -7,6 +7,7 @@
 // choice (EXPERIMENTS.md "Substitutions").
 #include <iostream>
 
+#include "common/error.h"
 #include "experiments/sweep.h"
 #include "report/table.h"
 #include "scenario/defaults.h"
@@ -23,54 +24,63 @@ struct Variant {
 
 int main() {
   using namespace e2e;
-  const ScenarioDefaults defaults = ScenarioDefaults::load();
-  const int systems = defaults.sensitivity_systems;
-  const std::uint64_t seed = defaults.analysis_seed;
+  try {
+    const ScenarioDefaults defaults = ScenarioDefaults::load();
+    const int systems = defaults.sensitivity_systems;
+    const std::uint64_t seed = defaults.analysis_seed;
 
-  const Variant variants[] = {
-      {"exp, mean 1000", 1000.0,
-       GeneratorOptions::PeriodDistribution::kTruncatedExponential},
-      {"exp, mean 3000 (default)", 3000.0,
-       GeneratorOptions::PeriodDistribution::kTruncatedExponential},
-      {"exp, mean 6000", 6000.0,
-       GeneratorOptions::PeriodDistribution::kTruncatedExponential},
-      {"uniform", 0.0, GeneratorOptions::PeriodDistribution::kUniform},
-  };
-
-  std::cout << "== Sensitivity of Figures 12/13 to the period distribution ==\n"
-            << systems << " systems per cell; summary cells: failure rate at "
-               "(8,90) and (6,80); bound ratio at (5,70) and (8,60)\n\n";
-
-  TextTable table({"periods", "fail(8,90)", "fail(6,80)", "ratio(5,70)",
-                   "ratio(8,60)"});
-  for (const Variant& variant : variants) {
-    SweepOptions options;
-    options.systems_per_config = systems;
-    options.seed = seed;
-    options.run_simulation = false;
-    options.run_analysis = true;
-    if (variant.mean > 0.0) options.period_mean = variant.mean;
-    options.period_distribution = variant.distribution;
-
-    const ConfigResult f890 =
-        run_configuration({.subtasks_per_task = 8, .utilization_percent = 90}, options);
-    const ConfigResult f680 =
-        run_configuration({.subtasks_per_task = 6, .utilization_percent = 80}, options);
-    const ConfigResult r570 =
-        run_configuration({.subtasks_per_task = 5, .utilization_percent = 70}, options);
-    const ConfigResult r860 =
-        run_configuration({.subtasks_per_task = 8, .utilization_percent = 60}, options);
-
-    const auto ratio = [](const ConfigResult& r) {
-      return r.bound_ratio.count() > 0 ? TextTable::fmt(r.bound_ratio.mean(), 2)
-                                       : std::string("n/a");
+    const Variant variants[] = {
+        {"exp, mean 1000", 1000.0,
+         GeneratorOptions::PeriodDistribution::kTruncatedExponential},
+        {"exp, mean 3000 (default)", 3000.0,
+         GeneratorOptions::PeriodDistribution::kTruncatedExponential},
+        {"exp, mean 6000", 6000.0,
+         GeneratorOptions::PeriodDistribution::kTruncatedExponential},
+        {"uniform", 0.0, GeneratorOptions::PeriodDistribution::kUniform},
     };
-    table.add_row({variant.label, TextTable::fmt(f890.failure_rate(), 2),
-                   TextTable::fmt(f680.failure_rate(), 2), ratio(r570),
-                   ratio(r860)});
+
+    std::cout << "== Sensitivity of Figures 12/13 to the period distribution ==\n"
+              << systems << " systems per cell; summary cells: failure rate at "
+                 "(8,90) and (6,80); bound ratio at (5,70) and (8,60)\n\n";
+
+    TextTable table({"periods", "fail(8,90)", "fail(6,80)", "ratio(5,70)",
+                     "ratio(8,60)"});
+    for (const Variant& variant : variants) {
+      SweepOptions options;
+      options.systems_per_config = systems;
+      options.seed = seed;
+      options.run_simulation = false;
+      options.run_analysis = true;
+      if (variant.mean > 0.0) options.period_mean = variant.mean;
+      options.period_distribution = variant.distribution;
+
+      const ConfigResult f890 =
+          run_configuration({.subtasks_per_task = 8, .utilization_percent = 90},
+                            options);
+      const ConfigResult f680 =
+          run_configuration({.subtasks_per_task = 6, .utilization_percent = 80},
+                            options);
+      const ConfigResult r570 =
+          run_configuration({.subtasks_per_task = 5, .utilization_percent = 70},
+                            options);
+      const ConfigResult r860 =
+          run_configuration({.subtasks_per_task = 8, .utilization_percent = 60},
+                            options);
+
+      const auto ratio = [](const ConfigResult& r) {
+        return r.bound_ratio.count() > 0 ? TextTable::fmt(r.bound_ratio.mean(), 2)
+                                         : std::string("n/a");
+      };
+      table.add_row({variant.label, TextTable::fmt(f890.failure_rate(), 2),
+                     TextTable::fmt(f680.failure_rate(), 2), ratio(r570),
+                     ratio(r860)});
+    }
+    std::cout << table.to_string()
+              << "\nexpected: failures stay concentrated at high (N,U) and the "
+                 "bound ratios stay >1 and N/U-monotone under every variant.\n";
+    return 0;
+  } catch (const InvalidArgument& e) {
+    std::cerr << "bench_sensitivity: " << e.what() << "\n";
+    return 1;
   }
-  std::cout << table.to_string()
-            << "\nexpected: failures stay concentrated at high (N,U) and the "
-               "bound ratios stay >1 and N/U-monotone under every variant.\n";
-  return 0;
 }

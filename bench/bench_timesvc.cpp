@@ -133,21 +133,21 @@ void print_report(std::ostream& out, const e2e::FaultSweepOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
-  e2e::FaultSweepOptions options;
-  options.systems = defaults.fault_systems;
-  options.seed = defaults.fault_seed;
-  options.horizon_periods = defaults.fault_horizon_periods;
-  options.config.subtasks_per_task = defaults.fault_subtasks;
-  options.config.utilization_percent = defaults.fault_utilization;
-  options.threads = defaults.threads;
-  options.severities = sync_degradation_ladder();
-  options.protocols = {e2e::ProtocolKind::kPhaseModification,
-                       e2e::ProtocolKind::kPmEstimated,
-                       e2e::ProtocolKind::kModifiedPmRetransmit};
-  options.timesvc.sync_interval = 25'000;
-
   try {
+    const e2e::ScenarioDefaults defaults = e2e::ScenarioDefaults::load();
+    e2e::FaultSweepOptions options;
+    options.systems = defaults.fault_systems;
+    options.seed = defaults.fault_seed;
+    options.horizon_periods = defaults.fault_horizon_periods;
+    options.config.subtasks_per_task = defaults.fault_subtasks;
+    options.config.utilization_percent = defaults.fault_utilization;
+    options.threads = defaults.threads;
+    options.severities = sync_degradation_ladder();
+    options.protocols = {e2e::ProtocolKind::kPhaseModification,
+                         e2e::ProtocolKind::kPmEstimated,
+                         e2e::ProtocolKind::kModifiedPmRetransmit};
+    options.timesvc.sync_interval = 25'000;
+
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
     if (!args.has("json")) {

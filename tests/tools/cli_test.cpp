@@ -401,6 +401,16 @@ TEST(Cli, FaultsRejectsMalformedTimesvc) {
   EXPECT_NE(r.err.find("unknown timesvc key 'intervall'"), std::string::npos);
 }
 
+TEST(Cli, PartitionExampleScenarioParsesAndPlans) {
+  // The checked-in partition scenario (timesvc + partition/source-down
+  // windows) must stay parseable; --plan validates and expands it
+  // without paying for the full run.
+  const CliResult r = run_cli(
+      {"run", E2E_REPO_DIR "/examples/scenarios/partition.e2es", "--plan"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("faults"), std::string::npos);
+}
+
 TEST(Cli, SimulateAcceptsPmEstimated) {
   const CliResult r = run_cli({"simulate", "--protocol=PM-E", "--horizon=60"},
                               to_text(paper::example2()));

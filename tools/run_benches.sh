@@ -11,11 +11,10 @@
 #   BUILD_DIR   (default: build)    -- cmake build tree with the benches
 #   RESULTS_DIR (default: results)  -- where BENCH_<name>.json land
 #
-# --figures regenerates the paper's figures and reports from the nine
-# checked-in specs (examples/scenarios/{fig12..fig16,overhead,jitter,
-# ablation,breakdown}.e2es) through `e2e run`, writing one
-# RESULTS_DIR/FIG_<name>.txt per spec. Sample sizes follow the E2E_*
-# defaults (docs/cli_and_formats.md).
+# --figures regenerates the paper's figures and reports through `e2e run`:
+# every examples/scenarios/<name>.e2es whose `scenario` line is `figure`
+# or `breakdown` writes RESULTS_DIR/FIG_<name>.txt. Sample sizes follow
+# the E2E_* defaults (docs/cli_and_formats.md).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,8 +30,9 @@ if [[ "${1:-}" == "--figures" ]]; then
   fi
   mkdir -p "${RESULTS_DIR}"
   status=0
-  for name in fig12 fig13 fig14 fig15 fig16 overhead jitter ablation breakdown; do
-    spec="examples/scenarios/${name}.e2es"
+  for spec in $(grep -lE '^scenario +(figure|breakdown)\b' \
+                  examples/scenarios/*.e2es); do
+    name="$(basename "${spec}" .e2es)"
     echo "== e2e run ${spec} =="
     if ! "${e2e}" run "${spec}" > "${RESULTS_DIR}/FIG_${name}.txt"; then
       echo "run_benches: e2e run ${spec} failed" >&2
