@@ -205,6 +205,7 @@ Outcome AdmissionController::batch_commit() {
   // group verdicts are not worth a compound-key cache line.
   const std::uint32_t first_slot = state_.next_slot();
   const TrialVerdict verdict = engine_->admit_batch(state_, first_slot, batch);
+  outcome.path = verdict.path;
   if (verdict.schedulable) {
     for (TaskSpec& spec : batch) {
       (void)state_.commit_admit(spec);
@@ -253,6 +254,7 @@ Outcome AdmissionController::admit_checked(TaskSpec&& spec) {
   if (const auto hit = decision_cache_.find(key)) {
     Outcome outcome = *hit;
     outcome.from_cache = true;
+    outcome.path = PathRecord{.path = EnginePath::kCache};
     outcome.live_tasks = state_.task_count();
     fold_outcome(outcome);
     return outcome;
@@ -262,6 +264,7 @@ Outcome AdmissionController::admit_checked(TaskSpec&& spec) {
   outcome.verb = Verb::kAdmit;
   outcome.task_name = spec.name;
   const TrialVerdict verdict = engine_->admit(state_, state_.next_slot(), spec);
+  outcome.path = verdict.path;
   if (verdict.schedulable) {
     outcome.accepted = true;
     outcome.slot = state_.commit_admit(spec);
@@ -318,6 +321,7 @@ Outcome AdmissionController::remove(const std::string& name) {
   }
 
   const TrialVerdict verdict = engine_->remove(state_, *slot);
+  outcome.path = verdict.path;
   state_.commit_remove(*slot);
   outcome.accepted = true;
   outcome.slot = *slot;
@@ -365,8 +369,9 @@ std::uint64_t AdmissionController::result_hash() const {
 }
 
 void AdmissionController::fold_outcome(const Outcome& outcome) {
-  // Everything semantic; `message` and `from_cache` are reporting-only
-  // (a cache hit must fold identically to the recomputation it stands for).
+  // Everything semantic; `message`, `from_cache` and `path` are
+  // reporting-only (a cache hit must fold identically to the
+  // recomputation it stands for).
   hash_ = hash_combine(hash_, static_cast<std::uint64_t>(outcome.verb));
   hash_ = hash_combine(hash_, outcome.accepted ? 1u : 0u);
   hash_ = hash_combine(hash_, static_cast<std::uint64_t>(outcome.reason));

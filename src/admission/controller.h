@@ -48,8 +48,8 @@ enum class ReasonCode : std::uint8_t {
 [[nodiscard]] const char* to_string(ReasonCode reason) noexcept;
 
 /// The controller's answer to one request. Every field that feeds the
-/// result hash is a pure function of the request stream; `from_cache`
-/// and `message` are reporting-only.
+/// result hash is a pure function of the request stream; `from_cache`,
+/// `path` and `message` are reporting-only.
 struct Outcome {
   Verb verb = Verb::kQuery;
   bool accepted = false;
@@ -76,6 +76,9 @@ struct Outcome {
   /// break SA/PM bounds by shrinking the divergence cap).
   bool remaining_schedulable = true;
   bool from_cache = false;  ///< served by the decision cache (not hashed)
+  /// The engine path that decided the request (not hashed: the full and
+  /// incremental engines reach the same verdicts by different paths).
+  PathRecord path;
   /// batch-commit: number of queued admits decided by this outcome.
   /// Deliberately NOT folded into the result hash (it is derivable from
   /// the kQueued outcomes already folded), so streams without batch

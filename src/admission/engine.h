@@ -22,8 +22,10 @@
 // re-checks it after every single request. The incremental engines'
 // soundness rests on the least-fixpoint facts documented in
 // core/analysis/scratch.h and ieert.h; where a perturbation breaks the
-// monotone-warm-start precondition (a removal, a cap change) they fall
-// back to cold recomputation of exactly the affected cone.
+// monotone-warm-start precondition they restart exactly the affected
+// entries cold: SA/PM the touched equations, SA/DS the dependency
+// components a removal reaches (docs/admission.md), and both the whole
+// system when the divergence cap moves.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,7 @@ struct TrialFailure {
 struct TrialVerdict {
   bool schedulable = false;
   std::optional<TrialFailure> failure;  ///< set iff !schedulable
+  PathRecord path;                      ///< reporting only
 };
 
 class Engine {

@@ -29,11 +29,15 @@
 //    values first-touch, so a rejected trial rolls back byte-for-byte.
 //
 //  * remove: demand shrinks, so old values OVER-approximate and must
-//    not seed the affected entries. The engine resets exactly the dirty
-//    cone -- the closure, under reverse IEERT dependencies, of the
-//    entries on the departed task's processors -- to the optimistic
-//    init with cold fixpoints; entries outside the cone provably keep
-//    their exact old fixpoint values (no input of theirs changes).
+//    not seed the affected entries. The dirty cone is the closure, under
+//    reverse IEERT dependencies, of the entries on the departed task's
+//    processors; entries outside it provably keep their exact old
+//    fixpoint values (no input of theirs changes). Inside it the engine
+//    splits the cone into strongly connected components and solves them
+//    inputs first (Bekic): a component none of whose members is forced
+//    and none of whose inputs changed keeps its old values; any other
+//    restarts from the optimistic init and is iterated alone, against
+//    inputs that are already final (docs/admission.md).
 //
 //  * a divergence-cap change (2 x 300 x the max live period, so it
 //    moves only when the maximum period changes) invalidates even
@@ -175,7 +179,8 @@ class IncrementalDsEngine final : public Engine {
 
     // -- One analysis trajectory over the grown structures. --
     const Time new_cap = cap_of(*system_);
-    bool cold = new_cap != cap_ || !converged_;
+    PathRecord path{.path = cold_path(new_cap)};
+    bool cold = path.path != EnginePath::kWarm;
     SubtaskTable pre_table;              // wholesale snapshot, cold trials only
     std::vector<IeertWarmEntry> pre_warm;
     bool trial_converged;
@@ -198,6 +203,7 @@ class IncrementalDsEngine final : public Engine {
         // Pass-budget blowout: reconstruct the pre-trial snapshot from
         // the journal, then run the cold trajectory (the only one whose
         // mid-iteration bytes match the offline analyze_sa_ds).
+        path.path = EnginePath::kColdBudget;
         pre_table = table_;
         pre_warm = state_.warm;
         for (const IeertSweepUndo::Entry& e : undo_.entries) {
@@ -213,7 +219,7 @@ class IncrementalDsEngine final : public Engine {
     if (all_schedulable()) {
       cap_ = new_cap;
       converged_ = trial_converged;
-      return {true, std::nullopt};
+      return {true, std::nullopt, path};
     }
 
     // -- Reject: restore everything byte-for-byte. --
@@ -249,7 +255,7 @@ class IncrementalDsEngine final : public Engine {
     }
     slots_.resize(old_tasks);
     refresh_outcomes(converged_);
-    return {false, std::move(failure)};
+    return {false, std::move(failure), path};
   }
 
   TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
@@ -291,44 +297,21 @@ class IncrementalDsEngine final : public Engine {
     }
 
     const Time new_cap = cap_of(*system_);
-    if (new_cap != cap_ || !converged_) {
+    PathRecord path{.path = cold_path(new_cap)};
+    if (path.path != EnginePath::kWarm) {
       converged_ = run_cold();
     } else {
-      // Dirty cone: the entries on the touched processors (equations
-      // changed: interference sets shrank, blocking terms may have) ...
-      arm_sweep(touched);
-      std::vector<std::uint32_t>& cone = state_.force;
-      std::vector<std::uint8_t> in_cone(imap_.subtask_count(), 0);
-      for (const std::uint32_t flat : cone) in_cone[flat] = 1;
-      // ... closed under reverse IEERT dependencies. Outside the cone no
-      // input changes, so old values remain exact fixpoint entries.
-      for (std::size_t next = 0; next < cone.size(); ++next) {
-        for (const std::uint32_t reader : state_.rdeps[cone[next]]) {
-          if (in_cone[reader] != 0) continue;
-          in_cone[reader] = 1;
-          cone.push_back(reader);
-        }
+      path.path = EnginePath::kComponents;
+      converged_ = resolve_components(touched, pass_options(new_cap), path);
+      if (!converged_) {
+        path.path = EnginePath::kColdBudget;
+        converged_ = run_cold();
       }
-      // Cone entries restart from the optimistic init with cold seeds
-      // (their old values over-approximate the shrunk fixpoint); the
-      // sweep recomputes every one of them first.
-      for (const std::uint32_t flat : cone) {
-        const SubtaskRef ref = imap_.ref_of(flat);
-        const Task& t = system_->task(ref.task);
-        Duration cumulative = 0;
-        for (std::int32_t j = 0; j <= ref.index; ++j) {
-          cumulative += t.subtasks[static_cast<std::size_t>(j)].execution_time;
-        }
-        table_.set(ref, cumulative);
-        state_.warm[flat] = IeertWarmEntry{};
-      }
-      converged_ = sweep_to_fixpoint(nullptr);
-      if (!converged_) converged_ = run_cold();
     }
     cap_ = new_cap;
     refresh_outcomes(converged_);
-    if (all_schedulable()) return {true, std::nullopt};
-    return {false, failure_of(std::nullopt)};
+    if (all_schedulable()) return {true, std::nullopt, path};
+    return {false, failure_of(std::nullopt), path};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
@@ -386,14 +369,176 @@ class IncrementalDsEngine final : public Engine {
     }
     const bool trial_converged = run_cold();
     refresh_outcomes(trial_converged);
+    const PathRecord path{.path = EnginePath::kBootstrap};
     if (all_schedulable()) {
       cap_ = cap_of(*system_);
       converged_ = trial_converged;
-      return {true, std::nullopt};
+      return {true, std::nullopt, path};
     }
     TrialFailure failure = failure_of(first_slot);
     reset_empty();
-    return {false, std::move(failure)};
+    return {false, std::move(failure), path};
+  }
+
+  /// The cold path a request must take, or kWarm when the committed
+  /// table is a valid seed: a moved divergence cap invalidates even
+  /// infinite entries, and a non-converged table is not a fixpoint.
+  [[nodiscard]] EnginePath cold_path(Time new_cap) const {
+    if (new_cap != cap_) return EnginePath::kColdCap;
+    if (!converged_) return EnginePath::kColdNonconverged;
+    return EnginePath::kWarm;
+  }
+
+  /// Remove re-analysis by dependency components (docs/admission.md,
+  /// "Removal by dependency components"). The entries on the `touched` processors are forced:
+  /// their interference sets shrank and their blocking terms may have
+  /// moved. Their closure under reverse IEERT dependencies is the dirty
+  /// cone; outside it no input changed, so old values stay exact. One
+  /// Tarjan walk along `rdeps` from the forced entries visits exactly the
+  /// cone and emits its strongly connected components readers first, so
+  /// walking the emission backwards meets every component after all of
+  /// its inputs are final. A component whose members are unforced and
+  /// whose inputs kept their values keeps its old values; any other
+  /// restarts from the optimistic init and is iterated on its own.
+  /// Returns false when a component exhausts the pass budget (the table
+  /// is then mid-iteration and the caller runs cold).
+  [[nodiscard]] bool resolve_components(std::span<const int> touched,
+                                        const IeertOptions& options, PathRecord& path) {
+    nodes_.assign(imap_.subtask_count(), ComponentNode{});
+    members_.clear();
+    component_begin_.clear();
+    visited_ = 0;
+    finished_ = 0;
+    for (const int p : touched) {
+      for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
+        const auto flat = static_cast<std::uint32_t>(imap_.flat_index(ref));
+        nodes_[flat].forced = 1;
+        if (nodes_[flat].index == 0) emit_components(flat);
+      }
+    }
+    component_begin_.push_back(static_cast<std::uint32_t>(members_.size()));
+    path.cone = visited_;
+
+    for (std::size_t c = component_begin_.size() - 1; c-- > 0;) {
+      const std::span<const std::uint32_t> component{
+          members_.data() + component_begin_[c], members_.data() + component_begin_[c + 1]};
+      const bool dirty = std::any_of(component.begin(), component.end(),
+                                     [this](std::uint32_t flat) {
+        if (nodes_[flat].forced != 0) return true;
+        return std::any_of(state_.deps[flat].begin(), state_.deps[flat].end(),
+                           [this](std::uint32_t d) { return nodes_[d].changed != 0; });
+      });
+      if (!dirty) {
+        ++path.skipped;
+        continue;
+      }
+      ++path.resolved;
+      path.largest = std::max(path.largest, static_cast<std::uint32_t>(component.size()));
+      if (!solve_component(component, static_cast<std::uint32_t>(c), options)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Iterative Tarjan from `root` along reverse dependencies: appends
+  /// each finished strongly connected component to `members_`, its start
+  /// to `component_begin_`. Members are ordered by reverse postorder of
+  /// the walk, so inside a component an entry mostly follows its inputs
+  /// and few members are evaluated twice.
+  void emit_components(std::uint32_t root) {
+    const auto open = [this](std::uint32_t flat) {
+      nodes_[flat].index = nodes_[flat].low = ++visited_;
+      tarjan_stack_.push_back(flat);
+      frames_.push_back({flat, 0});
+    };
+    open(root);
+    while (!frames_.empty()) {
+      const std::uint32_t v = frames_.back().node;
+      const std::vector<std::uint32_t>& readers = state_.rdeps[v];
+      if (frames_.back().edge < readers.size()) {
+        const std::uint32_t w = readers[frames_.back().edge++];
+        if (nodes_[w].index == 0) {
+          open(w);
+        } else if (nodes_[w].component == kNoComponent) {  // still on the stack
+          nodes_[v].low = std::min(nodes_[v].low, nodes_[w].index);
+        }
+        continue;
+      }
+      frames_.pop_back();
+      nodes_[v].finish = ++finished_;
+      if (!frames_.empty()) {
+        ComponentNode& parent = nodes_[frames_.back().node];
+        parent.low = std::min(parent.low, nodes_[v].low);
+      }
+      if (nodes_[v].low != nodes_[v].index) continue;
+      const auto id = static_cast<std::uint32_t>(component_begin_.size());
+      const auto begin = static_cast<std::uint32_t>(members_.size());
+      component_begin_.push_back(begin);
+      std::uint32_t w = 0;
+      do {
+        w = tarjan_stack_.back();
+        tarjan_stack_.pop_back();
+        nodes_[w].component = id;
+        members_.push_back(w);
+      } while (w != v);
+      std::sort(members_.begin() + begin, members_.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return nodes_[a].finish > nodes_[b].finish;
+                });
+    }
+  }
+
+  /// Least fixpoint of one component's equations against final inputs:
+  /// Kleene iteration from the optimistic init with cold seeds (the old
+  /// values over-approximate), re-evaluating a member only after one of
+  /// its in-component inputs moved. Each pass visits the stale members in
+  /// member order; needing more than max_passes passes is a blowout.
+  [[nodiscard]] bool solve_component(std::span<const std::uint32_t> component,
+                                     std::uint32_t id, const IeertOptions& options) {
+    old_values_.clear();
+    for (const std::uint32_t flat : component) {
+      const SubtaskRef ref = imap_.ref_of(flat);
+      old_values_.push_back(table_.at(ref));
+      table_.set(ref, optimistic_init(ref));
+      state_.warm[flat].busy = 0;  // a cold seed that keeps its capacity
+      state_.warm[flat].completions.clear();
+      nodes_[flat].stale = 1;
+    }
+    std::size_t stale = component.size();
+    for (int pass = 0; stale > 0; ++pass) {
+      if (pass == SaDsOptions{}.max_passes) return false;
+      for (const std::uint32_t flat : component) {
+        if (nodes_[flat].stale == 0) continue;
+        nodes_[flat].stale = 0;
+        --stale;
+        const SubtaskRef ref = imap_.ref_of(flat);
+        const Duration bound = ieert_bound_entry(*system_, imap_, table_, ref, options,
+                                                 &state_.warm[flat], state_.hp_jitter);
+        if (bound == table_.at(ref)) continue;
+        table_.set(ref, bound);
+        for (const std::uint32_t reader : state_.rdeps[flat]) {
+          if (nodes_[reader].component != id || nodes_[reader].stale != 0) continue;
+          nodes_[reader].stale = 1;
+          ++stale;
+        }
+      }
+    }
+    for (std::size_t k = 0; k < component.size(); ++k) {
+      nodes_[component[k]].changed =
+          table_.at(imap_.ref_of(component[k])) != old_values_[k] ? 1 : 0;
+    }
+    return true;
+  }
+
+  /// Figure 11 step 1: the sum of the execution times through `ref`.
+  [[nodiscard]] Duration optimistic_init(SubtaskRef ref) const {
+    const Task& t = system_->task(ref.task);
+    Duration cumulative = 0;
+    for (std::int32_t j = 0; j <= ref.index; ++j) {
+      cumulative += t.subtasks[static_cast<std::size_t>(j)].execution_time;
+    }
+    return cumulative;
   }
 
   void reset_empty() {
@@ -413,9 +558,8 @@ class IncrementalDsEngine final : public Engine {
     const SaDsOptions options{.refine_jitter_with_best_case = refine_};
     Duration max_cutoff = 0;
     for (const Task& t : system.tasks()) {
-      max_cutoff = std::max(
-          max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
-                                            static_cast<double>(t.period)));
+      max_cutoff =
+          std::max(max_cutoff, sat_scale(options.failure_period_multiplier, t.period));
     }
     return sat_mul(max_cutoff, 2);
   }
@@ -528,6 +672,30 @@ class IncrementalDsEngine final : public Engine {
   Time cap_ = -1;        ///< divergence cap of the committed analysis; -1 = none
   bool converged_ = true;  ///< committed table reached a fixpoint
   IeertSweepUndo undo_;    ///< reusable trial journal
+
+  // Remove scratch, reused across requests (resolve_components).
+  static constexpr std::uint32_t kNoComponent = 0xFFFFFFFFu;
+  struct ComponentNode {
+    std::uint32_t index = 0;   ///< Tarjan visit order, 1-based; 0 = not in the cone
+    std::uint32_t low = 0;
+    std::uint32_t finish = 0;  ///< postorder stamp of the walk
+    std::uint32_t component = kNoComponent;
+    std::uint8_t forced = 0;   ///< equation changed with the removal
+    std::uint8_t changed = 0;  ///< re-solved to a value other than the old one
+    std::uint8_t stale = 0;    ///< queued for re-evaluation in its component
+  };
+  struct Frame {
+    std::uint32_t node = 0;
+    std::size_t edge = 0;  ///< next position in rdeps[node]
+  };
+  std::vector<ComponentNode> nodes_;            ///< per flat index
+  std::vector<std::uint32_t> members_;          ///< components' members, emission order
+  std::vector<std::uint32_t> component_begin_;  ///< per component, into members_
+  std::vector<std::uint32_t> tarjan_stack_;
+  std::vector<Frame> frames_;
+  std::uint32_t visited_ = 0;   ///< entries the walk reached: the cone size
+  std::uint32_t finished_ = 0;
+  std::vector<Duration> old_values_;  ///< per member of the component being solved
 };
 
 }  // namespace

@@ -28,10 +28,10 @@ class FullEngine final : public Engine {
         state.build_with_batch(specs, first_slot, std::nullopt);
     const AnalysisResult result = analyze(built.system);
     if (!result.system_schedulable()) {
-      return {false, failure_of(built, result, first_slot)};
+      return {false, failure_of(built, result, first_slot), kPath};
     }
     store(built, result);
-    return {true, std::nullopt};
+    return {true, std::nullopt, kPath};
   }
 
   TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
@@ -45,8 +45,8 @@ class FullEngine final : public Engine {
     const SystemState::Built built = state.build_with(nullptr, 0, slot);
     const AnalysisResult result = analyze(built.system);
     store(built, result);  // removal always commits
-    if (result.system_schedulable()) return {true, std::nullopt};
-    return {false, failure_of(built, result, std::nullopt)};
+    if (result.system_schedulable()) return {true, std::nullopt, kPath};
+    return {false, failure_of(built, result, std::nullopt), kPath};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
@@ -67,6 +67,8 @@ class FullEngine final : public Engine {
   const char* name() const noexcept override { return "full-recompute"; }
 
  private:
+  static constexpr PathRecord kPath{.path = EnginePath::kFull};
+
   [[nodiscard]] AnalysisResult analyze(const TaskSystem& system) const {
     switch (policy_) {
       case Policy::kPm: return analyze_sa_pm(system);

@@ -84,6 +84,9 @@ class IncrementalPmEngine final : public Engine {
     }
     const Time new_cap = cap_from_periods();
     const bool cap_changed = was_empty || new_cap != cap_;
+    const PathRecord path{.path = was_empty     ? EnginePath::kBootstrap
+                                  : cap_changed ? EnginePath::kColdCap
+                                                : EnginePath::kWarm};
 
     std::vector<std::uint8_t> touched(planes_.size(), 0);
     if (cap_changed) {
@@ -137,7 +140,7 @@ class IncrementalPmEngine final : public Engine {
 
     if (failing_.empty()) {
       cap_ = new_cap;
-      return {true, std::nullopt};
+      return {true, std::nullopt, path};
     }
 
     TrialFailure failure = failure_of(*failing_.begin(), first_slot);
@@ -153,7 +156,7 @@ class IncrementalPmEngine final : public Engine {
     for (std::size_t i = specs.size(); i-- > 0;) {
       erase_task(first_slot + static_cast<std::uint32_t>(i), specs[i].period);
     }
-    return {false, std::move(failure)};
+    return {false, std::move(failure), path};
   }
 
   TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
@@ -164,6 +167,7 @@ class IncrementalPmEngine final : public Engine {
 
     const Time new_cap = cap_from_periods();
     const bool cap_changed = new_cap != cap_;
+    const PathRecord path{.path = cap_changed ? EnginePath::kColdCap : EnginePath::kWarm};
     std::vector<std::uint8_t> touched(planes_.size(), 0);
     if (cap_changed) {
       std::fill(touched.begin(), touched.end(), 1);
@@ -192,8 +196,8 @@ class IncrementalPmEngine final : public Engine {
     }
     for (const std::uint32_t s : dirty) refresh_task(s, live_.at(s));
     cap_ = new_cap;
-    if (failing_.empty()) return {true, std::nullopt};
-    return {false, failure_of(*failing_.begin(), std::nullopt)};
+    if (failing_.empty()) return {true, std::nullopt, path};
+    return {false, failure_of(*failing_.begin(), std::nullopt), path};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
@@ -225,8 +229,7 @@ class IncrementalPmEngine final : public Engine {
   /// offline analysis of the identical system.
   [[nodiscard]] Time cap_from_periods() const {
     const Duration max_period = period_counts_.rbegin()->first;
-    return static_cast<Time>(SaPmOptions{}.cap_period_multiplier *
-                             static_cast<double>(max_period));
+    return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period);
   }
 
   /// Assembles the demand equation of `plane[k]` against the *current*

@@ -68,7 +68,7 @@ std::string render_csv(const std::vector<Outcome>& outcomes,
   csv.write_row({"index", "verb", "task", "accepted", "reason", "slot",
                  "culprit_task", "culprit_subtask", "culprit_processor",
                  "culprit_bound", "culprit_eer", "culprit_deadline", "margin",
-                 "live_tasks", "cached"});
+                 "live_tasks", "cached", "path"});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const Outcome& o = outcomes[i];
     csv.write_row({std::to_string(i), to_string(o.verb), o.task_name,
@@ -78,7 +78,7 @@ std::string render_csv(const std::vector<Outcome>& outcomes,
                    std::to_string(o.culprit_processor), bound_str(o.culprit_bound),
                    bound_str(o.culprit_eer), std::to_string(o.culprit_deadline),
                    TextTable::fmt(o.margin, 6), std::to_string(o.live_tasks),
-                   o.from_cache ? "1" : "0"});
+                   o.from_cache ? "1" : "0", to_string(o.path.path)});
   }
   // Latency section, blank-line separated: one row per request kind.
   out << "\n";
@@ -114,6 +114,13 @@ std::string render_json(const std::vector<Outcome>& outcomes,
           << ", \"deadline\": " << o.culprit_deadline << "}";
     }
     if (o.verb == Verb::kQuery) out << ", \"margin\": " << TextTable::fmt(o.margin, 6);
+    out << ", \"path\": " << json_str(to_string(o.path.path));
+    if (o.path.cone > 0) {  // a component re-solve ran (possibly then cold)
+      out << ", \"cone\": " << o.path.cone
+          << ", \"components_resolved\": " << o.path.resolved
+          << ", \"components_skipped\": " << o.path.skipped
+          << ", \"largest_component\": " << o.path.largest;
+    }
     out << ", \"message\": " << json_str(o.message) << "}"
         << (i + 1 < outcomes.size() ? ",\n" : "\n");
   }

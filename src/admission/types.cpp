@@ -13,6 +13,21 @@ const char* to_string(Policy policy) noexcept {
   return "?";
 }
 
+const char* to_string(EnginePath path) noexcept {
+  switch (path) {
+    case EnginePath::kNone: return "none";
+    case EnginePath::kCache: return "cache";
+    case EnginePath::kWarm: return "warm";
+    case EnginePath::kComponents: return "components";
+    case EnginePath::kColdCap: return "cold-cap";
+    case EnginePath::kColdNonconverged: return "cold-nonconverged";
+    case EnginePath::kColdBudget: return "cold-budget";
+    case EnginePath::kBootstrap: return "bootstrap";
+    case EnginePath::kFull: return "full";
+  }
+  return "?";
+}
+
 Policy parse_policy(const std::string& name) {
   if (name == "pm") return Policy::kPm;
   if (name == "ds") return Policy::kDs;

@@ -28,6 +28,33 @@ enum class Policy : std::uint8_t {
 /// Parses "pm" / "ds" / "holistic"; throws InvalidArgument otherwise.
 [[nodiscard]] Policy parse_policy(const std::string& name);
 
+/// The analysis path a verdict engine took for one request. Reporting
+/// only: no verdict, bound or hash depends on it.
+enum class EnginePath : std::uint8_t {
+  kNone,              ///< no analysis ran (prechecks, queries, queued admits, emptying removes)
+  kCache,             ///< the decision cache answered
+  kWarm,              ///< delta re-analysis seeded from the committed tables
+  kComponents,        ///< SA/DS remove: component-ordered re-solve of the dirty cone
+  kColdCap,           ///< cold analysis: the divergence cap moved
+  kColdNonconverged,  ///< cold analysis: the committed table had not converged
+  kColdBudget,        ///< cold analysis: a delta run exhausted the pass budget
+  kBootstrap,         ///< first admit(s) into an empty engine
+  kFull,              ///< the full-recompute engine
+};
+
+[[nodiscard]] const char* to_string(EnginePath path) noexcept;
+
+/// What an engine did for one request. The counts are set whenever a
+/// component re-solve ran: on kComponents, and on a kColdBudget remove
+/// that fell back after one.
+struct PathRecord {
+  EnginePath path = EnginePath::kNone;
+  std::uint32_t cone = 0;      ///< entries in the dirty cone
+  std::uint32_t resolved = 0;  ///< dependency components re-solved
+  std::uint32_t skipped = 0;   ///< dependency components kept as they were
+  std::uint32_t largest = 0;   ///< members of the largest re-solved component
+};
+
 /// One stage of a candidate task (maps onto task/model.h's Subtask).
 struct SubtaskSpec {
   int processor = -1;

@@ -45,6 +45,19 @@ namespace e2e {
   return out;
 }
 
+/// multiplier * value truncated to ticks (the plain static_cast), or
+/// kTimeInfinity when the product is not representable as int64: a
+/// double-to-integer conversion out of range is undefined behaviour, and
+/// on x86 it yields INT64_MIN. Every "k periods" limit (divergence caps,
+/// failure cutoffs, horizons) goes through here. Requires multiplier,
+/// value >= 0.
+[[nodiscard]] inline std::int64_t sat_scale(double multiplier, std::int64_t value) noexcept {
+  const double product = multiplier * static_cast<double>(value);
+  // 2^63 is exact in a double; every double below it converts in range.
+  if (!(product < 9223372036854775808.0)) return kTimeInfinity;
+  return static_cast<std::int64_t>(product);
+}
+
 /// Greatest common divisor; gcd(0, x) == x. Requires a, b >= 0.
 [[nodiscard]] std::int64_t gcd64(std::int64_t a, std::int64_t b) noexcept;
 

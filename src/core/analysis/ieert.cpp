@@ -60,11 +60,9 @@ Duration ieert_bound_entry(const TaskSystem& system, const InterferenceMap& inte
   const Duration blocking = interference.blocking(ref);
   if (is_infinite(own_accum)) return kTimeInfinity;
 
-  const Duration cutoff =
-      options.failure_period_multiplier > 0.0
-          ? static_cast<Duration>(options.failure_period_multiplier *
-                                  static_cast<double>(period))
-          : kTimeInfinity;
+  const Duration cutoff = options.failure_period_multiplier > 0.0
+                              ? sat_scale(options.failure_period_multiplier, period)
+                              : kTimeInfinity;
   // IEER >= predecessor IEER + own execution: already beyond salvation.
   if (own_accum > cutoff) return kTimeInfinity;
 

@@ -14,8 +14,7 @@ namespace {
 /// divergent iterations sooner.
 void apply_failure_cap(const TaskSystem& system, double multiplier, SubtaskTable& table) {
   for (const Task& t : system.tasks()) {
-    const Duration cutoff =
-        static_cast<Duration>(multiplier * static_cast<double>(t.period));
+    const Duration cutoff = sat_scale(multiplier, t.period);
     for (const Subtask& s : t.subtasks) {
       if (!is_infinite(table.at(s.ref)) && table.at(s.ref) > cutoff) {
         table.set(s.ref, kTimeInfinity);
@@ -67,9 +66,8 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
   // largest per-task cutoff.
   Duration max_cutoff = 0;
   for (const Task& t : system.tasks()) {
-    max_cutoff = std::max(
-        max_cutoff, static_cast<Duration>(options.failure_period_multiplier *
-                                          static_cast<double>(t.period)));
+    max_cutoff =
+        std::max(max_cutoff, sat_scale(options.failure_period_multiplier, t.period));
   }
   const IeertOptions pass_options{
       .cap = sat_mul(max_cutoff, 2),

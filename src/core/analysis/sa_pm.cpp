@@ -108,8 +108,7 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
   result.subtask_bounds = SubtaskTable{system, 0};
   result.eer_bounds.assign(system.task_count(), 0);
 
-  const Time cap = static_cast<Time>(options.cap_period_multiplier *
-                                     static_cast<double>(system.max_period()));
+  const Time cap = sat_scale(options.cap_period_multiplier, system.max_period());
 
   // Consume the one-shot monotonicity promise and make sure the scratch
   // is shaped for this system; a mismatched scratch is wiped, not trusted.

@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/math.h"
 #include "common/time.h"
 #include "task/model.h"
 
@@ -78,7 +79,7 @@ class TaskSystem {
 
   /// Horizon of `periods` maximum periods, in ticks.
   [[nodiscard]] Time horizon_ticks(double periods) const noexcept {
-    return static_cast<Time>(periods * static_cast<double>(max_period_));
+    return sat_scale(periods, max_period_);
   }
 
   /// The system-wide default horizon: kDefaultHorizonPeriods max-periods.

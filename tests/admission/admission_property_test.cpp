@@ -95,7 +95,7 @@ void expect_digest_matches_fresh(const AdmissionController& incremental,
       << "request " << request_index;
 }
 
-void run_lockstep(Policy policy, std::uint64_t seed, double batch_fraction = 0.0) {
+ChurnShape lockstep_shape(double batch_fraction = 0.0) {
   ChurnShape shape;
   shape.processors = 8;
   shape.initial_admits = 60;
@@ -105,7 +105,18 @@ void run_lockstep(Policy policy, std::uint64_t seed, double batch_fraction = 0.0
   shape.max_sub_utilization = 0.05;
   shape.batch_fraction = batch_fraction;
   shape.max_batch = 3;
+  return shape;
+}
 
+/// What the incremental engine's removals did over one stream.
+struct RemovePaths {
+  std::size_t component_removes = 0;
+  std::size_t multi_member_resolves = 0;  ///< removes that re-solved a cycle
+  std::size_t skipped_components = 0;
+};
+
+void run_lockstep(Policy policy, std::uint64_t seed, const ChurnShape& shape,
+                  RemovePaths* paths = nullptr) {
   Rng rng{seed};
   const std::vector<Request> stream = generate_churn(rng, shape);
   ASSERT_GE(stream.size(), 200u);
@@ -130,6 +141,11 @@ void run_lockstep(Policy policy, std::uint64_t seed, double batch_fraction = 0.0
         << "policy " << to_string(policy) << ", request " << i << " ("
         << to_string(stream[i].verb) << " '" << stream[i].task.name << "')";
     expect_digest_matches_fresh(incremental, policy, i);
+    if (paths != nullptr && b.path.path == EnginePath::kComponents) {
+      ++paths->component_removes;
+      paths->multi_member_resolves += b.path.largest >= 2 ? 1 : 0;
+      paths->skipped_components += b.path.skipped;
+    }
     saw_reject |= (!a.accepted && a.reason == ReasonCode::kBoundFailure);
     saw_remove |= (a.verb == Verb::kRemove && a.accepted);
     saw_batch |= (a.verb == Verb::kBatchCommit && a.batch_size >= 2);
@@ -139,26 +155,26 @@ void run_lockstep(Policy policy, std::uint64_t seed, double batch_fraction = 0.0
   // trials drive the engines' revert machinery).
   EXPECT_TRUE(saw_reject);
   EXPECT_TRUE(saw_remove);
-  EXPECT_EQ(saw_batch, batch_fraction > 0.0);
+  EXPECT_EQ(saw_batch, shape.batch_fraction > 0.0);
 }
 
 TEST(AdmissionProperty, IncrementalPmMatchesFullRecompute) {
-  run_lockstep(Policy::kPm, 0xA11CE5u);
+  run_lockstep(Policy::kPm, 0xA11CE5u, lockstep_shape());
 }
 
 TEST(AdmissionProperty, IncrementalDsMatchesFullRecompute) {
-  run_lockstep(Policy::kDs, 0xB0B5EEDu);
+  run_lockstep(Policy::kDs, 0xB0B5EEDu, lockstep_shape());
 }
 
 TEST(AdmissionProperty, IncrementalHolisticMatchesFullRecompute) {
-  run_lockstep(Policy::kHolistic, 0xC0FFEEu);
+  run_lockstep(Policy::kHolistic, 0xC0FFEEu, lockstep_shape());
 }
 
 // A second seed per policy, so one lucky stream cannot hide a bug.
 TEST(AdmissionProperty, SecondSeedSweep) {
-  run_lockstep(Policy::kPm, 20260808u);
-  run_lockstep(Policy::kDs, 20260809u);
-  run_lockstep(Policy::kHolistic, 20260810u);
+  run_lockstep(Policy::kPm, 20260808u, lockstep_shape());
+  run_lockstep(Policy::kDs, 20260809u, lockstep_shape());
+  run_lockstep(Policy::kHolistic, 20260810u, lockstep_shape());
 }
 
 // Batched streams: batch-begin/admits/batch-commit groups answered
@@ -166,9 +182,28 @@ TEST(AdmissionProperty, SecondSeedSweep) {
 // full-recompute baseline (including batch rejections, which exercise
 // the multi-task revert path of the persistent DS structures).
 TEST(AdmissionProperty, BatchedStreamsMatch) {
-  run_lockstep(Policy::kPm, 0x5EED0001u, 0.3);
-  run_lockstep(Policy::kDs, 0x5EED0002u, 0.3);
-  run_lockstep(Policy::kHolistic, 0x5EED0003u, 0.3);
+  run_lockstep(Policy::kPm, 0x5EED0001u, lockstep_shape(0.3));
+  run_lockstep(Policy::kDs, 0x5EED0002u, lockstep_shape(0.3));
+  run_lockstep(Policy::kHolistic, 0x5EED0003u, lockstep_shape(0.3));
+}
+
+// Few processors and long chains crowd many chains onto each processor,
+// so the IEERT dependencies form cycles: the SA/DS removals must re-solve
+// multi-member components (and keep others untouched) while staying in
+// lockstep with full recompute.
+TEST(AdmissionProperty, CyclicRemovalsMatch) {
+  ChurnShape shape = lockstep_shape();
+  shape.processors = 4;
+  shape.max_chain = 3;
+  shape.remove_fraction = 0.4;
+  for (const auto& [policy, seed] : {std::pair{Policy::kDs, 0xC7C1E001u},
+                                     std::pair{Policy::kHolistic, 0xC7C1E002u}}) {
+    RemovePaths paths;
+    run_lockstep(policy, seed, shape, &paths);
+    EXPECT_GT(paths.component_removes, 0u) << to_string(policy);
+    EXPECT_GT(paths.multi_member_resolves, 0u) << to_string(policy);
+    EXPECT_GT(paths.skipped_components, 0u) << to_string(policy);
+  }
 }
 
 TEST(AdmissionProperty, ShardedReplayIsThreadCountInvariant) {

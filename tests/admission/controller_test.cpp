@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "core/analysis/interference.h"
+#include "core/analysis/sa_ds.h"
 
 namespace e2e::admission {
 namespace {
@@ -310,6 +314,78 @@ TEST(Controller, FullAndIncrementalAgreeOnHandcraftedStream) {
     EXPECT_EQ(ca.batch_size, cb.batch_size);
     EXPECT_EQ(a.result_hash(), b.result_hash())
         << "policy " << to_string(policy);
+  }
+}
+
+// A period whose 300x divergence cap is not representable in int64: every
+// cap and failure cutoff must saturate to infinity. A wrapped (negative)
+// cap makes every fixpoint look divergent, so the huge-period task -- or,
+// under SA/PM, the resident one -- would be reported unbounded.
+TEST(Controller, HugePeriodSaturatesTheDivergenceCap) {
+  for (const Policy policy : {Policy::kPm, Policy::kDs, Policy::kHolistic}) {
+    const auto start = std::chrono::steady_clock::now();
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    for (AdmissionController* controller : {&full, &incremental}) {
+      ASSERT_TRUE(
+          controller->admit(make_spec("a", 1000, {{0, 10, 1}, {1, 10, 1}})).accepted);
+      const Outcome b = controller->admit(
+          make_spec("b", 9'000'000'000'000'000'000, {{0, 10, 2}, {1, 10, 2}}));
+      EXPECT_TRUE(b.accepted) << to_string(policy) << ": " << b.message;
+      // Both tasks bounded: the margin is finite (an unbounded EER is 1e9).
+      EXPECT_LT(controller->query().margin, 1.0) << to_string(policy);
+      EXPECT_TRUE(controller->remove("b").remaining_schedulable) << to_string(policy);
+    }
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{1})
+        << to_string(policy);
+  }
+}
+
+// Two 3-chains whose priorities cross on two processors make a 2-cycle
+// in the IEERT dependencies: A,2 (processor 1) reads B,2 through B,3's
+// jitter, and B,2 (processor 0) reads A,2 through A,3's. Removing C, the
+// top-priority task on processor 0, forces B,2, so the SA/DS remove must
+// re-solve that cycle as one component -- and still land on exactly the
+// table a fresh analysis of the remaining system computes.
+TEST(Controller, DsRemoveResolvesADependencyCycle) {
+  for (const Policy policy : {Policy::kDs, Policy::kHolistic}) {
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    for (AdmissionController* controller : {&full, &incremental}) {
+      ASSERT_TRUE(controller->admit(make_spec("C", 50, {{0, 5, 0}})).accepted);
+      ASSERT_TRUE(controller
+                      ->admit(make_spec("A", 100, {{0, 5, 1}, {1, 5, 3}, {0, 5, 2}}))
+                      .accepted);
+      ASSERT_TRUE(controller
+                      ->admit(make_spec("B", 100, {{1, 5, 1}, {0, 5, 3}, {1, 5, 2}}))
+                      .accepted);
+    }
+    EXPECT_EQ(full.remove("C").accepted, true);
+    const Outcome removed = incremental.remove("C");
+    ASSERT_TRUE(removed.accepted);
+    EXPECT_EQ(removed.path.path, EnginePath::kComponents) << to_string(policy);
+    EXPECT_GE(removed.path.largest, 2u) << to_string(policy);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+
+    const SystemState::Built built =
+        incremental.state().build_with(nullptr, 0, std::nullopt);
+    const SaDsResult fresh = analyze_sa_ds(
+        built.system, InterferenceMap{built.system},
+        SaDsOptions{.refine_jitter_with_best_case = policy == Policy::kHolistic});
+    ASSERT_TRUE(fresh.converged);
+    const std::optional<Engine::StructureDigest> digest = incremental.structure_digest();
+    ASSERT_TRUE(digest.has_value());
+    EXPECT_EQ(digest->table_hash, fresh.analysis.subtask_bounds.content_hash())
+        << to_string(policy);
   }
 }
 

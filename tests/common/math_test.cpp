@@ -45,6 +45,18 @@ TEST(SatMul, OverflowSaturates) {
   EXPECT_EQ(sat_mul(1LL << 40, 1LL << 40), kTimeInfinity);
 }
 
+TEST(SatScale, TruncatesLikeTheCast) {
+  EXPECT_EQ(sat_scale(300.0, 1000), 300000);
+  EXPECT_EQ(sat_scale(0.5, 7), 3);
+  EXPECT_EQ(sat_scale(30.0, 0), 0);
+}
+
+TEST(SatScale, UnrepresentableProductSaturates) {
+  EXPECT_EQ(sat_scale(300.0, 9'000'000'000'000'000'000), kTimeInfinity);
+  EXPECT_EQ(sat_scale(1.0, kTimeInfinity), kTimeInfinity);  // rounds up to 2^63
+  EXPECT_EQ(sat_scale(0.5, kTimeInfinity), 4611686018427387904);
+}
+
 TEST(Gcd, Basics) {
   EXPECT_EQ(gcd64(12, 18), 6);
   EXPECT_EQ(gcd64(0, 5), 5);

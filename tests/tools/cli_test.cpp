@@ -457,6 +457,32 @@ TEST(Cli, AdmitJsonReportCarriesCulpritDetail) {
   EXPECT_NE(r.out.find("\"result_hash\""), std::string::npos);
 }
 
+// Each outcome names the engine path that decided it; the counts of a
+// component re-solve ride along in JSON, the path alone in CSV.
+TEST(Cli, AdmitReportsTheEnginePath) {
+  const std::string stream =
+      "admit name=A period=100 sub=0:5:1 sub=1:5:1\n"
+      "admit name=B period=100 sub=1:5:2 sub=0:5:2\n"
+      "admit name=C period=100 sub=0:5:0\n"
+      "remove name=C\n"
+      "query\n";
+  const CliResult json =
+      run_cli({"admit", "--processors=2", "--policy=ds", "--report=json"}, stream);
+  EXPECT_EQ(json.exit_code, 0) << json.err;
+  EXPECT_NE(json.out.find("\"path\": \"bootstrap\""), std::string::npos);
+  EXPECT_NE(json.out.find("\"path\": \"warm\""), std::string::npos);
+  EXPECT_NE(json.out.find("\"path\": \"components\", \"cone\": "), std::string::npos);
+  EXPECT_NE(json.out.find("\"components_skipped\": "), std::string::npos);
+  EXPECT_NE(json.out.find("\"path\": \"none\""), std::string::npos);  // the query
+
+  const CliResult csv = run_cli(
+      {"admit", "--processors=2", "--policy=ds", "--report=csv", "--full-recompute"},
+      stream);
+  EXPECT_EQ(csv.exit_code, 0) << csv.err;
+  EXPECT_NE(csv.out.find(",cached,path\n"), std::string::npos);
+  EXPECT_NE(csv.out.find(",full\n"), std::string::npos);
+}
+
 TEST(Cli, AdmitRejectsUnknownFlag) {
   const CliResult r = run_cli({"admit", "--plocy=ds"});
   EXPECT_NE(r.exit_code, 0);

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the scenario layer: configures a build with
-# E2E_SANITIZE=address,undefined, builds, and runs the scenario- and
-# bench-smoke-labelled tests under it. Catches the lifetime bugs the
-# executor's engine recycling and cross-cell reuse could introduce.
+# E2E_SANITIZE=address,undefined,float-cast-overflow, builds, and runs the
+# scenario-, bench-smoke-, timesvc- and admission-labelled tests under it.
+# Catches the lifetime bugs the executor's engine recycling and
+# cross-cell reuse could introduce, and undefined arithmetic. Every
+# finding is fatal: GCC's `undefined` group leaves out
+# float-cast-overflow, and UBSan reports and carries on by default, so
+# without -fno-sanitize-recover a "runtime error" never fails a test.
 #
 # Usage: tools/check.sh
 #   CHECK_BUILD_DIR (default: build-check) -- sanitizer build tree
@@ -22,9 +26,12 @@ cd "$(dirname "$0")/.."
 CHECK_BUILD_DIR="${CHECK_BUILD_DIR:-build-check}"
 JOBS="${JOBS:-$(nproc)}"
 
-cmake -B "${CHECK_BUILD_DIR}" -S . -DE2E_SANITIZE=address,undefined
+cmake -B "${CHECK_BUILD_DIR}" -S . \
+  -DE2E_SANITIZE=address,undefined,float-cast-overflow \
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
-ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
   -L "scenario|bench-smoke|timesvc|admission"
 
 # Data-race gate (E2E_TSAN=0 opts out): the tests that drive the thread
