@@ -570,8 +570,7 @@ class IncrementalDsEngine final : public Engine {
                         .refine_jitter_with_best_case =
                             options.refine_jitter_with_best_case,
                         .failure_period_multiplier =
-                            options.failure_period_multiplier,
-                        .legacy_demand_path = options.legacy_demand_path};
+                            options.failure_period_multiplier};
   }
 
   /// In-place sweeps until fixpoint or pass budget. In-sweep cutoff

@@ -35,9 +35,9 @@ std::uint64_t system_content_hash(const TaskSystem& system) {
 std::shared_ptr<const AnalysisResult> AnalysisCache::sa_pm(const TaskSystem& system,
                                                            const SaPmOptions& options) {
   std::uint64_t key = system_content_hash(system);
+  // cap_period_multiplier is SaPmOptions' only field, so the key covers
+  // every option.
   key = hash_combine(key, std::bit_cast<std::uint64_t>(options.cap_period_multiplier));
-  // legacy_demand_path is deliberately not part of the key: it changes
-  // the code path, never the result.
   return table_.get_or_compute(key,
                                [&] { return analyze_sa_pm(system, options); });
 }

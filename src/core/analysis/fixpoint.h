@@ -7,25 +7,20 @@
 // When the underlying utilization exceeds 1 the iteration diverges; we cap
 // it and report "unbounded".
 //
-// The solver is a template over the demand callable so concrete kernels
-// (core/analysis/demand.h) inline into the iteration loop. The
-// std::function overloads below remain as thin adapters for callers that
-// want type erasure (and for the pre-existing tests).
+// The solver is a template over the demand callable W(t) -- the total
+// time demanded in [0, t], monotone non-decreasing in t and possibly
+// saturating at kTimeInfinity -- so the concrete kernels
+// (core/analysis/demand.h, kernels.h) inline into the iteration loop.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
-#include <functional>
 #include <optional>
 
 #include "common/error.h"
 #include "common/time.h"
 
 namespace e2e {
-
-/// Demand function W(t): total time demanded in [0, t]. Must be monotone
-/// non-decreasing in t and may saturate at kTimeInfinity.
-using DemandFn = std::function<Duration(Time)>;
 
 struct FixpointOptions {
   /// Give up once the iterate exceeds this value (divergence cap).
@@ -90,14 +85,5 @@ template <typename Demand>
   }
   return solve_fixpoint_from(seed, demand, options);
 }
-
-/// Type-erased adapters (thin wrappers over the templates above). Lambdas
-/// and concrete kernels bind to the templates directly; these exist so a
-/// caller holding a DemandFn does not re-wrap it.
-[[nodiscard]] std::optional<Time> solve_fixpoint(const DemandFn& demand,
-                                                 const FixpointOptions& options = {});
-
-[[nodiscard]] std::optional<Time> solve_fixpoint_from(Time start, const DemandFn& demand,
-                                                      const FixpointOptions& options = {});
 
 }  // namespace e2e

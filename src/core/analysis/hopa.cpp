@@ -143,8 +143,8 @@ HopaResult optimize_priorities_hopa(const TaskSystem& system,
     const auto levels = levels_from_local_deadlines(current, local_deadline);
     // The redistribution usually reaches a fixpoint within a few rounds;
     // once the levels stop moving, rebuilding the system and re-analyzing
-    // would reproduce `analysis` bit for bit round after round. The fast
-    // path skips that recomputation; the pre-PR shape (warm_start off)
+    // would reproduce `analysis` bit for bit round after round. The warm
+    // path skips that recomputation; the cold reference (warm_start off)
     // rebuilds every round.
     if (options.warm_start && levels_unchanged(current, levels)) {
       const double margin = margin_of(analysis, current, options.unbounded_margin);

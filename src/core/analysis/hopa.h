@@ -23,16 +23,16 @@ struct HopaOptions {
   int iterations = 8;
   /// Stand-in ratio for tasks whose EER bound is infinite.
   double unbounded_margin = 1e9;
-  /// Options forwarded to each SA/PM run (the benchmark uses
-  /// legacy_demand_path to measure against the historical baseline).
+  /// Options forwarded to each SA/PM run.
   SaPmOptions analysis = {};
   /// Carry one AnalysisScratch across rounds, so subtasks whose demand
   /// equation a priority reshuffle did not touch reuse their previous
   /// fixpoints (signature-exact, hence bit-identical results), and skip
   /// the rebuild + re-analysis entirely once the deadline redistribution
   /// stops moving any priority level (the common case after a few
-  /// rounds). Off reproduces the pre-fast-path per-round cost; the
-  /// returned HopaResult is identical either way.
+  /// rounds). Off re-analyzes every round from cold: the reference the
+  /// tests compare against. The returned HopaResult is identical either
+  /// way.
   bool warm_start = true;
 };
 

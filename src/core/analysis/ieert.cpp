@@ -7,8 +7,6 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/math.h"
-#include "core/analysis/demand.h"
-#include "core/analysis/fixpoint.h"
 #include "core/analysis/kernels.h"
 
 namespace e2e {
@@ -75,76 +73,16 @@ Duration ieert_bound_entry(const TaskSystem& system, const InterferenceMap& inte
     if (is_infinite(hp_jitter[k])) return kTimeInfinity;
   }
 
-  if (!options.legacy_demand_path) {
-    // Fast path: the shared kernel, over this pass's jitter terms.
-    const InterferenceMap::SoaView hp = interference.soa_of(ref);
-    const HpView hp_view{hp.periods, hp.execs, hp_jitter};
-    const IeerEquation eq{.period = period,
-                          .exec = exec,
-                          .own_jitter = own_jitter,
-                          .own_accum = own_accum,
-                          .blocking = blocking,
-                          .cutoff = cutoff,
-                          .cap = options.cap};
-    return solve_ieer_bound(eq, hp_view, warm);
-  }
-
-  // Legacy path: type-erased std::function demand, cold busy-period
-  // start. Kept for benchmarking the fast path against the baseline.
-  const FixpointOptions fp{.cap = options.cap};
-
-  // Step 1: busy-period duration with jittered ceilings (self included).
-  const DemandFn busy_fn = [&](Time t) -> Duration {
-    Duration sum = sat_add(blocking, jittered_demand(t, own_jitter, period, exec));
-    for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-      sum = sat_add(sum, jittered_demand(t, hp_jitter[k], hp_aos[k].period,
-                                         hp_aos[k].execution_time));
-    }
-    return sum;
-  };
-  const std::optional<Time> busy = solve_fixpoint(busy_fn, fp);
-  if (!busy) return kTimeInfinity;
-  if (warm != nullptr) warm->busy = *busy;
-
-  // Step 2: instances of T_{i,j} possibly inside the busy period.
-  const std::int64_t instances = ceil_div(sat_add(*busy, own_jitter), period);
-
-  // Steps 3-4. C(m) is monotone in m with C(m+1) >= C(m) + exec, so each
-  // fixpoint warm-starts from the previous completion (amortizes the
-  // iteration cost over the whole busy period).
-  Duration worst = 0;
-  Time previous_completion = 0;
-  if (warm != nullptr) {
-    warm->completions.resize(static_cast<std::size_t>(std::max<std::int64_t>(instances, 0)), 0);
-  }
-  for (std::int64_t m = 1; m <= instances; ++m) {
-    Time start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
-    if (warm != nullptr) {
-      // Same monotone argument per instance: C(m) only grows with the
-      // jitters, so last pass's completion is a valid warm seed.
-      start = std::max(start, warm->completions[static_cast<std::size_t>(m - 1)]);
-    }
-    const DemandFn completion_fn = [&](Time t) -> Duration {
-      Duration sum = sat_add(blocking, sat_mul(m, exec));
-      for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-        sum = sat_add(sum, jittered_demand(t, hp_jitter[k], hp_aos[k].period,
-                                           hp_aos[k].execution_time));
-      }
-      return sum;
-    };
-    const std::optional<Time> completion = solve_fixpoint_from(start, completion_fn, fp);
-    if (!completion) return kTimeInfinity;
-    previous_completion = *completion;
-    if (warm != nullptr) {
-      warm->completions[static_cast<std::size_t>(m - 1)] = *completion;
-    }
-    const Duration r = sat_add(*completion, own_accum) - (m - 1) * period;
-    worst = std::max(worst, r);
-    // The max over m is what gets compared against the cutoff; once any
-    // instance exceeds it the result is infinite regardless of the rest.
-    if (worst > cutoff) return kTimeInfinity;
-  }
-  return worst;
+  const InterferenceMap::SoaView hp = interference.soa_of(ref);
+  const HpView hp_view{hp.periods, hp.execs, hp_jitter};
+  const IeerEquation eq{.period = period,
+                        .exec = exec,
+                        .own_jitter = own_jitter,
+                        .own_accum = own_accum,
+                        .blocking = blocking,
+                        .cutoff = cutoff,
+                        .cap = options.cap};
+  return solve_ieer_bound(eq, hp_view, warm);
 }
 
 std::vector<std::uint32_t> ieert_table_inputs(const InterferenceMap& interference,

@@ -47,10 +47,6 @@ struct IeertOptions {
   /// than letting bounds crawl up by small increments over thousands of
   /// passes. 0 disables the cutoff.
   double failure_period_multiplier = 0.0;
-  /// Route demand through type-erased std::function calls (the
-  /// pre-fast-path code shape) instead of the inlined kernel; results are
-  /// identical. For benchmarking the fast path against the baseline.
-  bool legacy_demand_path = false;
 };
 
 /// Per-subtask fixpoint seeds carried across passes. The IEERT iteration
@@ -135,7 +131,9 @@ void ieert_index_dependencies(const TaskSystem& system,
 /// (cumulative along each chain); entries may be kTimeInfinity, in which
 /// case dependent bounds become infinite as well. Returns the refined
 /// table; never returns less than `current` entry-wise when `current` is
-/// a genuine under-approximation (monotone operator).
+/// a genuine under-approximation (monotone operator). Without `state`
+/// this is the paper-literal Jacobi pass, the reference the tests check
+/// the sweep against; analyze_sa_ds always passes a state.
 ///
 /// With a non-null `state`, runs the fast-path sweep instead: in-place
 /// Gauss-Seidel (entries updated earlier in the sweep feed later ones

@@ -72,17 +72,16 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
   const IeertOptions pass_options{
       .cap = sat_mul(max_cutoff, 2),
       .refine_jitter_with_best_case = options.refine_jitter_with_best_case,
-      .failure_period_multiplier = options.failure_period_multiplier,
-      .legacy_demand_path = options.legacy_demand_path};
+      .failure_period_multiplier = options.failure_period_multiplier};
 
-  // Iterate (Figure 11 step 2) until R == IEERT(T, R). The fast path
-  // tracks which entries changed between passes and skips entries whose
-  // inputs are untouched (bit-identical to full passes; see ieert.h); the
-  // legacy path recomputes every entry, as the pre-fast-path code did.
+  // Iterate (Figure 11 step 2) until R == IEERT(T, R). Each pass is an
+  // incremental Gauss-Seidel sweep: it tracks which entries changed
+  // between passes and skips entries whose inputs are untouched, reaching
+  // the same fixpoint as the paper's Jacobi passes (see ieert.h).
   IeertIncrementalState incremental;
-  IeertIncrementalState* state = options.legacy_demand_path ? nullptr : &incremental;
   for (result.passes = 0; result.passes < options.max_passes;) {
-    SubtaskTable next = ieert_pass(system, interference, current, pass_options, state);
+    SubtaskTable next =
+        ieert_pass(system, interference, current, pass_options, &incremental);
     apply_failure_cap(system, options.failure_period_multiplier, next);
     ++result.passes;
     if (next == current) {

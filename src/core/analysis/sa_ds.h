@@ -27,9 +27,6 @@ struct SaDsOptions {
   /// Use the best-case-refined jitter terms (see IeertOptions). Off by
   /// default: the paper's Algorithm SA/DS uses the plain R_{u,v-1} jitter.
   bool refine_jitter_with_best_case = false;
-  /// Route demand through type-erased std::function calls (pre-fast-path
-  /// code shape); results identical, benchmarking only.
-  bool legacy_demand_path = false;
 };
 
 struct SaDsResult {
@@ -39,8 +36,13 @@ struct SaDsResult {
   /// Number of IEERT passes executed.
   int passes = 0;
   /// True if the iteration reached an exact fixpoint (including fixpoints
-  /// with infinite entries); false only if max_passes was exhausted, in
-  /// which case all bounds are conservatively set to infinity.
+  /// with infinite entries); false only if max_passes was exhausted. Then
+  /// every `analysis.eer_bounds` entry is conservatively infinite (so
+  /// every task fails), while `analysis.subtask_bounds` keeps the
+  /// mid-iteration table of the last pass: an under-approximation of the
+  /// fixpoint, not a bound. The admission engine's cold path commits
+  /// that table as its state (engine_ds.cpp, run_cold), so its table
+  /// hash matches this function's.
   bool converged = false;
 
   /// The paper's per-task "failure": no finite EER bound found.

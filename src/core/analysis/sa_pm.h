@@ -34,12 +34,6 @@ struct SaPmOptions {
   /// utilization > 1 has no finite busy period; the cap turns that into a
   /// clean "unbounded" verdict. 300 mirrors the paper's failure cutoff.
   double cap_period_multiplier = 300.0;
-  /// Route every demand evaluation through a type-erased std::function
-  /// (the pre-fast-path code shape) instead of the inlined kernel, and
-  /// ignore warm-start seeds. Results are identical; only the cost
-  /// differs. Exists so benchmarks can measure the fast path against the
-  /// historical baseline.
-  bool legacy_demand_path = false;
 };
 
 /// Runs Algorithm SA/PM on `system`. Subtask entries and task EER bounds

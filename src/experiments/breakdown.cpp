@@ -26,33 +26,26 @@ struct ScratchFrontier {
 
 bool schedulable_at(const TaskSystem& base, double target_utilization,
                     double base_utilization, AnalysisKind analysis,
-                    const BreakdownOptions& options, ScratchFrontier* frontier) {
+                    ScratchFrontier& frontier) {
   const double factor = target_utilization / base_utilization;
   const TaskSystem scaled = scale_execution_times(base, factor);
   const InterferenceMap interference{scaled};
 
   AnalysisScratch working;
-  AnalysisScratch* sc = nullptr;
-  if (frontier != nullptr) {
-    if (frontier->has && factor >= frontier->factor) {
-      working = frontier->scratch;
-      working.monotone = true;  // execution times only grew; caps unchanged
-    }
-    sc = &working;
+  if (frontier.has && factor >= frontier.factor) {
+    working = frontier.scratch;
+    working.monotone = true;  // execution times only grew; caps unchanged
   }
 
-  bool ok = false;
-  if (analysis == AnalysisKind::kSaPm) {
-    const SaPmOptions pm{.legacy_demand_path = options.legacy_demand_path};
-    ok = analyze_sa_pm(scaled, interference, pm, sc).system_schedulable();
-  } else {
-    const SaDsOptions ds{.legacy_demand_path = options.legacy_demand_path};
-    ok = analyze_sa_ds(scaled, interference, ds, sc).analysis.system_schedulable();
-  }
-  if (frontier != nullptr && ok && (!frontier->has || factor >= frontier->factor)) {
-    frontier->scratch = std::move(working);
-    frontier->factor = factor;
-    frontier->has = true;
+  const bool ok =
+      analysis == AnalysisKind::kSaPm
+          ? analyze_sa_pm(scaled, interference, {}, &working).system_schedulable()
+          : analyze_sa_ds(scaled, interference, {}, &working)
+                .analysis.system_schedulable();
+  if (ok && (!frontier.has || factor >= frontier.factor)) {
+    frontier.scratch = std::move(working);
+    frontier.factor = factor;
+    frontier.has = true;
   }
   return ok;
 }
@@ -64,19 +57,18 @@ double breakdown_utilization(const TaskSystem& system, AnalysisKind analysis,
   const double base = system.max_processor_utilization();
   E2E_ASSERT(base > 0.0, "system has no workload");
 
-  ScratchFrontier frontier_storage;
-  ScratchFrontier* frontier = options.warm_start ? &frontier_storage : nullptr;
+  ScratchFrontier frontier;
 
   // Establish a schedulable lower end; execution times can't shrink below
   // one tick, so "0" here means even the floor is unschedulable.
   double lo = options.tolerance;
-  if (!schedulable_at(system, lo, base, analysis, options, frontier)) return 0.0;
+  if (!schedulable_at(system, lo, base, analysis, frontier)) return 0.0;
   double hi = options.max_utilization;
-  if (schedulable_at(system, hi, base, analysis, options, frontier)) return hi;
+  if (schedulable_at(system, hi, base, analysis, frontier)) return hi;
 
   while (hi - lo > options.tolerance) {
     const double mid = (lo + hi) / 2.0;
-    if (schedulable_at(system, mid, base, analysis, options, frontier)) {
+    if (schedulable_at(system, mid, base, analysis, frontier)) {
       lo = mid;
     } else {
       hi = mid;

@@ -27,14 +27,6 @@ struct BreakdownOptions {
   double tolerance = 0.01;
   /// Search ceiling on the max per-processor utilization.
   double max_utilization = 1.0;
-  /// Seed each probe's fixpoints from the converged state of the highest
-  /// scale already known schedulable. Sound -- execution times are
-  /// monotone in the scale factor while periods (hence caps and cutoffs)
-  /// never change -- and bit-identical to the cold search.
-  bool warm_start = true;
-  /// Forwarded to the analyses; reproduces the pre-fast-path demand
-  /// dispatch for benchmarking.
-  bool legacy_demand_path = false;
   /// Worker threads for run_breakdown_experiment; 0 = E2E_THREADS env
   /// var, else hardware concurrency. Results are identical at every
   /// thread count.
@@ -43,7 +35,11 @@ struct BreakdownOptions {
 
 /// Largest max-per-processor utilization (within tolerance) such that the
 /// uniformly scaled `system` is schedulable under `analysis`. Returns 0.0
-/// if even the minimum scale (1 tick per subtask) is unschedulable.
+/// if even the minimum scale (1 tick per subtask) is unschedulable. Each
+/// probe seeds its fixpoints from the converged state of the highest
+/// scale already known schedulable: sound, since execution times are
+/// monotone in the scale factor while periods (hence caps and cutoffs)
+/// never change, and bit-identical to a cold search.
 [[nodiscard]] double breakdown_utilization(const TaskSystem& system,
                                            AnalysisKind analysis,
                                            const BreakdownOptions& options = {});

@@ -314,7 +314,6 @@ std::string to_json(const PerfReport& report) {
       << ",\n"
       << "  \"hw_threads\": " << report.hw_threads << ",\n"
       << "  \"peak_rss_bytes\": " << report.peak_rss_bytes << ",\n";
-  if (report.gate_exempt) out << "  \"gate_exempt\": true,\n";
   out << "  \"entries\": [";
   for (std::size_t i = 0; i < report.entries.size(); ++i) {
     const PerfEntry& entry = report.entries[i];
@@ -384,10 +383,6 @@ void validate_perf_json(const std::string& json) {
       if (reader.read_number() < 0.0) {
         throw InvalidArgument("perf json: peak_rss_bytes must be non-negative");
       }
-    } else if (key == "gate_exempt") {
-      // Optional: an explicit declaration that the scaling gate must
-      // skip this bench's thread ladder.
-      (void)reader.read_bool();
     } else if (key == "entries") {
       saw_entries = true;
       reader.expect('[');
@@ -420,9 +415,6 @@ void validate_perf_json(const std::string& json) {
 
 std::optional<std::string> scaling_gate_failure(const PerfReport& report,
                                                 double floor) {
-  // The bench declared (in its committed JSON) that its thread ladder
-  // does not measure scaling; judging it would gate on noise.
-  if (report.gate_exempt) return std::nullopt;
   // A host with fewer than 4 hardware threads cannot exhibit the scaling
   // being gated: its multi-thread runs time oversubscription of the same
   // cores, so any floor check would be noise.
@@ -446,7 +438,6 @@ int write_perf_report(const std::string& bench, const std::string& workload,
                       const PerfWriteOptions& options, std::ostream& out) {
   PerfReport report = run_perf_harness(bench, workload, thread_counts, run);
   report.variants = options.variants;
-  report.gate_exempt = options.gate_exempt;
   const std::string json = to_json(report);
   validate_perf_json(json);  // the harness checks its own output schema
 
@@ -505,9 +496,7 @@ int write_perf_report(const std::string& bench, const std::string& workload,
       return 6;
     }
     out << "scaling gate: "
-        << (report.gate_exempt
-                ? "exempt (bench declares no scaling ladder)"
-                : report.hw_threads < 4 ? "skipped (hw_threads < 4)" : "passed")
+        << (report.hw_threads < 4 ? "skipped (hw_threads < 4)" : "passed")
         << "\n";
   }
   return 0;

@@ -28,13 +28,17 @@ struct PerfEntry {
   std::uint64_t schedule_hash = 0;  ///< workload fingerprint for this run
 };
 
-/// One timed single-thread code-path variant of the workload (e.g. the
-/// legacy std::function demand path vs the inlined fast path). Variants
-/// compare implementations, entries compare thread counts.
+/// One timed single-thread code-path variant of the workload (e.g.
+/// bench_admission's incremental engines vs their full-recompute
+/// baseline). Variants compare implementations, entries compare thread
+/// counts.
 struct PerfVariant {
   std::string name;
   double wall_seconds = 0.0;
-  double speedup_vs_legacy = 0.0;  ///< wall(legacy variant) / wall(this)
+  /// wall(baseline variant) / wall(this); the baseline variant (a full
+  /// recompute in bench_admission) records 1.0. The name predates that
+  /// meaning and is kept for the JSON schema.
+  double speedup_vs_legacy = 0.0;
   std::uint64_t result_hash = 0;   ///< fingerprint of the computed results
   /// Optional per-request latency percentiles (microseconds) for request-
   /// stream variants; all zero (and omitted from the JSON) when the
@@ -57,11 +61,6 @@ struct PerfReport {
   /// Peak resident set size of the benchmarking process in bytes
   /// (getrusage ru_maxrss); 0 where the platform cannot report it.
   std::int64_t peak_rss_bytes = 0;
-  /// True for benches whose thread-ladder entries do not measure scaling
-  /// (e.g. a per-item workload too small to amortize dispatch overhead).
-  /// Declares -- in the committed JSON, not silently -- that
-  /// scaling_gate_failure() must not judge this report.
-  bool gate_exempt = false;
   std::vector<PerfEntry> entries;
   /// Optional code-path comparison (empty for benches without variants).
   std::vector<PerfVariant> variants;
@@ -113,12 +112,8 @@ void validate_perf_json(const std::string& json);
 struct PerfWriteOptions {
   /// Pre-measured code-path variant comparison attached to the report.
   /// The bench exits nonzero when the variants' result hashes disagree
-  /// (the fast paths must be bit-identical to the legacy path).
+  /// (each variant must be bit-identical to its baseline).
   std::vector<PerfVariant> variants;
-  /// Sets PerfReport::gate_exempt: the report says -- explicitly, in the
-  /// committed JSON -- that its thread ladder does not measure scaling
-  /// and the scaling gate must skip it.
-  bool gate_exempt = false;
 };
 
 /// Bench driver: runs the harness, validates its own JSON, writes it to

@@ -105,13 +105,7 @@ ScenarioDefaults ScenarioDefaults::load() {
                 env_count("E2E_SYSTEMS_PER_CONFIG", d.figure_sim_systems));
 
   d.analysis_seed = env_seed(d.analysis_seed);
-  d.analysis_systems = env_count("E2E_ANALYSIS_SYSTEMS", d.analysis_systems);
-  d.analysis_subtasks = env_count("E2E_ANALYSIS_SUBTASKS", d.analysis_subtasks);
-  d.analysis_utilization =
-      env_count("E2E_ANALYSIS_UTILIZATION", d.analysis_utilization);
-  d.analysis_repeats = env_count("E2E_ANALYSIS_REPEATS", d.analysis_repeats);
   d.hopa_systems = env_count("E2E_HOPA_SYSTEMS", d.hopa_systems);
-  d.hopa_iters = env_count("E2E_HOPA_ITERS", d.hopa_iters);
   d.sensitivity_systems =
       env_count("E2E_SENSITIVITY_SYSTEMS", d.sensitivity_systems);
 

@@ -61,14 +61,9 @@ struct ScenarioDefaults {
   /// The ablation report defaults to max(2, half of this).
   int figure_sim_systems = 50;
 
-  // --- analysis benches (bench_analysis / bench_hopa / ...) -----------
+  // --- analysis studies (bench_hopa / bench_sensitivity) -------------
   std::uint64_t analysis_seed = 20260706;  ///< E2E_SEED
-  int analysis_systems = 12;               ///< E2E_ANALYSIS_SYSTEMS
-  int analysis_subtasks = 6;               ///< E2E_ANALYSIS_SUBTASKS
-  int analysis_utilization = 75;           ///< E2E_ANALYSIS_UTILIZATION
-  int analysis_repeats = 5;                ///< E2E_ANALYSIS_REPEATS
   int hopa_systems = 30;                   ///< E2E_HOPA_SYSTEMS
-  int hopa_iters = 12;                     ///< E2E_HOPA_ITERS
   int sensitivity_systems = 60;            ///< E2E_SENSITIVITY_SYSTEMS
 
   // --- admission service / bench_admission ----------------------------

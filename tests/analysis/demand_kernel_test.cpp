@@ -1,15 +1,22 @@
 // Property tests for the analysis fast path: across 200 generated
 // systems (N cycling 2..6, U cycling 50..80%), the inlined
 // structure-of-arrays demand kernels, signature-exact scratch reuse and
-// monotone warm starts must produce AnalysisResults identical -- exact
-// Time equality, bound for bound -- to the legacy std::function
-// cold-start path they replaced.
+// monotone warm starts must reproduce the committed result hashes --
+// exact Time equality, bound for bound and verdict for verdict. The
+// hashes were captured from the std::function cold-start path these
+// kernels replaced, which produced them bit for bit before it was
+// retired.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
+#include "common/hash.h"
+#include "common/math.h"
 #include "core/analysis/fixpoint.h"
+#include "core/analysis/ieert.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "workload/generator.h"
@@ -20,6 +27,11 @@ namespace {
 
 constexpr int kSystems = 200;
 
+/// analyze_sa_pm folded over all kSystems systems, and analyze_sa_ds
+/// (plus its convergence flag) over every fourth one; see fold_result.
+constexpr std::uint64_t kSaPmGolden = 0x0b990921cd21be55;
+constexpr std::uint64_t kSaDsGolden = 0x0bd83249db40c40c;
+
 TaskSystem system_for(int i) {
   constexpr int kSubtasks[] = {2, 3, 4, 5, 6};
   constexpr int kUtil[] = {50, 60, 70, 80};
@@ -28,6 +40,17 @@ TaskSystem system_for(int i) {
   return generate_system(
       rng, options_for({.subtasks_per_task = kSubtasks[i % 5],
                         .utilization_percent = kUtil[i % 4]}));
+}
+
+/// Folds every subtask bound, then each task's EER bound and verdict.
+std::uint64_t fold_result(std::uint64_t h, const TaskSystem& system,
+                          const AnalysisResult& r) {
+  h = hash_combine(h, r.subtask_bounds.content_hash());
+  for (const Task& t : system.tasks()) {
+    h = hash_combine(h, static_cast<std::uint64_t>(r.eer_bounds[t.id.index()]));
+    h = hash_combine(h, r.task_schedulable[t.id.index()] ? 1 : 0);
+  }
+  return h;
 }
 
 void expect_identical(const TaskSystem& system, const AnalysisResult& want,
@@ -44,20 +67,20 @@ void expect_identical(const TaskSystem& system, const AnalysisResult& want,
   }
 }
 
-TEST(DemandKernel, SaPmInlinedAndSignatureReuseMatchLegacy) {
+TEST(DemandKernel, SaPmAndSignatureReuseMatchGoldenHash) {
+  std::uint64_t h = 0;
   for (int i = 0; i < kSystems; ++i) {
     const TaskSystem system = system_for(i);
     const InterferenceMap interference{system};
-    const AnalysisResult legacy =
-        analyze_sa_pm(system, interference, {.legacy_demand_path = true});
     AnalysisScratch scratch;
-    const AnalysisResult fast = analyze_sa_pm(system, interference, {}, &scratch);
-    expect_identical(system, legacy, fast, "inlined kernel", i);
+    const AnalysisResult fresh = analyze_sa_pm(system, interference, {}, &scratch);
+    h = fold_result(h, system, fresh);
     // Re-analyzing the unchanged system hits the signature-exact reuse
     // path: every bound is copied from the scratch, never re-solved.
     const AnalysisResult reused = analyze_sa_pm(system, interference, {}, &scratch);
-    expect_identical(system, legacy, reused, "signature reuse", i);
+    expect_identical(system, fresh, reused, "signature reuse", i);
   }
+  EXPECT_EQ(h, kSaPmGolden);
 }
 
 TEST(DemandKernel, SaPmMonotoneWarmStartMatchesColdStart) {
@@ -76,15 +99,65 @@ TEST(DemandKernel, SaPmMonotoneWarmStartMatchesColdStart) {
   }
 }
 
-TEST(DemandKernel, SaDsInlinedMatchesLegacy) {
+TEST(DemandKernel, SaDsMatchesGoldenHash) {
+  std::uint64_t h = 0;
+  for (int i = 0; i < kSystems; i += 4) {
+    const TaskSystem system = system_for(i);
+    const SaDsResult r = analyze_sa_ds(system, InterferenceMap{system}, {});
+    h = hash_combine(fold_result(h, system, r.analysis), r.converged ? 1 : 0);
+  }
+  EXPECT_EQ(h, kSaDsGolden);
+}
+
+/// Algorithm SA/DS spelled out as Figure 11 reads: Jacobi IEERT passes
+/// (ieert_pass without incremental state) from the optimistic init, each
+/// followed by the failure cap, until the table stops changing. Uses the
+/// pass options analyze_sa_ds derives from its defaults; nullopt when the
+/// pass budget runs out first.
+std::optional<SubtaskTable> jacobi_sa_ds(const TaskSystem& system,
+                                         const InterferenceMap& interference) {
+  const SaDsOptions defaults;
+  SubtaskTable current{system, 0};
+  Duration max_cutoff = 0;
+  for (const Task& t : system.tasks()) {
+    Duration cumulative = 0;
+    for (const Subtask& s : t.subtasks) {
+      cumulative += s.execution_time;
+      current.set(s.ref, cumulative);
+    }
+    max_cutoff = std::max(
+        max_cutoff, sat_scale(defaults.failure_period_multiplier, t.period));
+  }
+  const IeertOptions pass_options{
+      .cap = sat_mul(max_cutoff, 2),
+      .failure_period_multiplier = defaults.failure_period_multiplier};
+  for (int pass = 0; pass < defaults.max_passes; ++pass) {
+    SubtaskTable next = ieert_pass(system, interference, current, pass_options);
+    for (const Task& t : system.tasks()) {
+      const Duration cutoff = sat_scale(defaults.failure_period_multiplier, t.period);
+      for (const Subtask& s : t.subtasks) {
+        if (!is_infinite(next.at(s.ref)) && next.at(s.ref) > cutoff) {
+          next.set(s.ref, kTimeInfinity);
+        }
+      }
+    }
+    if (next == current) return current;
+    current = std::move(next);
+  }
+  return std::nullopt;
+}
+
+// The incremental Gauss-Seidel sweep analyze_sa_ds runs must land on the
+// same least fixpoint as the paper-literal Jacobi iteration.
+TEST(DemandKernel, SaDsIncrementalMatchesJacobiFixpoint) {
   for (int i = 0; i < kSystems; i += 4) {
     const TaskSystem system = system_for(i);
     const InterferenceMap interference{system};
-    const SaDsResult legacy =
-        analyze_sa_ds(system, interference, {.legacy_demand_path = true});
-    const SaDsResult fast = analyze_sa_ds(system, interference, {});
-    ASSERT_EQ(legacy.converged, fast.converged) << "system " << i;
-    expect_identical(system, legacy.analysis, fast.analysis, "SA/DS inlined", i);
+    const std::optional<SubtaskTable> jacobi = jacobi_sa_ds(system, interference);
+    const SaDsResult incremental = analyze_sa_ds(system, interference, {});
+    ASSERT_TRUE(jacobi.has_value()) << "system " << i;
+    ASSERT_TRUE(incremental.converged) << "system " << i;
+    ASSERT_EQ(*jacobi, incremental.analysis.subtask_bounds) << "system " << i;
   }
 }
 
@@ -109,7 +182,7 @@ TEST(DemandKernel, SaDsMonotoneWarmStartMatchesColdStart) {
 // exactly two evaluations (the seed probe and the fixpoint check).
 TEST(DemandKernel, SolveFixpointEvaluatesSeedOnce) {
   int calls = 0;
-  const DemandFn demand = [&calls](Time) {
+  const auto demand = [&calls](Time) {
     ++calls;
     return Duration{3};
   };

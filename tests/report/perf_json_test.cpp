@@ -208,23 +208,5 @@ TEST(PerfJson, ScalingGateSkipsWithoutAnEightThreadEntry) {
   EXPECT_EQ(scaling_gate_failure(report, 3.0), std::nullopt);
 }
 
-TEST(PerfJson, GateExemptReportsSkipTheScalingGate) {
-  // A declared-exempt report must never fail, even with an 8-thread
-  // entry far below the floor on a big host.
-  PerfReport report = gate_report(16, 1.0);
-  report.gate_exempt = true;
-  EXPECT_EQ(scaling_gate_failure(report, 3.0), std::nullopt);
-}
-
-TEST(PerfJson, GateExemptSurvivesSerializationAndValidates) {
-  PerfReport report = sample_report();
-  report.gate_exempt = true;
-  const std::string json = to_json(report);
-  EXPECT_NE(json.find("\"gate_exempt\": true"), std::string::npos);
-  EXPECT_NO_THROW(validate_perf_json(json));
-  // Default reports omit the field entirely rather than writing false.
-  EXPECT_EQ(to_json(sample_report()).find("gate_exempt"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace e2e

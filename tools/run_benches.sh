@@ -7,6 +7,7 @@
 # regression, not just a slow run.
 #
 # Usage: tools/run_benches.sh [bench ...]
+#          bench: faults, montecarlo, timesvc, admission (default: all four)
 #        tools/run_benches.sh --figures
 #   BUILD_DIR   (default: build)    -- cmake build tree with the benches
 #   RESULTS_DIR (default: results)  -- where BENCH_<name>.json land
@@ -44,7 +45,7 @@ fi
 
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
-  BENCHES=(faults montecarlo analysis timesvc admission)
+  BENCHES=(faults montecarlo timesvc admission)
 fi
 
 mkdir -p "${RESULTS_DIR}"
