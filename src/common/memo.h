@@ -10,12 +10,6 @@
 // its hot set. Eviction never invalidates returned handles: callers share
 // ownership of the value.
 //
-// Eviction is second-chance: an entry hit since the previous eviction
-// sweep is "hot" and is skipped; the sweep drops the oldest quarter of
-// the COLD entries (falling back to plain oldest-quarter only when every
-// entry is hot), so a steadily re-used entry survives eviction cycles
-// even when its absolute stamp is the oldest in the table.
-//
 // Concurrent misses on the same key both compute; the first insert wins
 // and both callers get the winning handle. That is only correct when the
 // computation is a pure function of the key, which is the contract: key
@@ -101,39 +95,24 @@ class MemoTable {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Caller holds the unique lock. Second-chance sweep: entries touched
-  /// since the last sweep (stamp > last_sweep_stamp_) are hot and exempt;
-  /// the oldest quarter of the cold entries goes. All-hot tables fall
-  /// back to the plain oldest-quarter policy so insert always frees room.
+  /// Caller holds the unique lock (and the table is full, so non-empty).
+  /// Drops the quarter of the entries with the oldest last-use stamps.
   void evict_oldest_quarter() {
-    const std::uint64_t hot_after = last_sweep_stamp_;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> order;  // (stamp, key)
     order.reserve(entries_.size());
     for (const auto& [key, entry] : entries_) {
-      const std::uint64_t stamp = entry.stamp.load(std::memory_order_relaxed);
-      if (stamp > hot_after) continue;  // hit since the last sweep
-      order.emplace_back(stamp, key);
+      order.emplace_back(entry.stamp.load(std::memory_order_relaxed), key);
     }
-    const std::size_t quarter = std::max<std::size_t>(1, entries_.size() / 4);
-    if (order.empty()) {  // everything is hot: plain oldest-quarter
-      for (const auto& [key, entry] : entries_) {
-        order.emplace_back(entry.stamp.load(std::memory_order_relaxed), key);
-      }
-    }
-    const std::size_t drop = std::min(quarter, order.size());
+    const std::size_t drop = std::max<std::size_t>(1, order.size() / 4);
     std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(drop) - 1,
                      order.end());
     for (std::size_t i = 0; i < drop; ++i) entries_.erase(order[i].second);
     evictions_.fetch_add(drop, std::memory_order_relaxed);
-    last_sweep_stamp_ = clock_.load(std::memory_order_relaxed);
   }
 
   const std::size_t capacity_;
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  /// Clock value at the end of the previous eviction sweep; entries
-  /// stamped later are this cycle's hot set. Guarded by the unique lock.
-  std::uint64_t last_sweep_stamp_ = 0;
   std::atomic<std::uint64_t> clock_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

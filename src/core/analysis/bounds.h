@@ -21,7 +21,7 @@ class SubtaskTable {
   SubtaskTable(const TaskSystem& system, Duration initial);
 
   // at()/set() are inline: they sit on protocol hot paths (MPM arms one
-  // bound timer per instance) via the engine's sealed fast path.
+  // bound timer per instance).
   [[nodiscard]] Duration at(SubtaskRef ref) const {
     E2E_ASSERT(ref.task.value() >= 0 && ref.task.index() < values_.size(),
                "SubtaskTable: task out of range");

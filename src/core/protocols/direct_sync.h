@@ -8,9 +8,7 @@
 // worst-case analysis (Algorithm SA/DS) yields much larger, sometimes
 // unbounded, EER bounds.
 //
-// Header-only: both callbacks are on the engine's sealed fast path
-// (SealedKind::kDirectSync) and must be inline for the devirtualized
-// calls in Engine to flatten.
+// Header-only: the protocol is two short callbacks and no state.
 #pragma once
 
 #include "core/protocols/traits.h"
@@ -22,9 +20,6 @@ namespace e2e {
 class DirectSyncProtocol final : public SyncProtocol {
  public:
   [[nodiscard]] std::string_view name() const override { return "DS"; }
-  [[nodiscard]] SealedKind sealed_kind() const noexcept override {
-    return SealedKind::kDirectSync;
-  }
 
   void on_job_completed(Engine& engine, const Job& job) override {
     const Task& task = engine.system().task(job.ref.task);

@@ -29,12 +29,6 @@ class ModifiedPmProtocol final : public SyncProtocol {
   ModifiedPmProtocol(const TaskSystem& system, SubtaskTable response_bounds);
 
   [[nodiscard]] std::string_view name() const override { return "MPM"; }
-  [[nodiscard]] SealedKind sealed_kind() const noexcept override {
-    return SealedKind::kModifiedPm;
-  }
-
-  // The three callbacks below are on the engine's sealed fast path and
-  // defined inline for the devirtualized calls to flatten.
 
   void on_job_released(Engine& engine, const Job& job) override {
     const Task& task = engine.system().task(job.ref.task);

@@ -5,13 +5,8 @@
 namespace e2e {
 
 PhaseModificationProtocol::PhaseModificationProtocol(const TaskSystem& system,
-                                                     SubtaskTable response_bounds)
+                                                     const SubtaskTable& response_bounds)
     : phases_(system, 0) {
-  rebind(system, response_bounds);
-}
-
-void PhaseModificationProtocol::rebind(const TaskSystem& system,
-                                       const SubtaskTable& response_bounds) {
   for (const Task& t : system.tasks()) {
     Time phase = t.phase;  // f_{i,1} = f_i
     for (const Subtask& s : t.subtasks) {

@@ -26,24 +26,14 @@ class PhaseModificationProtocol final : public SyncProtocol {
   /// `response_bounds` holds R_{i,j} per subtask (Algorithm SA/PM).
   /// Throws InvalidArgument if any non-last subtask's bound is infinite:
   /// PM cannot compute phases for an unbounded predecessor.
-  PhaseModificationProtocol(const TaskSystem& system, SubtaskTable response_bounds);
-
-  /// Recomputes the phase table in place for `system` (same structure,
-  /// possibly different task phases) -- the per-run path of the Monte-
-  /// Carlo drivers, which randomize phases on every run and would
-  /// otherwise reconstruct the protocol each time. Equivalent to
-  /// constructing a fresh protocol; allocates nothing.
-  void rebind(const TaskSystem& system, const SubtaskTable& response_bounds);
+  PhaseModificationProtocol(const TaskSystem& system,
+                            const SubtaskTable& response_bounds);
 
   [[nodiscard]] std::string_view name() const override { return "PM"; }
-  [[nodiscard]] SealedKind sealed_kind() const noexcept override {
-    return SealedKind::kPhaseModification;
-  }
 
   void initialize(Engine& engine) override;
 
-  /// Inline: on the engine's sealed fast path (every release re-arms the
-  /// next strictly periodic one).
+  /// Every release re-arms the next strictly periodic one.
   void on_job_released(Engine& engine, const Job& job) override {
     if (job.ref.index == 0) return;  // arrivals drive the first subtask
     engine.count_timer_interrupt();  // each periodic release is timer-driven

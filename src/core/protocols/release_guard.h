@@ -18,9 +18,7 @@
 // Storage: guard states live in one flat vector indexed by a (task, chain
 // index) offset table -- mirroring the engine's SoA planes -- and each
 // held-queue is a cursor-fronted vector rather than a deque, so a guard
-// state costs no allocation until a release is actually held. The hot
-// callbacks are inline: they are on the engine's sealed fast path
-// (SealedKind::kReleaseGuard).
+// state costs no allocation until a release is actually held.
 #pragma once
 
 #include <algorithm>
@@ -47,9 +45,6 @@ class ReleaseGuardProtocol final : public SyncProtocol {
   ReleaseGuardProtocol(const TaskSystem& system, Options options);
 
   [[nodiscard]] std::string_view name() const override { return "RG"; }
-  [[nodiscard]] SealedKind sealed_kind() const noexcept override {
-    return SealedKind::kReleaseGuard;
-  }
 
   void on_job_released(Engine& engine, const Job& job) override {
     // Guard rule 1 for releases not initiated by this protocol (first
@@ -109,19 +104,6 @@ class ReleaseGuardProtocol final : public SyncProtocol {
 
   /// Current guard value of `ref` (mainly for tests).
   [[nodiscard]] Time guard_of(SubtaskRef ref) const;
-
-  /// Rewinds every guard to its post-construction state so one protocol
-  /// instance can be reused across engine runs (the executors' per-worker
-  /// slots). Held-queue storage keeps its capacity, so a warm reuse
-  /// allocates nothing.
-  void reset_state() noexcept {
-    for (GuardState& gs : guards_) {
-      gs.guard = 0;
-      gs.signaled = 0;
-      gs.held.clear();
-      gs.head = 0;
-    }
-  }
 
   [[nodiscard]] static ProtocolTraits traits() noexcept {
     return ProtocolTraits{.interrupts_per_instance = 2,

@@ -1,13 +1,12 @@
 #include "experiments/monte_carlo.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
 #include "core/analysis/cache.h"
-#include "core/protocols/phase_modification.h"
-#include "core/protocols/release_guard.h"
 #include "metrics/eer_collector.h"
 #include "scenario/executor.h"
 #include "metrics/schedule_hash.h"
@@ -26,51 +25,18 @@ struct RunOutcome {
 };
 
 /// Per-worker warm state, parked in the executor's WorkerSlot scratch:
-/// the phased system clone (mutated in place per run via set_phases),
-/// the protocol instance (reused whenever the kind is resettable), and
-/// the EER collector. Keyed on (input system, kind, randomize flag): a
-/// different scenario cell on the same executor rebuilds everything.
-/// With this cache warm, a run's only allocator traffic is the outcome
-/// series it returns.
+/// the phased system clone (mutated in place per run via set_phases) and
+/// the EER collector. Keyed on (input system, randomize flag): a
+/// different scenario cell on the same executor rebuilds both. The
+/// protocol is not cached: each run builds a fresh one, so no protocol
+/// state crosses runs.
 struct McScratch {
   const TaskSystem* source = nullptr;
-  ProtocolKind kind{};
   bool randomized = false;
-  std::optional<TaskSystem> variant;       ///< worker-local phased clone
-  std::unique_ptr<SyncProtocol> protocol;  ///< reused across runs when safe
+  std::optional<TaskSystem> variant;  ///< worker-local phased clone
   std::optional<EerCollector> eer;
   std::vector<Time> phases;  ///< per-run phase draw buffer
 };
-
-/// Returns the worker's protocol for this run: the cached instance
-/// rewound/rebound for protocols whose cross-run state is resettable
-/// (DS is stateless, MPM only accumulates a schedule-inert overrun
-/// counter, RG rewinds its guards, PM recomputes its phase table), a
-/// fresh construction otherwise (MPM-R, PM-E carry per-run cursors).
-SyncProtocol& protocol_for_run(McScratch& scratch, ProtocolKind kind,
-                               const TaskSystem& variant,
-                               const SubtaskTable& bounds) {
-  if (scratch.protocol == nullptr) {
-    scratch.protocol = make_protocol(kind, variant, &bounds);
-    return *scratch.protocol;
-  }
-  switch (kind) {
-    case ProtocolKind::kDirectSync:
-    case ProtocolKind::kModifiedPm:
-      break;
-    case ProtocolKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol&>(*scratch.protocol).reset_state();
-      break;
-    case ProtocolKind::kPhaseModification:
-      static_cast<PhaseModificationProtocol&>(*scratch.protocol)
-          .rebind(variant, bounds);
-      break;
-    default:
-      scratch.protocol = make_protocol(kind, variant, &bounds);
-      break;
-  }
-  return *scratch.protocol;
-}
 
 }  // namespace
 
@@ -113,13 +79,11 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
       options.runs, [&](std::int64_t run, ScenarioExecutor::WorkerSlot& slot) {
         Rng rng = streams[static_cast<std::size_t>(run)];
         McScratch& scratch = slot.scratch_as<McScratch>([] { return McScratch{}; });
-        if (scratch.source != &system || scratch.kind != kind ||
+        if (scratch.source != &system ||
             scratch.randomized != options.randomize_phases) {
           scratch.source = &system;
-          scratch.kind = kind;
           scratch.randomized = options.randomize_phases;
           scratch.eer.reset();  // before variant: it references the clone
-          scratch.protocol.reset();
           scratch.variant.reset();
           if (options.randomize_phases) scratch.variant.emplace(system);
         }
@@ -137,15 +101,15 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
           variant = &*scratch.variant;
         }
 
-        SyncProtocol& protocol =
-            protocol_for_run(scratch, kind, *variant, bounds.subtask_bounds);
+        const std::unique_ptr<SyncProtocol> protocol =
+            make_protocol(kind, *variant, &bounds.subtask_bounds);
         UniformExecutionVariation variation{rng.fork(1),
                                             options.execution_min_fraction};
         const EngineOptions engine_options{
             .horizon = variant->max_phase() + horizon,
             .execution =
                 options.execution_min_fraction < 1.0 ? &variation : nullptr};
-        Engine& engine = slot.engine_for(*variant, protocol, engine_options);
+        Engine& engine = slot.engine_for(*variant, *protocol, engine_options);
 
         // The collector is reference-bound to the worker's clone (a
         // stable object mutated in place), so it too survives across

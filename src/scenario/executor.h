@@ -33,7 +33,7 @@ class ScenarioExecutor {
   /// Per-worker persistent state. Worker w only ever touches slot w, so
   /// nothing here is synchronized. Besides the engine, experiment
   /// drivers park arbitrary warm scratch here (phase-variant system
-  /// clones, reusable protocol instances, collectors) via scratch_as():
+  /// clones, collectors) via scratch_as():
   /// steady-state runs then recycle every allocation instead of
   /// rebuilding per work item.
   struct WorkerSlot {

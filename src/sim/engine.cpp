@@ -5,10 +5,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "core/protocols/direct_sync.h"
-#include "core/protocols/modified_pm.h"
-#include "core/protocols/phase_modification.h"
-#include "core/protocols/release_guard.h"
 #include "sim/fault/fault_injector.h"
 
 namespace e2e {
@@ -27,7 +23,6 @@ void Engine::bind(const TaskSystem& system, SyncProtocol& protocol,
                   EngineOptions options) {
   system_ = &system;
   protocol_ = &protocol;
-  sealed_ = protocol.sealed_kind();
   options_ = options;
   arrivals_ = options.arrivals != nullptr ? options.arrivals : &default_arrivals_;
   execution_ =
@@ -172,7 +167,7 @@ void Engine::send_sync_signal(SubtaskRef to, std::int64_t instance) {
   if (faults_ == nullptr) {
     // Ideal channel: zero-time delivery, exactly once -- semantically the
     // pre-fault-layer direct call, so schedules are bit-identical.
-    proto_on_sync_signal(to, instance);
+    protocol_->on_sync_signal(*this, to, instance);
     return;
   }
   FaultInjector::SignalOutcome outcome = faults_->signal_outcome(now_);
@@ -183,7 +178,7 @@ void Engine::send_sync_signal(SubtaskRef to, std::int64_t instance) {
   stats_.duplicated_signals += static_cast<std::int64_t>(outcome.delays.size()) - 1;
   for (const Duration delay : outcome.delays) {
     if (delay == 0) {
-      proto_on_sync_signal(to, instance);
+      protocol_->on_sync_signal(*this, to, instance);
     } else {
       ++stats_.late_signals;
       queue_.push(Event{.time = now_ + delay,
@@ -192,101 +187,6 @@ void Engine::send_sync_signal(SubtaskRef to, std::int64_t instance) {
                         .ref = to,
                         .instance = instance});
     }
-  }
-}
-
-// --- sealed-protocol dispatch ----------------------------------------
-// The four built-in protocols are final classes whose hot callbacks are
-// defined inline in their headers, so each static_cast'ed call below is a
-// direct (inlinable) call. Cases a protocol does not override fall
-// through to nothing -- exactly the base class's no-op -- and everything
-// else takes the one virtual call of the generic path.
-
-void Engine::proto_on_job_released(const Job& job) {
-  switch (sealed_) {
-    case SealedKind::kDirectSync:
-      break;  // DS does not observe releases
-    case SealedKind::kPhaseModification:
-      static_cast<PhaseModificationProtocol*>(protocol_)->on_job_released(*this, job);
-      break;
-    case SealedKind::kModifiedPm:
-      static_cast<ModifiedPmProtocol*>(protocol_)->on_job_released(*this, job);
-      break;
-    case SealedKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol*>(protocol_)->on_job_released(*this, job);
-      break;
-    case SealedKind::kGeneric:
-      protocol_->on_job_released(*this, job);
-      break;
-  }
-}
-
-void Engine::proto_on_job_completed(const Job& job) {
-  switch (sealed_) {
-    case SealedKind::kDirectSync:
-      static_cast<DirectSyncProtocol*>(protocol_)->on_job_completed(*this, job);
-      break;
-    case SealedKind::kPhaseModification:
-      break;  // PM ignores completions by design
-    case SealedKind::kModifiedPm:
-      break;  // MPM signals from its bound timer, not completions
-    case SealedKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol*>(protocol_)->on_job_completed(*this, job);
-      break;
-    case SealedKind::kGeneric:
-      protocol_->on_job_completed(*this, job);
-      break;
-  }
-}
-
-void Engine::proto_on_timer(SubtaskRef ref, std::int64_t instance) {
-  switch (sealed_) {
-    case SealedKind::kDirectSync:
-    case SealedKind::kPhaseModification:
-      break;  // neither sets timers
-    case SealedKind::kModifiedPm:
-      static_cast<ModifiedPmProtocol*>(protocol_)->on_timer(*this, ref, instance);
-      break;
-    case SealedKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol*>(protocol_)->on_timer(*this, ref, instance);
-      break;
-    case SealedKind::kGeneric:
-      protocol_->on_timer(*this, ref, instance);
-      break;
-  }
-}
-
-void Engine::proto_on_sync_signal(SubtaskRef ref, std::int64_t instance) {
-  switch (sealed_) {
-    case SealedKind::kDirectSync:
-      static_cast<DirectSyncProtocol*>(protocol_)->on_sync_signal(*this, ref, instance);
-      break;
-    case SealedKind::kPhaseModification:
-      break;  // PM never signals
-    case SealedKind::kModifiedPm:
-      static_cast<ModifiedPmProtocol*>(protocol_)->on_sync_signal(*this, ref, instance);
-      break;
-    case SealedKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol*>(protocol_)->on_sync_signal(*this, ref, instance);
-      break;
-    case SealedKind::kGeneric:
-      protocol_->on_sync_signal(*this, ref, instance);
-      break;
-  }
-}
-
-void Engine::proto_on_idle_point(ProcessorId processor) {
-  switch (sealed_) {
-    case SealedKind::kDirectSync:
-    case SealedKind::kPhaseModification:
-    case SealedKind::kModifiedPm:
-      break;  // only RG acts on idle points
-    case SealedKind::kReleaseGuard:
-      static_cast<ReleaseGuardProtocol*>(protocol_)->on_idle_point(*this, processor);
-      break;
-    case SealedKind::kGeneric:
-      protocol_->on_idle_point(*this, processor);
-      break;
   }
 }
 
@@ -386,12 +286,12 @@ void Engine::process(const EventQueue::Packed& packed) {
       break;
     case EventKind::kTimer:
       ++stats_.timer_interrupts;
-      proto_on_timer(event.ref, event.instance);
+      protocol_->on_timer(*this, event.ref, event.instance);
       break;
     case EventKind::kSignal:
       // Delayed delivery of a faulted sync signal (the ideal path never
       // enqueues these). Accounting happened at send time.
-      proto_on_sync_signal(event.ref, event.instance);
+      protocol_->on_sync_signal(*this, event.ref, event.instance);
       break;
   }
 }
@@ -542,7 +442,7 @@ void Engine::activate_release(SubtaskRef ref, std::int64_t instance) {
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_release(stored);
   }
-  proto_on_job_released(stored);
+  protocol_->on_job_released(*this, stored);
 
   push_ready(proc, ProcessorState::ReadyEntry{.priority_level = stored.priority.level,
                                               .release_time = stored.release_time,
@@ -602,7 +502,7 @@ void Engine::handle_completion(std::size_t processor) {
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_complete(completed_job, now_);
   }
-  proto_on_job_completed(completed_job);
+  protocol_->on_job_completed(*this, completed_job);
   if (options_.precedence_policy == PrecedencePolicy::kDeferRelease && !is_last) {
     flush_deferred(completed_job.ref, completed);
   }
@@ -616,7 +516,7 @@ void Engine::check_idle_point(ProcessorId processor) {
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_idle_point(processor, now_);
   }
-  proto_on_idle_point(processor);
+  protocol_->on_idle_point(*this, processor);
 }
 
 void Engine::push_ready(ProcessorState& proc, ProcessorState::ReadyEntry entry) {

@@ -35,9 +35,9 @@
 // arena cursor instead of clear()ing nested containers. Job completions
 // sit in one slot per processor, outside the event queue. The run loop
 // advances to the earlier of the queue head and the earliest slot, one
-// timestamp at a time (see run() for the order), and devirtualizes the
-// protocol callbacks of the four built-in protocols behind a sealed-kind
-// switch.
+// timestamp at a time (see run() for the order). The engine reaches the
+// protocol only through the SyncProtocol interface: one virtual call per
+// callback, whatever the protocol.
 #pragma once
 
 #include <memory>
@@ -336,17 +336,8 @@ class Engine {
   [[nodiscard]] std::int64_t incomplete_released_before_now(
       const ProcessorState& proc) const;
 
-  // Sealed-protocol dispatch: direct (inlinable) calls into the four
-  // built-in protocols, one virtual call for everything else.
-  void proto_on_job_released(const Job& job);
-  void proto_on_job_completed(const Job& job);
-  void proto_on_timer(SubtaskRef ref, std::int64_t instance);
-  void proto_on_sync_signal(SubtaskRef ref, std::int64_t instance);
-  void proto_on_idle_point(ProcessorId processor);
-
   const TaskSystem* system_;  // rebindable via reset()
   SyncProtocol* protocol_;
-  SealedKind sealed_ = SealedKind::kGeneric;  // cached protocol_->sealed_kind()
   EngineOptions options_;
   PeriodicArrivals default_arrivals_;
   WcetExecution default_execution_;

@@ -9,7 +9,11 @@
 //    is released. It reacts to engine callbacks and calls back into the
 //    engine (release_now / schedule_release / set_timer).
 //
-// All callbacks run at the engine's current simulation time.
+// All callbacks run at the engine's current simulation time. The engine
+// knows no concrete protocol: every callback is one virtual call through
+// this interface, and a callback a protocol does not override is the
+// no-op below. The engine library therefore depends on no protocol
+// library.
 #pragma once
 
 #include <cstdint>
@@ -23,34 +27,12 @@ namespace e2e {
 
 class Engine;
 
-/// Identifies the four built-in protocols the engine can dispatch to
-/// without a virtual call (the sealed-protocol fast path). Each sealed
-/// class is `final` with its hot callbacks defined inline in its header,
-/// so Engine's per-kind switch makes direct, inlinable calls. Everything
-/// else (PM-E, overhead-aware wrappers, test doubles) reports kGeneric
-/// and takes the ordinary virtual path -- the two paths are semantically
-/// identical, which engine_soa_test pins.
-enum class SealedKind : std::uint8_t {
-  kGeneric,
-  kDirectSync,
-  kPhaseModification,
-  kModifiedPm,
-  kReleaseGuard,
-};
-
 class SyncProtocol {
  public:
   virtual ~SyncProtocol() = default;
 
   /// Short identifier ("DS", "PM", "MPM", "RG") for reports.
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// Sealed fast-path identity; override ONLY in the four built-in final
-  /// protocol classes. A class returning a non-generic kind promises it
-  /// is exactly that type (enforced by `final`).
-  [[nodiscard]] virtual SealedKind sealed_kind() const noexcept {
-    return SealedKind::kGeneric;
-  }
 
   /// Called once before the first event. Protocols that pre-compute
   /// per-subtask schedules (PM) seed their release events here.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/memo.h"
 #include "core/analysis/cache.h"
 #include "core/analysis/hopa.h"
 #include "core/protocols/factory.h"
@@ -123,40 +122,6 @@ TEST(AnalysisCache, EvictionPrefersTheLeastRecentlyUsed) {
   const std::uint64_t misses_before = cache.misses();
   (void)cache.sa_pm(system_for(7));  // recently used: survived
   EXPECT_EQ(cache.misses(), misses_before);
-}
-
-// Second-chance eviction, pinned on the raw MemoTable: an entry hit
-// since the previous sweep is exempt from the next one, even when its
-// absolute stamp makes it the plain oldest-quarter victim. The first
-// overflow sweep is necessarily plain (no previous sweep, so every
-// entry counts as hot and the fallback fires); the hot/cold distinction
-// kicks in from the second sweep onward, so the test drives two
-// overflow cycles.
-TEST(AnalysisCache, SecondChanceKeepsEntriesHitSinceTheLastSweep) {
-  MemoTable<int> table{8};
-  const auto put = [&](std::uint64_t key) {
-    (void)table.insert(key, std::make_shared<const int>(static_cast<int>(key)));
-  };
-  for (std::uint64_t k = 1; k <= 8; ++k) put(k);  // stamps 1..8
-  // Overflow #1: all-hot fallback evicts the plain oldest quarter
-  // (keys 1 and 2) and records the sweep stamp.
-  put(9);
-  ASSERT_EQ(table.evictions(), 2u);
-  ASSERT_EQ(table.find(1), nullptr);
-  ASSERT_EQ(table.find(2), nullptr);
-  put(10);  // refills to capacity without sweeping
-  // Touch everything except keys 3 and 10. Key 3 is now the only entry
-  // not used since the sweep; key 10 was INSERTED after it, which also
-  // counts as this cycle's use.
-  for (std::uint64_t k = 4; k <= 9; ++k) ASSERT_NE(table.find(k), nullptr);
-  // Overflow #2: only the cold key 3 goes. Key 10 carries the oldest
-  // surviving stamp, so a plain oldest-quarter sweep (quarter = 2)
-  // would have dropped it too -- second-chance keeps it resident.
-  put(11);
-  EXPECT_EQ(table.evictions(), 3u);
-  EXPECT_EQ(table.find(3), nullptr);
-  EXPECT_NE(table.find(10), nullptr);
-  EXPECT_EQ(table.size(), 8u);
 }
 
 TEST(AnalysisCache, EvictedEntryIsRecomputedIdentically) {

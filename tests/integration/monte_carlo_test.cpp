@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/analysis/sa_pm.h"
 #include "task/builder.h"
 #include "task/paper_examples.h"
+#include "workload/generator.h"
 
 namespace e2e {
 namespace {
@@ -89,6 +93,47 @@ TEST(MonteCarlo, FixedPhasesReproduceTheInputSystem) {
   // All runs identical (same phases, WCET-exact): zero variance in the
   // worst sample across runs.
   EXPECT_EQ(r.per_task[2].eer.max(), 8.0);  // Figure 3's first instance
+}
+
+TEST(MonteCarlo, GoldenHashesPerProtocol) {
+  // Pins estimate_latency's output for every selectable protocol against
+  // committed values: randomized phases and execution-time variation, and
+  // enough runs that each worker simulates several, so a protocol carrying
+  // state from one run into the next would change the hash. Determinism
+  // tests only compare the code with itself; this compares it with the
+  // recorded bytes.
+  struct Golden {
+    ProtocolKind kind;
+    std::uint64_t schedule_hash;
+    std::int64_t events_processed;
+  };
+  constexpr Golden kGoldens[] = {
+      {ProtocolKind::kDirectSync, 0xb8c6ed1c660ab6c4ULL, 20460},
+      {ProtocolKind::kPhaseModification, 0x08ed204afb2f7c9eULL, 20335},
+      {ProtocolKind::kModifiedPm, 0x08ed204afb2f7c9eULL, 26803},
+      {ProtocolKind::kReleaseGuard, 0x3085c46837f005bfULL, 21871},
+      {ProtocolKind::kModifiedPmRetransmit, 0x08ed204afb2f7c9eULL, 26803},
+      {ProtocolKind::kPmEstimated, 0x08ed204afb2f7c9eULL, 20335},
+  };
+  Rng rng{20261017};
+  const TaskSystem system = generate_system(
+      rng, options_for({.subtasks_per_task = 4, .utilization_percent = 60}));
+  for (const Golden& golden : kGoldens) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string{to_string(golden.kind)} + " at " +
+                   std::to_string(threads) + " threads");
+      const MonteCarloResult r = estimate_latency(
+          system, golden.kind,
+          {.runs = 7,
+           .seed = 41,
+           .horizon_periods = 5.0,
+           .randomize_phases = true,
+           .execution_min_fraction = 0.8,
+           .threads = threads});
+      EXPECT_EQ(r.schedule_hash, golden.schedule_hash);
+      EXPECT_EQ(r.events_processed, golden.events_processed);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "task/paper_examples.h"
 #include "task/serialize.h"
@@ -424,6 +426,43 @@ TEST(Cli, SimulateWithExecutionVariation) {
       to_text(paper::example2()));
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("avg EER"), std::string::npos);
+}
+
+TEST(Cli, SimulateRejectsNonPositiveHorizon) {
+  for (const std::string horizon : {"0", "-5"}) {
+    const CliResult r = run_cli({"simulate", "--horizon=" + horizon},
+                                to_text(paper::example2()));
+    EXPECT_EQ(r.exit_code, 1) << horizon;
+    EXPECT_NE(r.err.find("--horizon must be a positive integer"), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, SimulateRejectsExecVarOutsideUnitInterval) {
+  for (const std::string exec_var : {"0", "-0.5", "1.5"}) {
+    const CliResult r = run_cli({"simulate", "--exec-var=" + exec_var},
+                                to_text(paper::example2()));
+    EXPECT_EQ(r.exit_code, 1) << exec_var;
+    EXPECT_NE(r.err.find("--exec-var must be in (0, 1]"), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, GenerateRejectsNonPositiveCounts) {
+  // A negative count fails in the CLI before it can wrap to a huge size;
+  // 0 reaches the generator, whose message names what is missing.
+  const std::pair<std::string, std::string> cases[] = {
+      {"--subtasks=-1", "--subtasks must be a positive integer"},
+      {"--tasks=-1", "--tasks must be a positive integer"},
+      {"--processors=-1", "--processors must be a positive integer"},
+      {"--subtasks=0", "generator: need subtasks"},
+      {"--tasks=0", "generator: need tasks"},
+      {"--processors=0", "generator: need processors"}};
+  for (const auto& [flag, message] : cases) {
+    const CliResult r = run_cli({"generate", flag});
+    EXPECT_EQ(r.exit_code, 1) << flag;
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
 }
 
 TEST(Cli, AdmitAnswersRequestStream) {

@@ -148,6 +148,7 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
 
   const ProtocolKind kind = parse_protocol(args.value_string("protocol", "RG"));
   const Time horizon = args.value_int("horizon", system.default_horizon());
+  if (horizon <= 0) throw InvalidArgument("--horizon must be a positive integer");
 
   const auto protocol = make_protocol(kind, system);
   EerCollector eer{system};
@@ -155,9 +156,12 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
 
   std::unique_ptr<UniformExecutionVariation> variation;
   if (args.has("exec-var")) {
+    const double exec_var = args.value_double("exec-var", 1.0);
+    if (!(exec_var > 0.0 && exec_var <= 1.0)) {
+      throw InvalidArgument("--exec-var must be in (0, 1]");
+    }
     variation = std::make_unique<UniformExecutionVariation>(
-        Rng{static_cast<std::uint64_t>(args.value_int("seed", 1))},
-        args.value_double("exec-var", 1.0));
+        Rng{static_cast<std::uint64_t>(args.value_int("seed", 1))}, exec_var);
   }
 
   std::unique_ptr<FaultInjector> faults;
@@ -350,12 +354,18 @@ int cmd_admit(const ArgParser& args, std::istream& in, std::ostream& out) {
 int cmd_generate(const ArgParser& args, std::ostream& out) {
   args.expect_known({"subtasks", "utilization", "tasks", "processors", "seed",
                      "ticks"});
+  // A negative count would wrap to a huge size_t; 0 passes through to
+  // the generator, whose own message names what is missing.
+  const auto count = [&](const std::string& name, std::int64_t fallback) {
+    const std::int64_t value = args.value_int(name, fallback);
+    if (value < 0) throw InvalidArgument("--" + name + " must be a positive integer");
+    return static_cast<std::size_t>(value);
+  };
   GeneratorOptions options;
-  options.subtasks_per_task =
-      static_cast<std::size_t>(args.value_int("subtasks", 4));
+  options.subtasks_per_task = count("subtasks", 4);
   options.utilization = args.value_double("utilization", 60.0) / 100.0;
-  options.tasks = static_cast<std::size_t>(args.value_int("tasks", 12));
-  options.processors = static_cast<std::size_t>(args.value_int("processors", 4));
+  options.tasks = count("tasks", 12);
+  options.processors = count("processors", 4);
   options.ticks_per_unit = args.value_int("ticks", 1000);
   Rng rng{static_cast<std::uint64_t>(args.value_int("seed", 20260706))};
   write_system(out, generate_system(rng, options));
