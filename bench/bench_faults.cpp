@@ -1,11 +1,10 @@
-// Robustness: protocol degradation under injected faults (non-ideal
-// clocks, lossy sync signals, timer jitter, transient stalls). See
-// src/experiments/faults.h for the severity ladder and metrics.
-//
-// `--json[=path]` switches to perf mode: the sweep is timed once per
-// thread count (E2E_BENCH_THREADS or 1,2,4,8) and the measurements are
-// written as BENCH_faults.json (see src/report/perf_json.h). Exits
-// nonzero if any thread count produced a different schedule hash.
+// Robustness sweep as a perf workload: the default fault ladder (non-ideal
+// clocks, lossy sync signals, timer jitter, transient stalls) x every
+// protocol, timed once per thread count (E2E_BENCH_THREADS or 1,2,4,8).
+// The measurements go to BENCH_faults.json, or the path `--json=path`
+// names (see src/report/perf_json.h). Exits nonzero if any thread count
+// produced a different schedule hash. The report itself is
+// `e2e run examples/scenarios/fault_ladder.e2es`.
 // E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>
@@ -30,11 +29,6 @@ int main(int argc, char** argv) {
 
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
-    if (!args.has("json")) {
-      e2e::run_fault_report(std::cout, options);
-      return 0;
-    }
-
     const std::string path = args.value_string("json", "BENCH_faults.json");
     std::ostringstream workload;
     workload << options.systems << " systems, N="

@@ -4,11 +4,11 @@
 // parallel execution layer accelerates most directly, since every run is
 // an independent simulation.
 //
-// Default mode prints the latency table. `--json[=path]` switches to
-// perf mode: the estimate is timed once per thread count
-// (E2E_BENCH_THREADS or 1,2,4,8) and written as BENCH_montecarlo.json;
-// exits nonzero if any thread count produced a different schedule hash.
-// E2E_* overrides: docs/cli_and_formats.md.
+// The estimate is timed once per thread count (E2E_BENCH_THREADS or
+// 1,2,4,8) and written as BENCH_montecarlo.json, or the path
+// `--json=path` names; exits nonzero if any thread count produced a
+// different schedule hash. Latency tables come from `e2e run` on a
+// montecarlo spec. E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>
 
@@ -16,7 +16,6 @@
 #include "common/error.h"
 #include "experiments/monte_carlo.h"
 #include "report/perf_json.h"
-#include "report/table.h"
 #include "scenario/defaults.h"
 #include "workload/generator.h"
 
@@ -44,38 +43,22 @@ int main(int argc, char** argv) {
 
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
-    if (args.has("json")) {
-      const std::string path = args.value_string("json", "BENCH_montecarlo.json");
-      std::ostringstream workload;
-      workload << runs << " runs under RG, N=" << subtasks << ", U="
-               << utilization << "%, horizon " << options.horizon_periods
-               << " max-periods, exec-var 0.8";
-      return e2e::write_perf_report(
-          "montecarlo", workload.str(), path, e2e::bench_thread_counts(),
-          [&](int threads) {
-            e2e::MonteCarloOptions timed = options;
-            timed.threads = threads;
-            const e2e::MonteCarloResult result = e2e::estimate_latency(
-                system, e2e::ProtocolKind::kReleaseGuard, timed);
-            return e2e::PerfRunOutcome{.events = result.events_processed,
-                                       .schedule_hash = result.schedule_hash};
-          },
-          e2e::PerfWriteOptions{}, std::cout);
-    }
-
-    const e2e::MonteCarloResult result = e2e::estimate_latency(
-        system, e2e::ProtocolKind::kReleaseGuard, options);
-    std::cout << "Monte-Carlo latency estimate: " << result.runs
-              << " runs, N=" << subtasks << ", U=" << utilization << "%\n\n";
-    e2e::TextTable table({"task", "instances", "mean EER", "p(miss)"});
-    for (const e2e::Task& t : system.tasks()) {
-      const e2e::TaskLatency& latency = result.per_task[t.id.index()];
-      table.add_row({t.name, std::to_string(latency.instances),
-                     e2e::TextTable::fmt(latency.eer.mean(), 2),
-                     e2e::TextTable::fmt(latency.miss_probability(), 4)});
-    }
-    std::cout << table.to_string();
-    return 0;
+    const std::string path = args.value_string("json", "BENCH_montecarlo.json");
+    std::ostringstream workload;
+    workload << runs << " runs under RG, N=" << subtasks << ", U=" << utilization
+             << "%, horizon " << options.horizon_periods
+             << " max-periods, exec-var 0.8";
+    return e2e::write_perf_report(
+        "montecarlo", workload.str(), path, e2e::bench_thread_counts(),
+        [&](int threads) {
+          e2e::MonteCarloOptions timed = options;
+          timed.threads = threads;
+          const e2e::MonteCarloResult result = e2e::estimate_latency(
+              system, e2e::ProtocolKind::kReleaseGuard, timed);
+          return e2e::PerfRunOutcome{.events = result.events_processed,
+                                     .schedule_hash = result.schedule_hash};
+        },
+        e2e::PerfWriteOptions{}, std::cout);
   } catch (const e2e::InvalidArgument& e) {
     std::cerr << "bench_montecarlo: " << e.what() << "\n";
     return 1;

@@ -1,136 +1,23 @@
-// Sync-degradation ladder: protocols evaluated under the precision the
-// time service (src/sim/timesvc) actually achieves, not the precision
-// the paper assumes. Each rung degrades the sync channel further --
-// ideal -> skewed clocks -> skew + lossy sync -> skew + a network
-// partition (holdover) -> everything at once -- and PM (raw local
-// clocks), PM-E (estimated clocks) and MPM-R (completion-gated signals)
-// run on the identical faulted systems. The headline is the PM vs PM-E
-// gap: estimating the clock from sync exchanges buys back most of the
-// violations raw PM accumulates under skew.
-//
-// `--json[=path]` switches to perf mode: the sweep is timed once per
-// thread count (E2E_BENCH_THREADS or 1,2,4,8) and the measurements are
-// written as BENCH_timesvc.json (see src/report/perf_json.h). Exits
-// nonzero if any thread count produced a different schedule hash.
+// Sync-degradation ladder as a perf workload: PM (raw local clocks), PM-E
+// (estimated clocks) and MPM-R (completion-gated signals) on the same
+// faulted systems, each rung of sync_degradation_severities() degrading
+// the sync channel further, with the time service armed. The sweep is
+// timed once per thread count (E2E_BENCH_THREADS or 1,2,4,8) and the
+// measurements go to BENCH_timesvc.json, or the path `--json=path` names
+// (see src/report/perf_json.h). Exits nonzero if any thread count
+// produced a different schedule hash. The report itself is
+// `e2e run examples/scenarios/timesvc_ladder.e2es`.
 // E2E_* overrides: docs/cli_and_formats.md.
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/args.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "experiments/faults.h"
 #include "report/perf_json.h"
-#include "report/table.h"
 #include "scenario/defaults.h"
-
-namespace {
-
-/// The ladder. Tick scale: generator periods span 100k..10M ticks, so a
-/// 150k offset / 15000 ppm drift rung is severe skew (PM phases are off
-/// by more than a short period) and the 2M..4M partition window covers a
-/// mid-run stretch of every default horizon.
-std::vector<e2e::FaultSeverity> sync_degradation_ladder() {
-  std::vector<e2e::FaultSeverity> ladder;
-
-  e2e::FaultPlan ideal;
-  ladder.push_back({"ideal", ideal});
-
-  e2e::FaultPlan clock = ideal;
-  clock.clock_offset_max = 150'000;
-  clock.drift_ppm_max = 15'000;
-  ladder.push_back({"clock", clock});
-
-  e2e::FaultPlan loss = clock;
-  loss.signal_loss_prob = 0.2;
-  loss.signal_delay_max = 2'000;
-  loss.sync_loss_prob = 0.3;
-  ladder.push_back({"clock+loss", loss});
-
-  e2e::FaultPlan partition = clock;
-  partition.partition_at = 2'000'000;
-  partition.partition_for = 2'000'000;
-  ladder.push_back({"clock+partition", partition});
-
-  e2e::FaultPlan severe = loss;
-  severe.partition_at = 2'000'000;
-  severe.partition_for = 2'000'000;
-  severe.source_down_at = 5'000'000;
-  severe.source_down_for = 2'000'000;
-  severe.timer_jitter_max = 500;
-  severe.stall_prob = 0.05;
-  severe.stall_max = 2'000;
-  ladder.push_back({"severe", severe});
-
-  return ladder;
-}
-
-const e2e::FaultCell* find_cell(const e2e::FaultSweepResult& result,
-                                const std::string& severity,
-                                e2e::ProtocolKind kind) {
-  for (const e2e::FaultCell& cell : result.cells) {
-    if (cell.severity == severity && cell.kind == kind) return &cell;
-  }
-  return nullptr;
-}
-
-void print_report(std::ostream& out, const e2e::FaultSweepOptions& options) {
-  const e2e::FaultSweepResult result = e2e::run_fault_sweep(options);
-
-  out << "== Sync-degradation ladder: scheduling on achieved precision ==\n"
-      << options.systems << " systems, N=" << options.config.subtasks_per_task
-      << ", U=" << options.config.utilization_percent
-      << "%, timesvc interval " << options.timesvc.sync_interval << " ticks";
-  if (result.skipped_systems > 0) {
-    out << ", " << result.skipped_systems << " PM-unschedulable draws replaced";
-  }
-  out << "\nRates per 1000: viol = precedence violations / released jobs,\n"
-      << "                miss = end-to-end misses / completed instances.\n\n";
-
-  e2e::TextTable table({"rung", "protocol", "viol/1k", "miss/1k",
-                        "|err| mean", "|err| max", "holdover"});
-  std::string current;
-  for (const e2e::FaultCell& cell : result.cells) {
-    const bool first_of_rung = cell.severity != current;
-    current = cell.severity;
-    table.add_row({first_of_rung ? cell.severity : "",
-                   std::string{to_string(cell.kind)},
-                   e2e::TextTable::fmt(1000.0 * cell.violation_rate(), 2),
-                   e2e::TextTable::fmt(1000.0 * cell.miss_rate(), 2),
-                   e2e::TextTable::fmt(cell.precision.mean_abs_error(), 1),
-                   std::to_string(cell.precision.abs_error_max),
-                   std::to_string(cell.precision.holdover_time)});
-  }
-  out << table.to_string() << "\n";
-
-  // Headline: what estimating the clock buys over trusting it, on the
-  // rung the paper's PM is most exposed to.
-  const e2e::FaultCell* pm =
-      find_cell(result, "clock+loss", e2e::ProtocolKind::kPhaseModification);
-  const e2e::FaultCell* pme =
-      find_cell(result, "clock+loss", e2e::ProtocolKind::kPmEstimated);
-  if (pm != nullptr && pme != nullptr && pm->violation_rate() > 0.0) {
-    const double gain = 100.0 *
-        (pm->violation_rate() - pme->violation_rate()) / pm->violation_rate();
-    out << "headline: under clock+loss, PM-E's violation rate is "
-        << e2e::TextTable::fmt(gain, 1) << "% below PM's ("
-        << e2e::TextTable::fmt(1000.0 * pme->violation_rate(), 2) << " vs "
-        << e2e::TextTable::fmt(1000.0 * pm->violation_rate(), 2)
-        << " per 1k).\n";
-  }
-  out << "expectations: on the ideal rung PM-E is byte-identical to PM\n"
-      << "(zero measured error -> zero compensation). Under skew PM's\n"
-      << "precomputed phases fire early/late on every processor while\n"
-      << "PM-E's servo tracks offset and drift, so its violations stay\n"
-      << "near the service's residual error. The partition rung freezes\n"
-      << "the servo (holdover): PM-E degrades toward PM only while the\n"
-      << "window is open. MPM-R needs no clock at all and anchors the\n"
-      << "zero-violation baseline throughout.\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -142,7 +29,7 @@ int main(int argc, char** argv) {
     options.config.subtasks_per_task = defaults.fault_subtasks;
     options.config.utilization_percent = defaults.fault_utilization;
     options.threads = defaults.threads;
-    options.severities = sync_degradation_ladder();
+    options.severities = e2e::sync_degradation_severities();
     options.protocols = {e2e::ProtocolKind::kPhaseModification,
                          e2e::ProtocolKind::kPmEstimated,
                          e2e::ProtocolKind::kModifiedPmRetransmit};
@@ -150,11 +37,6 @@ int main(int argc, char** argv) {
 
     const e2e::ArgParser args{argc, argv};
     args.expect_known({"json"});
-    if (!args.has("json")) {
-      print_report(std::cout, options);
-      return 0;
-    }
-
     const std::string path = args.value_string("json", "BENCH_timesvc.json");
     std::ostringstream workload;
     workload << options.systems << " systems, N="

@@ -1,7 +1,7 @@
 // Walks through the paper's Example 2 end to end: prints the Figures 3, 5
 // and 7 schedules and the analysis numbers from Sections 3-4. (This is the
-// same report bench_paper_examples prints; as an example it shows how to
-// drive the report API directly.)
+// first half of `e2e run examples/scenarios/paper_examples.e2es`; as an
+// example it shows how to drive the report API directly.)
 #include <iostream>
 
 #include "experiments/paper_example_report.h"

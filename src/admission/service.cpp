@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "report/csv.h"
+#include "report/format.h"
 #include "report/table.h"
 
 namespace e2e::admission {
@@ -22,23 +23,6 @@ double percentile_us(std::vector<double>& samples, double p) {
       std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(samples.size()))));
   return samples[rank - 1];
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 std::string verdict_of(const Outcome& outcome) {
   if (outcome.reason != ReasonCode::kNone) return to_string(outcome.reason);

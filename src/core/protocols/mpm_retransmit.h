@@ -1,7 +1,7 @@
 // MPM-R: a hardened variant of the Modified Phase Modification protocol
 // for non-ideal signalling channels (sim/fault). Not part of the paper;
 // it exists to answer "which protocol degrades gracefully?" in the
-// robustness experiments (bench_faults).
+// robustness experiments (examples/scenarios/fault_ladder.e2es).
 //
 // Two changes relative to MPM:
 //  * completion-gated signalling -- when the bound timer for T_{i,j}(m)

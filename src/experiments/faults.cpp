@@ -200,11 +200,6 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
   return result;
 }
 
-void run_fault_report(std::ostream& out, const FaultSweepOptions& options) {
-  ScenarioExecutor executor{options.threads};
-  run_fault_report(out, options, executor);
-}
-
 void run_fault_report(std::ostream& out, const FaultSweepOptions& options,
                       ScenarioExecutor& executor) {
   const FaultSweepResult result = run_fault_sweep(options, executor);

@@ -112,11 +112,9 @@ struct FaultSweepResult {
 [[nodiscard]] FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
                                                ScenarioExecutor& executor);
 
-/// bench_faults driver: runs the sweep and prints one table per severity
-/// plus the headline comparison (PM vs RG/MPM-R degradation).
-void run_fault_report(std::ostream& out, const FaultSweepOptions& options);
-
-/// Same, on an existing executor.
+/// The faults scenario's table report (`e2e run` on a faults spec): runs
+/// the sweep on `executor` and prints one table per severity plus the
+/// headline comparison (PM vs RG/MPM-R degradation).
 void run_fault_report(std::ostream& out, const FaultSweepOptions& options,
                       ScenarioExecutor& executor);
 

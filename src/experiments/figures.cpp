@@ -3,11 +3,13 @@
 #include <functional>
 #include <map>
 
+#include "core/analysis/hopa.h"
 #include "core/analysis/reconfiguration.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "core/protocols/overhead_aware.h"
 #include "core/protocols/factory.h"
+#include "experiments/paper_example_report.h"
 #include "scenario/executor.h"
 #include "task/builder.h"
 #include "metrics/eer_collector.h"
@@ -348,6 +350,83 @@ void ablation_report(std::ostream& out, const SweepOptions& options) {
              [](const ConfigResult& r) { return ratio_cell(r.bound_ratio); });
 }
 
+/// HOPA priority optimization (extension; paper reference [10]): how much
+/// schedulability the deadline-redistribution heuristic buys over the
+/// paper's fixed PDM assignment, judged by Algorithm SA/PM. Each (N, U)
+/// cell forks its systems from the same master seed a grid cell uses.
+void hopa_report(std::ostream& out, const SweepOptions& options) {
+  const int systems = options.systems_per_config;
+  out << "== HOPA priority optimization vs PDM (SA/PM schedulability, "
+         "deadline = period) ==\n"
+      << systems << " systems per cell; 'sched' = fraction with every "
+         "EER bound within its deadline; 'margin' = mean of max_i "
+         "bound_i/D_i (finite systems)\n\n";
+
+  TextTable table({"N", "U%", "PDM sched", "HOPA sched", "PDM margin",
+                   "HOPA margin", "improved"});
+  for (const Configuration& config : hopa_configurations()) {
+    Rng master{options.seed ^
+               (static_cast<std::uint64_t>(config.subtasks_per_task) << 32) ^
+               static_cast<std::uint64_t>(config.utilization_percent)};
+    int pdm_ok = 0;
+    int hopa_ok = 0;
+    int improved = 0;
+    RunningStats pdm_margin;
+    RunningStats hopa_margin;
+    for (int i = 0; i < systems; ++i) {
+      Rng rng = master.fork(static_cast<std::uint64_t>(i));
+      const HopaResult r =
+          optimize_priorities_hopa(generate_system(rng, options_for(config)));
+      if (r.initial_margin <= 1.0) ++pdm_ok;
+      if (r.schedulable()) ++hopa_ok;
+      if (r.improved()) ++improved;
+      if (r.initial_margin < 1e8) pdm_margin.add(r.initial_margin);
+      if (r.margin < 1e8) hopa_margin.add(r.margin);
+    }
+    table.add_row({std::to_string(config.subtasks_per_task),
+                   std::to_string(config.utilization_percent),
+                   TextTable::fmt(static_cast<double>(pdm_ok) / systems, 2),
+                   TextTable::fmt(static_cast<double>(hopa_ok) / systems, 2),
+                   TextTable::fmt(pdm_margin.mean(), 2),
+                   TextTable::fmt(hopa_margin.mean(), 2),
+                   TextTable::fmt(static_cast<double>(improved) / systems, 2)});
+  }
+  out << table.to_string();
+}
+
+/// Sensitivity of the headline results to the one under-specified
+/// workload parameter: the paper gives the period distribution's support
+/// ([100, 10000], truncated exponential) but not its rate. Re-runs the
+/// Figure 12/13 summary cells for several exponential means and for the
+/// uniform distribution the paper explicitly rejected (EXPERIMENTS.md
+/// "Substitutions").
+void sensitivity_report(std::ostream& out, const SweepOptions& options) {
+  out << "== Sensitivity of Figures 12/13 to the period distribution ==\n"
+      << options.systems_per_config << " systems per cell; summary cells: "
+         "failure rate at (8,90) and (6,80); bound ratio at (5,70) and "
+         "(8,60)\n\n";
+
+  TextTable table({"periods", "fail(8,90)", "fail(6,80)", "ratio(5,70)",
+                   "ratio(8,60)"});
+  ScenarioExecutor executor{options.threads};
+  for (const PeriodVariant& variant : sensitivity_variants()) {
+    SweepOptions variant_options = options;
+    if (variant.mean > 0.0) variant_options.period_mean = variant.mean;
+    variant_options.period_distribution = variant.distribution;
+    std::vector<ConfigResult> cells;
+    for (const Configuration& config : sensitivity_configurations()) {
+      cells.push_back(run_configuration(config, variant_options, executor));
+    }
+    table.add_row({variant.label, TextTable::fmt(cells[0].failure_rate(), 2),
+                   TextTable::fmt(cells[1].failure_rate(), 2),
+                   ratio_cell(cells[2].bound_ratio),
+                   ratio_cell(cells[3].bound_ratio)});
+  }
+  out << table.to_string()
+      << "\nexpected: failures stay concentrated at high (N,U) and the "
+         "bound ratios stay >1 and N/U-monotone under every variant.\n";
+}
+
 }  // namespace
 
 void run_figure(std::ostream& out, FigureKind figure, const SweepOptions& options) {
@@ -387,6 +466,16 @@ void run_figure(std::ostream& out, FigureKind figure, const SweepOptions& option
       break;
     case FigureKind::kAblation:
       ablation_report(out, sweep);
+      break;
+    case FigureKind::kHopa:
+      hopa_report(out, sweep);
+      break;
+    case FigureKind::kSensitivity:
+      sensitivity_report(out, sweep);
+      break;
+    case FigureKind::kPaperExamples:
+      report_example2(out);
+      report_example1(out);
       break;
   }
 }

@@ -5,7 +5,8 @@
 //
 // Every figure prints (a) the same series the paper plots, as an N x U
 // table, and (b) the shape expectations from the paper so a reader can
-// eyeball the reproduction without the original figures at hand.
+// eyeball the reproduction without the original figures at hand. The
+// HOPA, sensitivity and paper-example reports are specs of the same kind.
 #pragma once
 
 #include <ostream>
@@ -21,7 +22,12 @@ namespace e2e {
 ///   overhead   Section 3.3 complexity traits and measured run-time
 ///              overhead of all four protocols;
 ///   jitter     output jitter under DS/PM/RG (the Section 6 claims);
-///   ablation   DESIGN.md ablations A-F.
+///   ablation   DESIGN.md ablations A-F;
+///   hopa       HOPA vs PDM priorities, SA/PM schedulability and margin;
+///   sensitivity  the Figure 12/13 summary cells under four period
+///              distributions;
+///   paper-examples  Figures 3-7 as Gantt charts plus the Section 3-4
+///              analysis numbers (fixed systems; `options` is unused).
 /// Whether the sweep runs the analyses or the simulations is decided
 /// here, from simulation_figure(); `options`' own run_* flags are
 /// ignored.

@@ -1,6 +1,7 @@
 // Regenerates the paper's worked examples: the schedules of Figures 3, 4,
 // 5, 6, 7 (as ASCII Gantt charts) and the analysis numbers quoted in the
-// text. Used by bench_paper_examples and by integration tests.
+// text. Used by the paper-examples figure spec
+// (examples/scenarios/paper_examples.e2es) and by integration tests.
 #pragma once
 
 #include <ostream>

@@ -51,7 +51,7 @@ struct SweepOptions {
   double release_jitter_fraction = 0.0;
 
   /// Period-distribution knobs for the sensitivity study (the paper's
-  /// exponential rate is unstated; bench_sensitivity sweeps it).
+  /// exponential rate is unstated; `figure sensitivity` sweeps it).
   double period_mean = 3000.0;
   GeneratorOptions::PeriodDistribution period_distribution =
       GeneratorOptions::PeriodDistribution::kTruncatedExponential;

@@ -4,7 +4,8 @@
 // here is the estimated clock's distance from the reference timeline,
 // sampled at every sync exchange; under perfect sync it is 0 and PM-E
 // equals PM, and as it degrades the gap between them is exactly what
-// the sync-degradation ladder (bench_timesvc) measures.
+// the sync-degradation ladder (examples/scenarios/timesvc_ladder.e2es)
+// measures.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 // GanttRecorder: records a schedule and renders it as ASCII art, one row
 // per subtask grouped by processor -- the tool that regenerates the
-// paper's schedule figures (3, 4, 5, 6, 7) in bench_paper_examples.
+// paper's schedule figures (3, 4, 5, 6, 7) in the paper-examples report
+// (examples/scenarios/paper_examples.e2es).
 //
 // Cell legend (one cell per `ticks_per_column` ticks):
 //   '#'  the subtask executes during (part of) the column

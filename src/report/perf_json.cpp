@@ -14,25 +14,10 @@
 #endif
 
 #include "common/error.h"
+#include "report/format.h"
 
 namespace e2e {
 namespace {
-
-std::string hex_hash(std::uint64_t hash) {
-  std::ostringstream stream;
-  stream << "0x" << std::hex << std::setfill('0') << std::setw(16) << hash;
-  return stream.str();
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// A minimal recursive-descent JSON reader: just enough structure to
 /// verify the perf-report schema without pulling in a JSON dependency.
@@ -308,8 +293,8 @@ PerfReport run_perf_harness(
 std::string to_json(const PerfReport& report) {
   std::ostringstream out;
   out << "{\n"
-      << "  \"bench\": \"" << escape(report.bench) << "\",\n"
-      << "  \"workload\": \"" << escape(report.workload) << "\",\n"
+      << "  \"bench\": " << json_str(report.bench) << ",\n"
+      << "  \"workload\": " << json_str(report.workload) << ",\n"
       << "  \"deterministic\": " << (report.deterministic ? "true" : "false")
       << ",\n"
       << "  \"hw_threads\": " << report.hw_threads << ",\n"
@@ -333,7 +318,7 @@ std::string to_json(const PerfReport& report) {
     for (std::size_t i = 0; i < report.variants.size(); ++i) {
       const PerfVariant& variant = report.variants[i];
       out << (i == 0 ? "\n" : ",\n")
-          << "    {\"name\": \"" << escape(variant.name) << "\", \"wall_seconds\": "
+          << "    {\"name\": " << json_str(variant.name) << ", \"wall_seconds\": "
           << std::setprecision(6) << std::fixed << variant.wall_seconds
           << ", \"speedup_vs_legacy\": " << std::setprecision(3)
           << variant.speedup_vs_legacy << ", \"result_hash\": \""

@@ -104,11 +104,6 @@ ScenarioDefaults ScenarioDefaults::load() {
       env_count("E2E_SIM_SYSTEMS_PER_CONFIG",
                 env_count("E2E_SYSTEMS_PER_CONFIG", d.figure_sim_systems));
 
-  d.analysis_seed = env_seed(d.analysis_seed);
-  d.hopa_systems = env_count("E2E_HOPA_SYSTEMS", d.hopa_systems);
-  d.sensitivity_systems =
-      env_count("E2E_SENSITIVITY_SYSTEMS", d.sensitivity_systems);
-
   d.admission_seed = env_seed(d.admission_seed);
   d.admission_processors =
       env_count("E2E_ADMIT_PROCESSORS", d.admission_processors);

@@ -53,6 +53,7 @@ struct ScenarioDefaults {
   int breakdown_systems = 20;               ///< E2E_BREAKDOWN_SYSTEMS
 
   // --- figure scenarios (examples/scenarios/fig12.e2es, ...) ----------
+  // The hopa and sensitivity specs write their sample size as a key.
   std::uint64_t figure_seed = 20260706;   ///< E2E_SEED
   double figure_horizon_periods = 30.0;   ///< E2E_HORIZON_PERIODS
   int figure_systems = 200;               ///< E2E_SYSTEMS_PER_CONFIG
@@ -60,11 +61,6 @@ struct ScenarioDefaults {
   /// falling back to 50 (simulation figures cost far more per system).
   /// The ablation report defaults to max(2, half of this).
   int figure_sim_systems = 50;
-
-  // --- analysis studies (bench_hopa / bench_sensitivity) -------------
-  std::uint64_t analysis_seed = 20260706;  ///< E2E_SEED
-  int hopa_systems = 30;                   ///< E2E_HOPA_SYSTEMS
-  int sensitivity_systems = 60;            ///< E2E_SENSITIVITY_SYSTEMS
 
   // --- admission service / bench_admission ----------------------------
   std::uint64_t admission_seed = 20260808;  ///< E2E_SEED

@@ -1,8 +1,6 @@
 #include "scenario/driver.h"
 
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -15,6 +13,7 @@
 #include "experiments/monte_carlo.h"
 #include "experiments/sweep.h"
 #include "report/csv.h"
+#include "report/format.h"
 #include "report/table.h"
 #include "scenario/executor.h"
 #include "task/paper_examples.h"
@@ -23,41 +22,6 @@
 
 namespace e2e {
 namespace {
-
-std::string hex_hash(std::uint64_t hash) {
-  std::ostringstream stream;
-  stream << "0x" << std::hex << std::setfill('0') << std::setw(16) << hash;
-  return stream.str();
-}
-
-/// Shortest decimal form that strtod parses back exactly (JSON/CSV cells).
-std::string fmt_shortest(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream stream;
-    stream << std::setprecision(precision) << v;
-    if (std::strtod(stream.str().c_str(), nullptr) == v) return stream.str();
-  }
-  std::ostringstream stream;
-  stream << std::setprecision(17) << v;
-  return stream.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 TaskSystem resolve_system(const SystemSource& src, std::istream& in) {
   switch (src.kind) {

@@ -78,23 +78,55 @@ ScenarioPlan expand_scenario(const ScenarioSpec& spec) {
             .stream_seed = spec.seed ^ (static_cast<std::uint64_t>(n) << 40)});
       }
       break;
-    case ScenarioKind::kFigure:
-      if (spec.figure == FigureKind::kOverhead) {
-        // The overhead report measures one generated (N=4, U=70%) system.
-        plan.cells.push_back(ScenarioCell{.label = "N=4 U=70% (single system)",
-                                          .units = 1,
-                                          .stream_seed = spec.seed});
-      } else {
-        // Each figure sweeps the paper's 35-cell grid (the ablation
-        // report re-runs it once per ablation with the same cells).
-        for (const Configuration& config : paper_configurations()) {
+    case ScenarioKind::kFigure: {
+      const auto add_grid = [&](const std::vector<Configuration>& grid,
+                                const std::string& prefix) {
+        for (const Configuration& config : grid) {
           plan.cells.push_back(
-              ScenarioCell{.label = grid_label(config),
+              ScenarioCell{.label = prefix + grid_label(config),
                            .units = spec.systems,
                            .stream_seed = grid_cell_seed(spec.seed, config)});
         }
+      };
+      switch (spec.figure) {
+        case FigureKind::kOverhead:
+          // The overhead report measures one generated (N=4, U=70%) system.
+          plan.cells.push_back(ScenarioCell{.label = "N=4 U=70% (single system)",
+                                            .units = 1,
+                                            .stream_seed = spec.seed});
+          break;
+        case FigureKind::kPaperExamples:
+          // Fixed systems: nothing is drawn, so the seed is unused.
+          for (const char* example : {"Example 2 (Figure 2)", "Example 1 (Figure 1)"}) {
+            plan.cells.push_back(
+                ScenarioCell{.label = example, .units = 1, .stream_seed = 0});
+          }
+          break;
+        case FigureKind::kHopa:
+          add_grid(hopa_configurations(), "");
+          break;
+        case FigureKind::kSensitivity:
+          // Every variant redraws the same cells' streams under its own
+          // period distribution.
+          for (const PeriodVariant& variant : sensitivity_variants()) {
+            add_grid(sensitivity_configurations(),
+                     std::string{"periods="} + variant.label + " ");
+          }
+          break;
+        case FigureKind::kFig12:
+        case FigureKind::kFig13:
+        case FigureKind::kFig14:
+        case FigureKind::kFig15:
+        case FigureKind::kFig16:
+        case FigureKind::kJitter:
+        case FigureKind::kAblation:
+          // Each figure sweeps the paper's 35-cell grid (the ablation
+          // report re-runs it once per ablation with the same cells).
+          add_grid(paper_configurations(), "");
+          break;
       }
       break;
+    }
   }
   return plan;
 }

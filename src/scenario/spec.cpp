@@ -1,14 +1,16 @@
 #include "scenario/spec.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/args.h"
 #include "common/error.h"
+#include "report/format.h"
 
 namespace e2e {
 namespace {
@@ -20,23 +22,39 @@ constexpr const char* kHeader = "e2esync-scenario v1";
                         message);
 }
 
-std::int64_t parse_int(int line, const std::string& key, const std::string& value) {
+std::int64_t parse_int64(int line, const std::string& key,
+                         const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0') {
     fail(line, "'" + key + "' expects an integer, got '" + value + "'");
   }
+  if (errno == ERANGE) fail(line, "'" + key + "' is out of range: '" + value + "'");
   return parsed;
+}
+
+/// The parser for every int-typed key: a value that does not fit an int
+/// fails here instead of wrapping through static_cast<int>.
+int parse_int(int line, const std::string& key, const std::string& value) {
+  const std::int64_t parsed = parse_int64(line, key, value);
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    fail(line, "'" + key + "' is out of range: '" + value + "'");
+  }
+  return static_cast<int>(parsed);
 }
 
 /// Seeds span the full uint64 range, which strtoll would saturate.
 std::uint64_t parse_uint(int line, const std::string& key,
                          const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0' || value[0] == '-') {
     fail(line, "'" + key + "' expects an unsigned integer, got '" + value + "'");
   }
+  if (errno == ERANGE) fail(line, "'" + key + "' is out of range: '" + value + "'");
   return parsed;
 }
 
@@ -47,18 +65,6 @@ double parse_double(int line, const std::string& key, const std::string& value) 
     fail(line, "'" + key + "' expects a number, got '" + value + "'");
   }
   return parsed;
-}
-
-/// Shortest decimal form that strtod parses back exactly.
-std::string fmt_roundtrip(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream stream;
-    stream << std::setprecision(precision) << v;
-    if (std::strtod(stream.str().c_str(), nullptr) == v) return stream.str();
-  }
-  std::ostringstream stream;
-  stream << std::setprecision(17) << v;
-  return stream.str();
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -95,8 +101,12 @@ FigureKind parse_figure(int line, const std::string& name) {
   if (name == "overhead") return FigureKind::kOverhead;
   if (name == "jitter") return FigureKind::kJitter;
   if (name == "ablation") return FigureKind::kAblation;
+  if (name == "hopa") return FigureKind::kHopa;
+  if (name == "sensitivity") return FigureKind::kSensitivity;
+  if (name == "paper-examples") return FigureKind::kPaperExamples;
   fail(line, "unknown figure '" + name +
-                 "' (12, 13, 14, 15, 16, overhead, jitter, ablation)");
+                 "' (12, 13, 14, 15, 16, overhead, jitter, ablation, hopa, "
+                 "sensitivity, paper-examples)");
 }
 
 std::vector<ProtocolKind> extended_protocols() {
@@ -117,9 +127,37 @@ bool simulation_figure(FigureKind figure) {
       return true;
     case FigureKind::kFig12:
     case FigureKind::kFig13:
+    case FigureKind::kHopa:
+    case FigureKind::kSensitivity:
+    case FigureKind::kPaperExamples:
       return false;
   }
   return false;
+}
+
+std::vector<Configuration> hopa_configurations() {
+  std::vector<Configuration> grid;
+  for (int n = 2; n <= 8; ++n) {
+    for (const int u : {60, 70, 80}) {
+      grid.push_back(Configuration{.subtasks_per_task = n, .utilization_percent = u});
+    }
+  }
+  return grid;
+}
+
+std::vector<PeriodVariant> sensitivity_variants() {
+  using Distribution = GeneratorOptions::PeriodDistribution;
+  return {{"exp, mean 1000", 1000.0, Distribution::kTruncatedExponential},
+          {"exp, mean 3000 (default)", 3000.0, Distribution::kTruncatedExponential},
+          {"exp, mean 6000", 6000.0, Distribution::kTruncatedExponential},
+          {"uniform", 0.0, Distribution::kUniform}};
+}
+
+std::vector<Configuration> sensitivity_configurations() {
+  return {{.subtasks_per_task = 8, .utilization_percent = 90},
+          {.subtasks_per_task = 6, .utilization_percent = 80},
+          {.subtasks_per_task = 5, .utilization_percent = 70},
+          {.subtasks_per_task = 8, .utilization_percent = 60}};
 }
 
 std::vector<FaultSeverity> default_fault_severities() {
@@ -148,6 +186,30 @@ std::vector<FaultSeverity> default_fault_severities() {
   };
 }
 
+std::vector<FaultSeverity> sync_degradation_severities() {
+  const FaultPlan clock{.clock_offset_max = 150'000, .drift_ppm_max = 15'000};
+  FaultPlan loss = clock;
+  loss.signal_loss_prob = 0.2;
+  loss.signal_delay_max = 2'000;
+  loss.sync_loss_prob = 0.3;
+  FaultPlan partition = clock;
+  partition.partition_at = 2'000'000;
+  partition.partition_for = 2'000'000;
+  FaultPlan severe = loss;
+  severe.partition_at = 2'000'000;
+  severe.partition_for = 2'000'000;
+  severe.source_down_at = 5'000'000;
+  severe.source_down_for = 2'000'000;
+  severe.timer_jitter_max = 500;
+  severe.stall_prob = 0.05;
+  severe.stall_max = 2'000;
+  return {{"ideal", FaultPlan{}},
+          {"clock", clock},
+          {"clock+loss", loss},
+          {"clock+partition", partition},
+          {"severe", severe}};
+}
+
 std::string_view to_string(ScenarioKind kind) {
   switch (kind) {
     case ScenarioKind::kMonteCarlo: return "montecarlo";
@@ -169,6 +231,9 @@ std::string_view to_string(FigureKind figure) {
     case FigureKind::kOverhead: return "overhead";
     case FigureKind::kJitter: return "jitter";
     case FigureKind::kAblation: return "ablation";
+    case FigureKind::kHopa: return "hopa";
+    case FigureKind::kSensitivity: return "sensitivity";
+    case FigureKind::kPaperExamples: return "paper-examples";
   }
   return "?";
 }
@@ -241,7 +306,7 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
       has_seed = true;
     } else if (key == "systems" || key == "runs") {
       want(1);
-      spec.systems = static_cast<int>(parse_int(line_number, key, tokens[1]));
+      spec.systems = parse_int(line_number, key, tokens[1]);
       has_systems = true;
     } else if (key == "horizon-periods") {
       want(1);
@@ -249,7 +314,7 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
       has_horizon = true;
     } else if (key == "threads") {
       want(1);
-      spec.threads = static_cast<int>(parse_int(line_number, key, tokens[1]));
+      spec.threads = parse_int(line_number, key, tokens[1]);
     } else if (key == "exec-var") {
       want(1);
       spec.exec_var = parse_double(line_number, key, tokens[1]);
@@ -259,10 +324,8 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
     } else if (key == "config") {
       want(2);
       spec.grid.push_back(Configuration{
-          .subtasks_per_task =
-              static_cast<int>(parse_int(line_number, "config N", tokens[1])),
-          .utilization_percent =
-              static_cast<int>(parse_int(line_number, "config U", tokens[2]))});
+          .subtasks_per_task = parse_int(line_number, "config N", tokens[1]),
+          .utilization_percent = parse_int(line_number, "config U", tokens[2])});
     } else if (key == "severity") {
       want(2);
       try {
@@ -293,30 +356,30 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
         want(2);
         spec.system.kind = SystemSource::Kind::kGenerate;
         SystemSource& src = spec.system;
+        std::vector<std::pair<std::string, std::string>> pairs;
         try {
-          for (const auto& [k, v] : split_key_values(tokens[2])) {
-            if (k == "subtasks") {
-              src.generate_subtasks = static_cast<int>(parse_int(line_number, k, v));
-            } else if (k == "utilization") {
-              src.generate_utilization =
-                  static_cast<int>(parse_int(line_number, k, v));
-            } else if (k == "tasks") {
-              src.generate_tasks = static_cast<int>(parse_int(line_number, k, v));
-            } else if (k == "processors") {
-              src.generate_processors =
-                  static_cast<int>(parse_int(line_number, k, v));
-            } else if (k == "seed") {
-              src.generate_seed = parse_uint(line_number, k, v);
-            } else if (k == "ticks") {
-              src.generate_ticks = parse_int(line_number, k, v);
-            } else {
-              fail(line_number, "unknown generate key '" + k +
-                                    "' (subtasks, utilization, tasks, "
-                                    "processors, seed, ticks)");
-            }
-          }
+          pairs = split_key_values(tokens[2]);
         } catch (const InvalidArgument& e) {
           fail(line_number, e.what());
+        }
+        for (const auto& [k, v] : pairs) {
+          if (k == "subtasks") {
+            src.generate_subtasks = parse_int(line_number, k, v);
+          } else if (k == "utilization") {
+            src.generate_utilization = parse_int(line_number, k, v);
+          } else if (k == "tasks") {
+            src.generate_tasks = parse_int(line_number, k, v);
+          } else if (k == "processors") {
+            src.generate_processors = parse_int(line_number, k, v);
+          } else if (k == "seed") {
+            src.generate_seed = parse_uint(line_number, k, v);
+          } else if (k == "ticks") {
+            src.generate_ticks = parse_int64(line_number, k, v);
+          } else {
+            fail(line_number, "unknown generate key '" + k +
+                                  "' (subtasks, utilization, tasks, "
+                                  "processors, seed, ticks)");
+          }
         }
       } else {
         fail(line_number, "unknown system source '" + tokens[1] +
@@ -425,9 +488,9 @@ void write_scenario(std::ostream& out, const ScenarioSpec& spec) {
   out << "seed " << spec.seed << "\n";
   out << (spec.kind == ScenarioKind::kMonteCarlo ? "runs " : "systems ")
       << spec.systems << "\n";
-  out << "horizon-periods " << fmt_roundtrip(spec.horizon_periods) << "\n";
+  out << "horizon-periods " << fmt_shortest(spec.horizon_periods) << "\n";
   out << "threads " << spec.threads << "\n";
-  if (spec.exec_var != 1.0) out << "exec-var " << fmt_roundtrip(spec.exec_var) << "\n";
+  if (spec.exec_var != 1.0) out << "exec-var " << fmt_shortest(spec.exec_var) << "\n";
   for (const ProtocolKind kind : spec.protocols) {
     out << "protocol " << to_string(kind) << "\n";
   }

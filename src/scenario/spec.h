@@ -40,6 +40,14 @@ struct FaultSeverity {
 /// paper time unit (periods span 100k..10M ticks).
 [[nodiscard]] std::vector<FaultSeverity> default_fault_severities();
 
+/// The sync-degradation ladder (examples/scenarios/timesvc_ladder.e2es,
+/// timed by bench_timesvc): ideal -> skewed clocks -> skew + lossy signals
+/// and sync exchanges -> skew + a network partition (holdover) ->
+/// everything at once. A 150k offset / 15000 ppm drift rung is severe skew
+/// (PM phases are off by more than a short period), and the 2M..4M
+/// partition window covers a mid-run stretch of every default horizon.
+[[nodiscard]] std::vector<FaultSeverity> sync_degradation_severities();
+
 enum class ScenarioKind { kMonteCarlo, kSweep, kFaults, kBreakdown, kFigure };
 
 /// Paper figures / reports a `scenario figure` spec can request.
@@ -52,13 +60,35 @@ enum class FigureKind {
   kOverhead,  ///< Section 3.3 complexity / overhead report
   kJitter,    ///< output-jitter extension report
   kAblation,  ///< DESIGN.md ablations A-F
+  kHopa,           ///< HOPA vs PDM priorities (paper reference [10])
+  kSensitivity,    ///< Figs. 12/13 under four period distributions
+  kPaperExamples,  ///< worked examples, Figs. 3-7 and Sections 3-4
 };
 
 /// True for the simulation-driven figures (14-16, overhead, jitter,
-/// ablation); false for the analysis-only figures 12/13. The one owner of
-/// that split: parse_scenario picks the default sample size from it and
-/// run_figure picks which half of the sweep to run.
+/// ablation); false for the analysis-only figures 12/13, HOPA, sensitivity
+/// and the paper examples. The one owner of that split: parse_scenario
+/// picks the default sample size from it and run_figure picks which half
+/// of the sweep to run.
 [[nodiscard]] bool simulation_figure(FigureKind figure);
+
+/// The (N, U) cells of `figure hopa`: N = 2..8 x U = 60, 70, 80.
+[[nodiscard]] std::vector<Configuration> hopa_configurations();
+
+/// One period distribution of `figure sensitivity`.
+struct PeriodVariant {
+  const char* label;
+  double mean;  ///< exponential mean; 0 for the uniform variant
+  GeneratorOptions::PeriodDistribution distribution;
+};
+
+/// Exponential means 1000, 3000 (the default), 6000, then uniform.
+[[nodiscard]] std::vector<PeriodVariant> sensitivity_variants();
+
+/// The summary cells `figure sensitivity` runs per variant, in report
+/// column order: failure rate at (8,90) and (6,80), bound ratio at (5,70)
+/// and (8,60).
+[[nodiscard]] std::vector<Configuration> sensitivity_configurations();
 
 enum class ReportFormat { kTable, kCsv, kJson };
 

@@ -1,6 +1,7 @@
 // The two worked examples from the paper, as ready-made TaskSystems.
-// These anchor the integration tests and the `bench_paper_examples`
-// harness, which regenerates Figures 3-7 event-for-event.
+// These anchor the integration tests and the paper-examples report
+// (examples/scenarios/paper_examples.e2es), which regenerates Figures 3-7
+// event-for-event.
 #pragma once
 
 #include "common/time.h"

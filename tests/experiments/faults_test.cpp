@@ -1,4 +1,4 @@
-// Smoke test for the bench_faults experiment driver: a miniature sweep
+// Smoke test for the fault-sweep experiment driver: a miniature sweep
 // produces one cell per (severity, protocol) with sane counters, and the
 // report renders every severity block.
 #include "experiments/faults.h"
@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+
+#include "scenario/executor.h"
 
 namespace e2e {
 namespace {
@@ -48,7 +50,8 @@ TEST(FaultSweep, LossHitsTheChannelCounters) {
 
 TEST(FaultSweep, ReportRendersEverySeverity) {
   std::ostringstream out;
-  run_fault_report(out, tiny_options());
+  ScenarioExecutor executor{1};
+  run_fault_report(out, tiny_options(), executor);
   const std::string text = out.str();
   EXPECT_NE(text.find("severity: ideal"), std::string::npos);
   EXPECT_NE(text.find("severity: loss"), std::string::npos);

@@ -111,8 +111,11 @@ TEST(ScenarioParity, FaultsMatchesLegacy) {
 
 // The goldens are the figure/report outputs at E2E_SYSTEMS_PER_CONFIG=3,
 // E2E_SIM_SYSTEMS_PER_CONFIG=4, E2E_HORIZON_PERIODS=5,
-// E2E_BREAKDOWN_SYSTEMS=3 and the default seed; the specs write those
-// values as keys, so the environment cannot change what runs.
+// E2E_BREAKDOWN_SYSTEMS=3, 3 systems per HOPA/sensitivity cell and the
+// default seed; the specs write those values as keys, so the environment
+// cannot change what runs. The HOPA, sensitivity and paper-example
+// goldens were captured from the standalone programs that printed those
+// reports before they became figure specs.
 void expect_golden(const std::string& name, const std::string& keys) {
   std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name + ".txt"};
   ASSERT_TRUE(file) << "missing golden " << name;
@@ -149,6 +152,15 @@ TEST(ScenarioParity, JitterMatchesGolden) {
 TEST(ScenarioParity, AblationMatchesGolden) {
   // Half the simulation sample, as the ablation's default would pick.
   expect_golden("ablation", figure_keys("ablation", 2));
+}
+TEST(ScenarioParity, HopaMatchesGolden) {
+  expect_golden("hopa", figure_keys("hopa", 3));
+}
+TEST(ScenarioParity, SensitivityMatchesGolden) {
+  expect_golden("sensitivity", figure_keys("sensitivity", 3));
+}
+TEST(ScenarioParity, PaperExamplesMatchesGolden) {
+  expect_golden("paper_examples", figure_keys("paper-examples", 3));
 }
 TEST(ScenarioParity, BreakdownMatchesGolden) {
   expect_golden("breakdown", "scenario breakdown\nsystems 3\n");

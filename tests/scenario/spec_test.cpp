@@ -1,5 +1,7 @@
 #include "scenario/spec.h"
 
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -108,6 +110,61 @@ TEST(ScenarioSpecParse, ErrorsCarryLineNumbers) {
   }
 }
 
+/// Parses `text` expecting InvalidArgument; returns its message.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)parse(text);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgument for:\n" << text;
+  return {};
+}
+
+TEST(ScenarioSpecParse, OutOfRangeCountsFailInsteadOfWrapping) {
+  // Narrowed to int, 2^32 + 1 and 2^32 + 2 would run as 1 and 2.
+  const std::string head = "e2esync-scenario v1\nscenario sweep\n";
+  std::string message = parse_error(head + "systems 4294967297\n");
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("'systems' is out of range"), std::string::npos)
+      << message;
+
+  message = parse_error(head + "runs -4294967297\n");
+  EXPECT_NE(message.find("'runs' is out of range"), std::string::npos) << message;
+
+  message = parse_error(head + "\nthreads 4294967297\n");
+  EXPECT_NE(message.find("line 4"), std::string::npos) << message;
+  EXPECT_NE(message.find("'threads' is out of range"), std::string::npos)
+      << message;
+
+  message = parse_error(head + "config 4294967298 40\n");
+  EXPECT_NE(message.find("'config N' is out of range"), std::string::npos)
+      << message;
+  message = parse_error(head + "config 4 99999999999999999999\n");
+  EXPECT_NE(message.find("'config U' is out of range"), std::string::npos)
+      << message;
+
+  for (const char* key : {"subtasks", "utilization", "tasks", "processors"}) {
+    message = parse_error(
+        "e2esync-scenario v1\nscenario montecarlo\nsystem generate " +
+        std::string{key} + "=4294967297\n");
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("'" + std::string{key} + "' is out of range"),
+              std::string::npos)
+        << message;
+    // One line prefix, not the parser's message wrapped in a second one.
+    EXPECT_EQ(message.find("line 3", message.find("line 3") + 1),
+              std::string::npos)
+        << message;
+  }
+  message = parse_error(
+      "e2esync-scenario v1\nscenario montecarlo\nseed 18446744073709551616\n");
+  EXPECT_NE(message.find("'seed' is out of range"), std::string::npos) << message;
+
+  // The extremes that do fit still parse.
+  EXPECT_EQ(parse(head + "systems 2147483647\n").systems, 2147483647);
+}
+
 TEST(ScenarioSpecParse, RejectsMissingHeader) {
   EXPECT_THROW(parse("scenario sweep\n"), InvalidArgument);
 }
@@ -207,7 +264,7 @@ ScenarioSpec random_spec(Rng& rng) {
   spec.kind = static_cast<ScenarioKind>(rng.uniform_int(0, 4));
   spec.report = static_cast<ReportFormat>(rng.uniform_int(0, 2));
   if (spec.kind == ScenarioKind::kFigure) {
-    spec.figure = static_cast<FigureKind>(rng.uniform_int(0, 7));
+    spec.figure = static_cast<FigureKind>(rng.uniform_int(0, 10));
   }
   spec.seed = rng.next_u64();
   spec.systems = static_cast<int>(rng.uniform_int(1, 500));
@@ -312,6 +369,45 @@ TEST(ScenarioPlan, ExpandsExpectedCellCounts) {
   const std::string description = plan.describe();
   EXPECT_NE(description.find("scenario figure"), std::string::npos);
   EXPECT_NE(description.find("35 cells"), std::string::npos);
+
+  // The reports that are not the 35-cell grid list the cells they run.
+  plan = expand_scenario(parse(
+      "e2esync-scenario v1\nscenario figure\nfigure hopa\nsystems 30\n"));
+  EXPECT_EQ(plan.cells.size(), 21u);  // N = 2..8 x U = 60, 70, 80
+  EXPECT_EQ(plan.total_units(), 21 * 30);
+  plan = expand_scenario(parse(
+      "e2esync-scenario v1\nscenario figure\nfigure sensitivity\nsystems 60\n"));
+  EXPECT_EQ(plan.cells.size(), 4u * 4u);  // period variants x summary cells
+  plan = expand_scenario(
+      parse("e2esync-scenario v1\nscenario figure\nfigure paper-examples\n"));
+  EXPECT_EQ(plan.cells.size(), 2u);  // Examples 2 and 1
+  EXPECT_EQ(plan.total_units(), 2);
+}
+
+ScenarioSpec parse_example_spec(const std::string& name) {
+  const std::string path = std::string{E2E_SCENARIO_DIR} + "/" + name;
+  std::ifstream file{path};
+  EXPECT_TRUE(file) << "cannot open " << path;
+  return parse_scenario(file, ScenarioDefaults{});
+}
+
+TEST(ScenarioLadderSpecs, FaultLadderSpellsTheDefaultLadder) {
+  const ScenarioSpec spec = parse_example_spec("fault_ladder.e2es");
+  EXPECT_EQ(spec.severities, default_fault_severities());
+  EXPECT_EQ(spec.protocols,
+            std::vector<ProtocolKind>(std::begin(kExtendedProtocolKinds),
+                                      std::end(kExtendedProtocolKinds)));
+  EXPECT_FALSE(spec.timesvc.enabled());
+}
+
+TEST(ScenarioLadderSpecs, TimesvcLadderSpellsTheSyncDegradationLadder) {
+  const ScenarioSpec spec = parse_example_spec("timesvc_ladder.e2es");
+  EXPECT_EQ(spec.severities, sync_degradation_severities());
+  EXPECT_EQ(spec.protocols,
+            (std::vector<ProtocolKind>{ProtocolKind::kPhaseModification,
+                                       ProtocolKind::kPmEstimated,
+                                       ProtocolKind::kModifiedPmRetransmit}));
+  EXPECT_EQ(spec.timesvc, TimeServiceConfig{.sync_interval = 25'000});
 }
 
 }  // namespace

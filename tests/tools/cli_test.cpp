@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "task/paper_examples.h"
 #include "task/serialize.h"
@@ -463,6 +464,46 @@ TEST(Cli, GenerateRejectsNonPositiveCounts) {
     EXPECT_EQ(r.exit_code, 1) << flag;
     EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
   }
+}
+
+TEST(Cli, SpecBuilderCountsRejectOutOfRangeValues) {
+  // Narrowed to int, 2^32 + 1 and 2^32 + 2 would run as 1 and 2; every
+  // int flag of the spec-builders fails by name instead.
+  const std::string system = to_text(paper::example2());
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"montecarlo", "--runs=4294967297"}, "--runs is out of range"},
+      {{"montecarlo", "--runs=2", "--threads=4294967297"},
+       "--threads is out of range"},
+      {{"sweep", "--subtasks=4294967298"}, "--subtasks is out of range"},
+      {{"sweep", "--systems=4294967297"}, "--systems is out of range"},
+      {{"sweep", "--utilization=-4294967236"}, "--utilization is out of range"},
+      {{"faults", "--systems=99999999999999999999"}, "--systems is out of range"},
+      {{"faults", "--subtasks=4294967298"}, "--subtasks is out of range"},
+      {{"faults", "--utilization=4294967356"}, "--utilization is out of range"}};
+  for (const auto& [args, message] : cases) {
+    const CliResult r = run_cli(args, system);
+    EXPECT_EQ(r.exit_code, 1) << args[1];
+    EXPECT_TRUE(r.out.empty()) << args[1];
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
+}
+
+TEST(Cli, RunRejectsOutOfRangeSpecCounts) {
+  const CliResult r =
+      run_cli({"run", "-"}, "e2esync-scenario v1\nscenario sweep\nsystems 4294967297\n");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("line 3"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("out of range"), std::string::npos) << r.err;
+}
+
+TEST(Cli, AdmitJsonEscapesControlCharacters) {
+  // A raw 0x01 inside a JSON string is invalid JSON; it must come out as
+  // the \u0001 escape.
+  const CliResult r = run_cli({"admit", "--processors=2", "--report=json"},
+                              "admit name=a\x01" "b period=100 sub=0:10:0\n");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("a\\u0001b"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find('\x01'), std::string::npos);
 }
 
 TEST(Cli, AdmitAnswersRequestStream) {

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "admission/service.h"
@@ -92,15 +93,27 @@ ProtocolKind parse_protocol(const std::string& name) {
                         "' (DS, PM, MPM, RG, MPM-R, PM-E)");
 }
 
+/// An int-typed flag: a value outside int's range is an error instead of
+/// wrapping through static_cast<int>.
+int int_flag(const ArgParser& args, const std::string& name, int fallback) {
+  const std::int64_t value = args.value_int(name, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw InvalidArgument("--" + name + " is out of range: '" +
+                          args.value_string(name, "") + "'");
+  }
+  return static_cast<int>(value);
+}
+
 /// --threads: absent -> 0 (defer to E2E_THREADS / hardware concurrency);
 /// present -> a positive integer, anything else is an error.
 int parse_threads(const ArgParser& args) {
   if (!args.has("threads")) return 0;
-  const std::int64_t threads = args.value_int("threads", 0);
+  const int threads = int_flag(args, "threads", 0);
   if (threads <= 0) {
     throw InvalidArgument("--threads must be a positive integer");
   }
-  return static_cast<int>(threads);
+  return threads;
 }
 
 PrecedencePolicy parse_precedence(const std::string& name) {
@@ -232,7 +245,7 @@ int cmd_montecarlo(const ArgParser& args, std::istream& in, std::ostream& out) {
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kMonteCarlo;
   spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 1));
-  spec.systems = static_cast<int>(args.value_int("runs", 20));
+  spec.systems = int_flag(args, "runs", 20);
   spec.horizon_periods = args.value_double("horizon-periods", 20.0);
   spec.exec_var = args.value_double("exec-var", 1.0);
   spec.threads = parse_threads(args);
@@ -253,12 +266,12 @@ int cmd_sweep(const ArgParser& args, std::istream& in, std::ostream& out) {
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kSweep;
   spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 20260706));
-  spec.systems = static_cast<int>(args.value_int("systems", 20));
+  spec.systems = int_flag(args, "systems", 20);
   spec.horizon_periods = args.value_double("horizon-periods", 30.0);
   spec.threads = parse_threads(args);
   spec.grid = {Configuration{
-      .subtasks_per_task = static_cast<int>(args.value_int("subtasks", 4)),
-      .utilization_percent = static_cast<int>(args.value_int("utilization", 60))}};
+      .subtasks_per_task = int_flag(args, "subtasks", 4),
+      .utilization_percent = int_flag(args, "utilization", 60)}};
   return run_scenario(spec, in, out);
 }
 
@@ -268,12 +281,12 @@ int cmd_faults(const ArgParser& args, std::istream& in, std::ostream& out) {
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kFaults;
   spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 20260806));
-  spec.systems = static_cast<int>(args.value_int("systems", 10));
+  spec.systems = int_flag(args, "systems", 10);
   spec.horizon_periods = 30.0;
   spec.threads = parse_threads(args);
   spec.grid = {Configuration{
-      .subtasks_per_task = static_cast<int>(args.value_int("subtasks", 4)),
-      .utilization_percent = static_cast<int>(args.value_int("utilization", 60))}};
+      .subtasks_per_task = int_flag(args, "subtasks", 4),
+      .utilization_percent = int_flag(args, "utilization", 60)}};
   spec.protocols.assign(std::begin(kExtendedProtocolKinds),
                         std::end(kExtendedProtocolKinds));
   spec.severities = default_fault_severities();
