@@ -121,8 +121,7 @@ std::string render_json(const std::vector<Outcome>& outcomes,
       << ", \"admitted\": " << result.admitted << ", \"rejected\": " << result.rejected
       << ", \"removed\": " << result.removed << ", \"errors\": " << result.errors
       << ", \"cache_hits\": " << controller.cache_hits()
-      << ", \"result_hash\": \"" << std::hex << result.result_hash << std::dec
-      << "\"}\n}\n";
+      << ", \"result_hash\": \"" << hex_hash(result.result_hash) << "\"}\n}\n";
   return out.str();
 }
 
@@ -183,7 +182,7 @@ ServiceResult run_admission_stream(std::istream& in, const ServiceOptions& optio
           << "  errors " << result.errors << "  engine " << controller.engine_name()
           << "  cache " << controller.cache_hits() << "/"
           << controller.cache_hits() + controller.cache_misses() << "  hash "
-          << std::hex << result.result_hash << std::dec << "\n";
+          << hex_hash(result.result_hash) << "\n";
       for (const KindLatency& lat : result.latency) {
         out << "latency " << lat.kind << "  p50 " << TextTable::fmt(lat.p50_us, 1)
             << "us  p95 " << TextTable::fmt(lat.p95_us, 1) << "us  p99 "

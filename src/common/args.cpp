@@ -1,6 +1,7 @@
 #include "common/args.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -59,9 +60,32 @@ std::int64_t ArgParser::value_int(const std::string& name, std::int64_t fallback
   const std::optional<std::string> v = value(name);
   if (!v.has_value()) return fallback;
   char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(v->c_str(), &end, 10);
+  errno = 0;
+  const long long parsed = std::strtoll(v->c_str(), &end, 10);
   if (end == v->c_str() || *end != '\0') {
     throw InvalidArgument("--" + name + " expects an integer, got '" + *v + "'");
+  }
+  if (errno == ERANGE) {
+    throw InvalidArgument("--" + name + " is out of range: '" + *v + "'");
+  }
+  return parsed;
+}
+
+std::uint64_t ArgParser::value_uint64(const std::string& name,
+                                      std::uint64_t fallback) const {
+  const std::optional<std::string> v = value(name);
+  if (!v.has_value()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  // strtoull accepts a sign and negates through the unsigned type, so a
+  // leading '-' is rejected up front instead of wrapping.
+  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0' || (*v)[0] == '-') {
+    throw InvalidArgument("--" + name + " expects an unsigned integer, got '" + *v +
+                          "'");
+  }
+  if (errno == ERANGE) {
+    throw InvalidArgument("--" + name + " is out of range: '" + *v + "'");
   }
   return parsed;
 }

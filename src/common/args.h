@@ -6,6 +6,7 @@
 // validate against their known option set via expect_known().
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,9 +38,12 @@ class ArgParser {
   [[nodiscard]] std::optional<std::string> value(const std::string& name) const;
 
   /// Typed accessors with defaults; throw InvalidArgument on a
-  /// non-numeric value.
+  /// non-numeric or out-of-range value.
   [[nodiscard]] std::int64_t value_int(const std::string& name,
                                        std::int64_t fallback) const;
+  /// The full uint64 range (seeds); a negative value is an error.
+  [[nodiscard]] std::uint64_t value_uint64(const std::string& name,
+                                           std::uint64_t fallback) const;
   [[nodiscard]] double value_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::string value_string(const std::string& name,
                                          std::string fallback) const;

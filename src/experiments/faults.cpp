@@ -9,7 +9,6 @@
 #include "core/analysis/cache.h"
 #include "core/protocols/modified_pm.h"
 #include "core/protocols/mpm_retransmit.h"
-#include "metrics/schedule_hash.h"
 #include "scenario/executor.h"
 #include "report/table.h"
 #include "sim/engine.h"
@@ -144,14 +143,12 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
             .faults = &faults,
             .timesvc = timesvc.has_value() ? &*timesvc : nullptr};
         Engine& engine = slot.engine_for(sc.system, *protocol, engine_options);
-        ScheduleHash hash;
-        engine.add_sink(&hash);
         engine.run();
 
         RunOutcome outcome;
         outcome.stats = engine.stats();
         outcome.completions = end_to_end_completions(engine);
-        outcome.schedule_hash = hash.value();
+        outcome.schedule_hash = engine.schedule_hash();
         if (const auto* mpm =
                 dynamic_cast<const ModifiedPmProtocol*>(protocol.get())) {
           outcome.overruns = mpm->overruns();

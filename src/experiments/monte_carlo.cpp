@@ -2,22 +2,21 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
 #include "core/analysis/cache.h"
-#include "metrics/eer_collector.h"
 #include "scenario/executor.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "sim/execution_model.h"
 
 namespace e2e {
 namespace {
 
-/// Everything one run contributes, extracted from the run's collectors
-/// (the per-run phased system dies with the run).
+/// Everything one run contributes, copied out of the engine before the
+/// worker's next run rewinds it.
 struct RunOutcome {
   std::vector<std::vector<Duration>> series;  ///< [task] -> EER samples
   std::uint64_t schedule_hash = 0;
@@ -25,16 +24,14 @@ struct RunOutcome {
 };
 
 /// Per-worker warm state, parked in the executor's WorkerSlot scratch:
-/// the phased system clone (mutated in place per run via set_phases) and
-/// the EER collector. Keyed on (input system, randomize flag): a
-/// different scenario cell on the same executor rebuilds both. The
-/// protocol is not cached: each run builds a fresh one, so no protocol
-/// state crosses runs.
+/// the phased system clone (mutated in place per run via set_phases).
+/// Keyed on (input system, randomize flag): a different scenario cell on
+/// the same executor rebuilds it. The protocol is not cached: each run
+/// builds a fresh one, so no protocol state crosses runs.
 struct McScratch {
   const TaskSystem* source = nullptr;
   bool randomized = false;
   std::optional<TaskSystem> variant;  ///< worker-local phased clone
-  std::optional<EerCollector> eer;
   std::vector<Time> phases;  ///< per-run phase draw buffer
 };
 
@@ -83,7 +80,6 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
             scratch.randomized != options.randomize_phases) {
           scratch.source = &system;
           scratch.randomized = options.randomize_phases;
-          scratch.eer.reset();  // before variant: it references the clone
           scratch.variant.reset();
           if (options.randomize_phases) scratch.variant.emplace(system);
         }
@@ -109,28 +105,18 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
             .horizon = variant->max_phase() + horizon,
             .execution =
                 options.execution_min_fraction < 1.0 ? &variation : nullptr};
+        // No sinks: the engine itself keeps the EER series and the
+        // schedule hash, so the run takes the no-sink fast path.
         Engine& engine = slot.engine_for(*variant, *protocol, engine_options);
-
-        // The collector is reference-bound to the worker's clone (a
-        // stable object mutated in place), so it too survives across
-        // runs; reset() is observationally identical to reconstruction.
-        if (scratch.eer.has_value()) {
-          scratch.eer->reset();
-        } else {
-          scratch.eer.emplace(*variant, EerCollector::Options{.keep_series = true});
-        }
-        EerCollector& eer = *scratch.eer;
-        ScheduleHash hash;
-        engine.add_sink(&eer);
-        engine.add_sink(&hash);
         engine.run();
 
         RunOutcome outcome;
         outcome.series.reserve(variant->task_count());
         for (const Task& t : variant->tasks()) {
-          outcome.series.push_back(eer.eer_series(t.id));
+          const std::span<const Duration> series = engine.eer_series(t.id);
+          outcome.series.emplace_back(series.begin(), series.end());
         }
-        outcome.schedule_hash = hash.value();
+        outcome.schedule_hash = engine.schedule_hash();
         outcome.events = engine.stats().events_processed;
         return outcome;
       });

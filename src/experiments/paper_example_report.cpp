@@ -1,13 +1,14 @@
 #include "experiments/paper_example_report.h"
 
+#include <algorithm>
+#include <span>
+
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "core/protocols/direct_sync.h"
 #include "core/protocols/modified_pm.h"
 #include "core/protocols/phase_modification.h"
 #include "core/protocols/release_guard.h"
-#include "metrics/eer_collector.h"
-#include "metrics/schedule_hash.h"
 #include "report/gantt.h"
 #include "report/table.h"
 #include "sim/engine.h"
@@ -26,17 +27,14 @@ struct ExampleRun {
 ExampleRun run_example2(SyncProtocol& protocol, Time window) {
   const TaskSystem system = paper::example2();
   GanttRecorder gantt{system, window};
-  EerCollector eer{system};
-  ScheduleHash hash;
   Engine engine{system, protocol, {.horizon = window}};
   engine.add_sink(&gantt);
-  engine.add_sink(&eer);
-  engine.add_sink(&hash);
   engine.run();
+  const std::span<const Duration> t3_eer = engine.eer_series(TaskId{2});
   return ExampleRun{.stats = engine.stats(),
                     .gantt = gantt.render(),
-                    .schedule_hash = hash.value(),
-                    .worst_t3_eer = eer.worst_eer(TaskId{2})};
+                    .schedule_hash = engine.schedule_hash(),
+                    .worst_t3_eer = t3_eer.empty() ? 0 : std::ranges::max(t3_eer)};
 }
 
 }  // namespace
@@ -132,11 +130,9 @@ void report_example1(std::ostream& out) {
 
   ModifiedPmProtocol mpm_protocol{system, pm.subtask_bounds};
   GanttRecorder mpm_gantt{system, window};
-  ScheduleHash mpm_hash;
   {
     Engine engine{system, mpm_protocol, {.horizon = window}};
     engine.add_sink(&mpm_gantt);
-    engine.add_sink(&mpm_hash);
     engine.run();
   }
   out << "\n-- Figure 6: MPM schedule (signals delayed to the response-time "

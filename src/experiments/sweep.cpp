@@ -12,7 +12,6 @@
 #include "core/protocols/release_guard.h"
 #include "metrics/eer_collector.h"
 #include "scenario/executor.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 
 namespace e2e {
@@ -46,12 +45,10 @@ EerCollector simulate(ScenarioExecutor::WorkerSlot& slot, const TaskSystem& syst
                       SyncProtocol& protocol, Time horizon,
                       SystemEvaluation& eval) {
   EerCollector collector{system};
-  ScheduleHash hash;
   Engine& engine = slot.engine_for(system, protocol, {.horizon = horizon});
   engine.add_sink(&collector);
-  engine.add_sink(&hash);
   engine.run();
-  eval.schedule_hash = hash_combine(eval.schedule_hash, hash.value());
+  eval.schedule_hash = hash_combine(eval.schedule_hash, engine.schedule_hash());
   eval.events += engine.stats().events_processed;
   return collector;
 }

@@ -15,20 +15,6 @@ EerCollector::EerCollector(const TaskSystem& system, Options options)
   }
 }
 
-void EerCollector::reset() {
-  for (PerTask& pt : per_task_) {
-    pt.first_releases.clear();
-    pt.eer = RunningStats{};
-    pt.jitter = RunningStats{};
-    pt.previous_eer.reset();
-    pt.series.clear();
-  }
-  for (std::vector<RunningStats>& task_stats : ieer_) {
-    for (RunningStats& s : task_stats) s = RunningStats{};
-  }
-  unmatched_completions_ = 0;
-}
-
 void EerCollector::on_release(const Job& job) {
   if (job.ref.index != 0) return;
   auto& releases = per_task_[job.ref.task.index()].first_releases;

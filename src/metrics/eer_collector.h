@@ -35,11 +35,6 @@ class EerCollector final : public TraceSink {
   void on_release(const Job& job) override;
   void on_complete(const Job& job, Time now) override;
 
-  /// Clears all collected samples while keeping allocated storage -- the
-  /// per-worker reuse path of the Monte-Carlo drivers (a reset collector
-  /// is observationally identical to a freshly constructed one).
-  void reset();
-
   /// EER statistics of `task` over all completed instances.
   [[nodiscard]] const RunningStats& eer(TaskId task) const;
   /// Observed worst EER across completed instances (== eer(task).max()).

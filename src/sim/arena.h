@@ -1,9 +1,10 @@
 // MonotonicArena: a per-engine bump allocator for per-run simulation
 // state, plus ArenaVec, a growable array that draws its storage from one.
 //
-// The engine's per-run tables (SoA counters, first-release times,
-// deferred-release nodes) live in a single arena so that Engine::reset()
-// rewinds one cursor instead of clear()ing a forest of nested containers.
+// The engine's per-run tables (SoA counters, first-release times, EER
+// series, deferred-release nodes) live in a single arena so that
+// Engine::reset() rewinds one cursor instead of clear()ing a forest of
+// nested containers.
 // The allocation discipline that makes reuse deterministic:
 //
 //   * allocate() only ever bumps a cursor; blocks are chained and kept
@@ -126,6 +127,7 @@ class ArenaVec {
     data_[size_++] = value;
   }
 
+  [[nodiscard]] const T* data() const noexcept { return data_; }
   [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }

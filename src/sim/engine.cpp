@@ -8,6 +8,16 @@
 #include "sim/fault/fault_injector.h"
 
 namespace e2e {
+namespace {
+
+/// SplitMix64 finalizer: mixes one word thoroughly.
+std::uint64_t mix(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
 
 Engine::Engine(const TaskSystem& system, SyncProtocol& protocol, EngineOptions options)
     : system_(&system), protocol_(&protocol) {
@@ -47,6 +57,7 @@ void Engine::bind(const TaskSystem& system, SyncProtocol& protocol,
   initializing_ = false;
   next_job_seq_ = 0;
   stats_ = SimStats{};
+  schedule_hash_ = 0;
   sinks_.clear();
   dispatch_pending_.clear();
 
@@ -98,9 +109,12 @@ void Engine::bind(const TaskSystem& system, SyncProtocol& protocol,
   std::memset(static_cast<void*>(defer_tail_), 0, total * sizeof(DeferNode*));
   defer_free_ = nullptr;  // nodes are arena garbage after the rewind
   first_release_ = arena_.alloc_array<ArenaVec<Time>>(tasks);
+  eer_series_ = arena_.alloc_array<ArenaVec<Duration>>(tasks);
   for (std::size_t i = 0; i < tasks; ++i) {
     first_release_[i] = ArenaVec<Time>{};
     first_release_[i].bind(arena_, 16);
+    eer_series_[i] = ArenaVec<Duration>{};
+    eer_series_[i].bind(arena_, 16);
   }
 }
 
@@ -380,6 +394,16 @@ void Engine::defer_push(std::uint32_t flat_index, std::int64_t instance) {
   defer_tail_[flat_index] = node;
 }
 
+void Engine::fold_schedule_hash(std::uint64_t kind, SubtaskRef ref,
+                                std::int64_t instance) noexcept {
+  std::uint64_t h = kind;
+  h = mix(h ^ static_cast<std::uint64_t>(now_));
+  h = mix(h ^ static_cast<std::uint64_t>(ref.task.value()));
+  h = mix(h ^ static_cast<std::uint64_t>(ref.index));
+  h = mix(h ^ static_cast<std::uint64_t>(instance));
+  schedule_hash_ += h;  // commutative: order within/across instants is irrelevant
+}
+
 void Engine::activate_release(SubtaskRef ref, std::int64_t instance) {
   const std::uint32_t fi = flat(ref);
   std::int64_t& released = released_[fi];
@@ -439,6 +463,7 @@ void Engine::activate_release(SubtaskRef ref, std::int64_t instance) {
     }
   }
 
+  fold_schedule_hash(1, ref, instance);
   if (!sinks_.empty()) {
     for (TraceSink* sink : sinks_) sink->on_release(stored);
   }
@@ -490,11 +515,14 @@ void Engine::handle_completion(std::size_t processor) {
     const std::optional<Time> released = first_release_time(job.ref.task, job.instance);
     // `released` can be empty only under a misused protocol (PM with
     // sporadic arrivals), where the precedence violation was already
-    // recorded at release time; there is no meaningful EER to check then.
-    if (released.has_value() && now_ - *released > meta.deadline) {
-      ++stats_.deadline_misses;
+    // recorded at release time; there is no meaningful EER then.
+    if (released.has_value()) {
+      const Duration eer = now_ - *released;
+      eer_series_[job.ref.task.index()].push_back(arena_, eer);
+      if (eer > meta.deadline) ++stats_.deadline_misses;
     }
   }
+  fold_schedule_hash(2, job.ref, job.instance);
 
   const Job completed_job = job;  // keep a copy past the slot's lifetime
   pool_.release(slot);

@@ -16,9 +16,15 @@
 // Usage:
 //   DirectSyncProtocol ds;
 //   Engine engine{system, ds, {.horizon = 100'000}};
-//   EerCollector eer{system};                // a TraceSink
-//   engine.add_sink(&eer);
 //   engine.run();
+//   engine.schedule_hash();            // fingerprint of the schedule
+//   engine.eer_series(TaskId{0});      // EER of every completed instance
+//
+// Outputs without sinks: the engine itself folds the schedule hash
+// (schedule_hash()) and keeps each task's EER series (eer_series()), so
+// the Monte-Carlo and fault drivers run on the no-sink fast path. Sinks
+// (sim/trace.h) are for observers that need more: jitter and IEER
+// statistics (EerCollector), Gantt charts, event logs.
 //
 // Reuse: experiments that simulate thousands of runs recycle one Engine
 // via reset(), which rebinds the (system, protocol, options) triple and
@@ -40,8 +46,10 @@
 // callback, whatever the protocol.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -185,6 +193,28 @@ class Engine {
     return times[static_cast<std::size_t>(instance)];
   }
 
+  /// Fingerprint of the observable schedule so far: the multiset of
+  /// (kind, time, subtask, instance) release (kind 1) and completion
+  /// (kind 2) events, each mixed through SplitMix64 and summed. Two runs
+  /// have the same hash iff every instance was released and completed at
+  /// the same times. The sum is commutative on purpose: protocols may
+  /// process simultaneous events in different internal orders (PM
+  /// pre-schedules releases, MPM fires them from timers) while producing
+  /// the identical schedule, and the paper's "PM and MPM produce identical
+  /// schedules" claim (Section 3.1) is about the schedule. Starts and
+  /// preemptions are left out for the same reason: a zero-length dispatch
+  /// is an artifact of intra-instant processing order. 0 before run().
+  [[nodiscard]] std::uint64_t schedule_hash() const noexcept { return schedule_hash_; }
+
+  /// EER times of `task` so far, in completion order: for every
+  /// completion of T_{i,n_i}(m) whose T_{i,1}(m) has arrived, its
+  /// completion time minus that release time (paper Section 1). Valid
+  /// until the next reset().
+  [[nodiscard]] std::span<const Duration> eer_series(TaskId task) const noexcept {
+    const ArenaVec<Duration>& series = eer_series_[task.index()];
+    return {series.data(), series.size()};
+  }
+
   /// Total time `processor` spent executing jobs so far (work that is
   /// mid-execution when the simulation ends is included up to `now`).
   [[nodiscard]] Duration busy_time(ProcessorId processor) const;
@@ -321,6 +351,9 @@ class Engine {
   /// `completed` completions now satisfy (kDeferRelease only).
   void flush_deferred(SubtaskRef pred, std::int64_t completed);
   void defer_push(std::uint32_t flat_index, std::int64_t instance);
+  /// Adds one release (kind 1) or completion (kind 2) to schedule_hash_.
+  void fold_schedule_hash(std::uint64_t kind, SubtaskRef ref,
+                          std::int64_t instance) noexcept;
   /// Marks a processor as needing a scheduling decision. Decisions are
   /// deferred to the end of the current instant (flush_dispatches) so
   /// that simultaneous releases resolve purely by priority -- in
@@ -388,9 +421,11 @@ class Engine {
   DeferNode** defer_tail_ = nullptr;      // [flat subtask]
   DeferNode* defer_free_ = nullptr;       ///< recycled nodes
   ArenaVec<Time>* first_release_ = nullptr;  // [task][instance]
+  ArenaVec<Duration>* eer_series_ = nullptr;  // [task][completion]
 
   std::vector<TraceSink*> sinks_;
   SimStats stats_;
+  std::uint64_t schedule_hash_ = 0;
 };
 
 }  // namespace e2e

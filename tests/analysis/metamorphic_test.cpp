@@ -64,7 +64,9 @@ TEST_P(Metamorphic, SaPmBoundsScaleLinearly) {
     for (const Subtask& sub : t.subtasks) {
       const Duration sb = rb.subtask_bounds.at(sub.ref);
       const Duration ss = rs.subtask_bounds.at(sub.ref);
-      if (!is_infinite(sb)) EXPECT_EQ(ss, sb * 7) << sub.name;
+      if (!is_infinite(sb)) {
+        EXPECT_EQ(ss, sb * 7) << sub.name;
+      }
     }
   }
 }

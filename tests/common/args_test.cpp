@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/error.h"
 
 namespace e2e {
@@ -60,6 +63,24 @@ TEST(Args, BadNumbersThrow) {
   const ArgParser args{{"--horizon=ten", "--ratio=1.2.3"}};
   EXPECT_THROW((void)args.value_int("horizon", 0), InvalidArgument);
   EXPECT_THROW((void)args.value_double("ratio", 0.0), InvalidArgument);
+}
+
+TEST(Args, OutOfRangeIntegersThrow) {
+  const ArgParser args{{"--big=9223372036854775808", "--small=-9223372036854775809",
+                        "--edge=9223372036854775807"}};
+  EXPECT_THROW((void)args.value_int("big", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_int("small", 0), InvalidArgument);
+  EXPECT_EQ(args.value_int("edge", 0), std::numeric_limits<std::int64_t>::max());
+}
+
+TEST(Args, Uint64CoversTheFullRangeAndRejectsNegatives) {
+  const ArgParser args{{"--max=18446744073709551615", "--over=18446744073709551616",
+                        "--neg=-1", "--word=x"}};
+  EXPECT_EQ(args.value_uint64("max", 0), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(args.value_uint64("absent", 7), 7u);
+  EXPECT_THROW((void)args.value_uint64("over", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_uint64("neg", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_uint64("word", 0), InvalidArgument);
 }
 
 TEST(Args, ExpectKnownAcceptsKnown) {

@@ -13,7 +13,6 @@
 #include "core/protocols/release_guard.h"
 #include "experiments/paper_example_report.h"
 #include "metrics/eer_collector.h"
-#include "metrics/schedule_hash.h"
 #include "report/gantt.h"
 #include "sim/engine.h"
 #include "task/paper_examples.h"
@@ -145,21 +144,13 @@ TEST_F(Example2, AnalysisNumbersFromSection4) {
 
 TEST_F(Example2, MpmEqualsPmSchedule) {
   const AnalysisResult bounds = analyze_sa_pm(sys);
-  ScheduleHash pm_hash;
-  {
-    PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
-    Engine engine{sys, pm, {.horizon = 120}};
-    engine.add_sink(&pm_hash);
-    engine.run();
-  }
-  ScheduleHash mpm_hash;
-  {
-    ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
-    Engine engine{sys, mpm, {.horizon = 120}};
-    engine.add_sink(&mpm_hash);
-    engine.run();
-  }
-  EXPECT_EQ(pm_hash.value(), mpm_hash.value());
+  PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
+  Engine pm_engine{sys, pm, {.horizon = 120}};
+  pm_engine.run();
+  ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
+  Engine mpm_engine{sys, mpm, {.horizon = 120}};
+  mpm_engine.run();
+  EXPECT_EQ(pm_engine.schedule_hash(), mpm_engine.schedule_hash());
 }
 
 TEST_F(Example2, AverageEerOrderingDsLeqRgLeqPm) {

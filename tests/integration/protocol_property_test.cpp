@@ -9,7 +9,6 @@
 #include "core/protocols/phase_modification.h"
 #include "core/protocols/release_guard.h"
 #include "metrics/eer_collector.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "workload/generator.h"
 
@@ -115,21 +114,13 @@ TEST_P(ProtocolProperty, PmAndMpmSchedulesIdenticalUnderIdealConditions) {
   const TaskSystem sys = make_system();
   const AnalysisResult bounds = analyze_sa_pm(sys);
   if (!bounds.all_bounded()) GTEST_SKIP();
-  ScheduleHash pm_hash;
-  {
-    PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
-    Engine engine{sys, pm, {.horizon = horizon_for(sys)}};
-    engine.add_sink(&pm_hash);
-    engine.run();
-  }
-  ScheduleHash mpm_hash;
-  {
-    ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
-    Engine engine{sys, mpm, {.horizon = horizon_for(sys)}};
-    engine.add_sink(&mpm_hash);
-    engine.run();
-  }
-  EXPECT_EQ(pm_hash.value(), mpm_hash.value());
+  PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
+  Engine pm_engine{sys, pm, {.horizon = horizon_for(sys)}};
+  pm_engine.run();
+  ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
+  Engine mpm_engine{sys, mpm, {.horizon = horizon_for(sys)}};
+  mpm_engine.run();
+  EXPECT_EQ(pm_engine.schedule_hash(), mpm_engine.schedule_hash());
 }
 
 TEST_P(ProtocolProperty, ObservedWorstEerWithinAnalysisBounds) {

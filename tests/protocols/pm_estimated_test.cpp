@@ -12,7 +12,6 @@
 
 #include "core/protocols/factory.h"
 #include "experiments/faults.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_injector.h"
 #include "sim/timesvc/time_service.h"
@@ -25,10 +24,8 @@ std::uint64_t hash_of_run(const TaskSystem& sys, ProtocolKind kind,
                           const EngineOptions& options) {
   const auto protocol = make_protocol(kind, sys);
   Engine engine{sys, *protocol, options};
-  ScheduleHash hash;
-  engine.add_sink(&hash);
   engine.run();
-  return hash.value();
+  return engine.schedule_hash();
 }
 
 TEST(PmEstimated, FactoryKnowsIt) {

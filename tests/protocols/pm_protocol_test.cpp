@@ -6,7 +6,6 @@
 #include "core/analysis/sa_pm.h"
 #include "core/protocols/modified_pm.h"
 #include "metrics/eer_collector.h"
-#include "metrics/schedule_hash.h"
 #include "report/gantt.h"
 #include "sim/arrival.h"
 #include "sim/engine.h"
@@ -93,21 +92,13 @@ TEST(ModifiedPm, IdenticalScheduleToPmUnderIdealConditions) {
   const TaskSystem sys = paper::example1_monitor_with_interference();
   const AnalysisResult bounds = analyze_sa_pm(sys);
 
-  ScheduleHash pm_hash;
-  {
-    PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
-    Engine engine{sys, pm, {.horizon = 3000}};
-    engine.add_sink(&pm_hash);
-    engine.run();
-  }
-  ScheduleHash mpm_hash;
-  {
-    ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
-    Engine engine{sys, mpm, {.horizon = 3000}};
-    engine.add_sink(&mpm_hash);
-    engine.run();
-  }
-  EXPECT_EQ(pm_hash.value(), mpm_hash.value());
+  PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
+  Engine pm_engine{sys, pm, {.horizon = 3000}};
+  pm_engine.run();
+  ModifiedPmProtocol mpm{sys, bounds.subtask_bounds};
+  Engine mpm_engine{sys, mpm, {.horizon = 3000}};
+  mpm_engine.run();
+  EXPECT_EQ(pm_engine.schedule_hash(), mpm_engine.schedule_hash());
 }
 
 TEST(ModifiedPm, NoViolationsUnderSporadicArrivals) {

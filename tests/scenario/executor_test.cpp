@@ -117,7 +117,9 @@ TEST(ScenarioExecutor, WorkerSlotScratchRebuildsOnTypeChange) {
   // old one instead of reinterpreting it.
   ScenarioExecutor executor{1};
   executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
-    slot.scratch_as<std::vector<int>>([] { return std::vector<int>{1, 2, 3}; });
+    const std::vector<int>& seeded =
+        slot.scratch_as<std::vector<int>>([] { return std::vector<int>{1, 2, 3}; });
+    EXPECT_EQ(seeded.size(), 3u);
   });
   executor.for_each(1, [&](std::int64_t, ScenarioExecutor::WorkerSlot& slot) {
     const double& value = slot.scratch_as<double>([] { return 2.5; });

@@ -102,6 +102,33 @@ TEST(EngineAllocTest, WarmTimerDrivenRunAllocatesNothing) {
   EXPECT_EQ(engine.stats().events_processed, cold_events);
 }
 
+TEST(EngineAllocTest, WarmRunWithGrownEerSeriesAllocatesNothing) {
+  // A horizon long enough that every task's EER series outgrows its
+  // initial arena capacity: the grown series replay against the retained
+  // arena blocks on the warm cycle.
+  const TaskSystem system = paper::example2();
+  DirectSyncProtocol ds;
+  const EngineOptions options{.horizon = 200 * system.max_period()};
+
+  Engine engine{system, ds, options};
+  engine.run();
+  for (const Task& t : system.tasks()) {
+    ASSERT_GT(engine.eer_series(t.id).size(), 64u) << t.name;
+  }
+  const std::uint64_t cold_hash = engine.schedule_hash();
+  engine.reset(ds, options);
+  engine.run();
+
+  const std::uint64_t before = allocations();
+  engine.reset(ds, options);
+  engine.run();
+  const std::uint64_t after = allocations();
+
+  EXPECT_EQ(after - before, 0u)
+      << "warm run with grown EER series touched the global allocator";
+  EXPECT_EQ(engine.schedule_hash(), cold_hash);
+}
+
 TEST(EngineAllocTest, ArenaFootprintIsStableAcrossReuse) {
   const TaskSystem system = paper::example2();
   DirectSyncProtocol ds;

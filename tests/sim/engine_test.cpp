@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+#include "common/rng.h"
+#include "core/analysis/sa_pm.h"
 #include "core/protocols/direct_sync.h"
+#include "core/protocols/factory.h"
+#include "core/protocols/phase_modification.h"
+#include "metrics/eer_collector.h"
+#include "sim/fault/fault_injector.h"
 #include "task/builder.h"
+#include "task/paper_examples.h"
+#include "workload/generator.h"
 
 namespace e2e {
 namespace {
@@ -302,6 +313,136 @@ TEST(Engine, DroppedCompletionInsideHorizonCountsAsAnEvent) {
   EXPECT_EQ(past.stats().events_processed, 3);
   EXPECT_EQ(past.now(), 5);
   EXPECT_EQ(past.busy_time(ProcessorId{0}), 5);
+}
+
+/// Runs `engine` with an EerCollector{keep_series} attached -- the
+/// reference the engine-owned series replaced in the Monte-Carlo driver --
+/// and expects both series to be equal, task by task.
+struct SeriesCheck {
+  std::int64_t unmatched = 0;  ///< the collector's unmatched completions
+  std::size_t samples = 0;     ///< EER samples compared
+};
+SeriesCheck expect_series_match(const TaskSystem& sys, Engine& engine,
+                                const std::string& label) {
+  EerCollector eer{sys, {.keep_series = true}};
+  engine.add_sink(&eer);
+  engine.run();
+  SeriesCheck check{.unmatched = eer.unmatched_completions()};
+  for (const Task& t : sys.tasks()) {
+    const std::span<const Duration> series = engine.eer_series(t.id);
+    EXPECT_EQ(std::vector<Duration>(series.begin(), series.end()), eer.eer_series(t.id))
+        << label << " task " << t.name;
+    check.samples += series.size();
+  }
+  return check;
+}
+
+/// make_protocol, or nullptr for a PM-family protocol on a system without
+/// finite SA/PM bounds.
+std::unique_ptr<SyncProtocol> protocol_or_null(ProtocolKind kind, const TaskSystem& sys) {
+  try {
+    return make_protocol(kind, sys);
+  } catch (const InvalidArgument&) {
+    return nullptr;
+  }
+}
+
+TaskSystem series_system(std::uint64_t seed) {
+  Rng rng{seed};
+  GeneratorOptions options;
+  options.processors = 3;
+  options.tasks = 5;
+  options.subtasks_per_task = 3;
+  options.utilization = 0.6;
+  return generate_system(rng, options);
+}
+
+TEST(Engine, EerSeriesMatchesEerCollector) {
+  std::size_t compared = 0;
+  // Returns how many of the six protocols could run on `sys`.
+  const auto check_all = [&](const std::string& label, const TaskSystem& sys) {
+    int runs = 0;
+    for (const ProtocolKind kind : kSelectableProtocolKinds) {
+      const auto protocol = protocol_or_null(kind, sys);
+      if (protocol == nullptr) continue;
+      Engine engine{sys, *protocol, {.horizon = sys.max_phase() + sys.horizon_ticks(10.0)}};
+      compared +=
+          expect_series_match(sys, engine, label + " " + std::string(to_string(kind)))
+              .samples;
+      ++runs;
+    }
+    return runs;
+  };
+  EXPECT_EQ(check_all("example2", paper::example2()), 6);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    check_all("seed " + std::to_string(seed), series_system(seed));
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(Engine, EerSeriesMatchesEerCollectorUnderDeferredReleases) {
+  // Faulted channel and skewed clocks with kDeferRelease: held-back
+  // releases complete late, and the series must still match.
+  std::int64_t deferred = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const TaskSystem sys = series_system(seed);
+    for (const ProtocolKind kind : kSelectableProtocolKinds) {
+      const auto protocol = protocol_or_null(kind, sys);
+      if (protocol == nullptr) continue;
+      FaultPlan plan;
+      plan.seed = 0xDEFu + seed;
+      plan.clock_offset_max = 2000;
+      plan.drift_ppm_max = 200;
+      plan.signal_loss_prob = 0.1;
+      plan.signal_delay_max = 1500;
+      plan.signal_duplicate_prob = 0.05;
+      plan.timer_jitter_max = 300;
+      FaultInjector faults{sys, plan};
+      Engine engine{sys,
+                    *protocol,
+                    {.horizon = sys.max_phase() + sys.horizon_ticks(10.0),
+                     .faults = &faults,
+                     .precedence_policy = PrecedencePolicy::kDeferRelease}};
+      expect_series_match(sys, engine,
+                          "seed " + std::to_string(seed) + " " +
+                              std::string(to_string(kind)) + " faulted");
+      deferred += engine.stats().deferred_releases;
+    }
+  }
+  EXPECT_GT(deferred, 0) << "no release was ever deferred";
+}
+
+TEST(Engine, EerSeriesSkipsCompletionsAheadOfTheirFirstRelease) {
+  // PM under sporadic arrivals (paper Section 3.1's failure mode) completes
+  // last subtasks whose first-subtask instance has not arrived yet; those
+  // have no EER, in the engine's series as in the collector's.
+  const TaskSystem sys = paper::example1_monitor_with_interference();
+  const AnalysisResult bounds = analyze_sa_pm(sys);
+  PhaseModificationProtocol pm{sys, bounds.subtask_bounds};
+  SporadicArrivals arrivals{Rng{7}, sys.min_period()};
+  Engine engine{sys, pm, {.horizon = 5000, .arrivals = &arrivals}};
+  const SeriesCheck check = expect_series_match(sys, engine, "PM sporadic");
+  EXPECT_GT(check.unmatched, 0);
+  EXPECT_GT(check.samples, 0u);
+}
+
+TEST(Engine, EerSeriesIsRewoundByReset) {
+  const TaskSystem sys = paper::example2();
+  DirectSyncProtocol ds;
+  const EngineOptions options{.horizon = 30 * sys.max_period()};
+  Engine fresh{sys, ds, options};
+  fresh.run();
+  Engine reused{sys, ds, {.horizon = 7 * sys.max_period()}};
+  reused.run();
+  reused.reset(ds, options);
+  reused.run();
+  for (const Task& t : sys.tasks()) {
+    const std::span<const Duration> a = fresh.eer_series(t.id);
+    const std::span<const Duration> b = reused.eer_series(t.id);
+    EXPECT_EQ(std::vector<Duration>(a.begin(), a.end()),
+              std::vector<Duration>(b.begin(), b.end()))
+        << t.name;
+  }
 }
 
 TEST(EngineDeathTest, RunTwiceAborts) {

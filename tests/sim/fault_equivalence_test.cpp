@@ -14,7 +14,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/protocols/factory.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_injector.h"
 #include "sim/fault/fault_plan.h"
@@ -32,11 +31,9 @@ struct RunResult {
 RunResult run_once(const TaskSystem& sys, ProtocolKind kind, Time horizon,
                    FaultInjector* faults) {
   const auto protocol = make_protocol(kind, sys);
-  ScheduleHash hash;
   Engine engine{sys, *protocol, {.horizon = horizon, .faults = faults}};
-  engine.add_sink(&hash);
   engine.run();
-  return RunResult{hash.value(), engine.stats()};
+  return RunResult{engine.schedule_hash(), engine.stats()};
 }
 
 void expect_equivalent(const TaskSystem& sys, Time horizon) {

@@ -9,7 +9,6 @@
 #include "core/protocols/factory.h"
 #include "core/protocols/mpm_retransmit.h"
 #include "core/protocols/phase_modification.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_injector.h"
 #include "sim/fault/fault_plan.h"
@@ -87,11 +86,9 @@ std::uint64_t faulted_rg_hash(std::uint64_t seed) {
                                  .signal_delay_max = 4,
                                  .signal_duplicate_prob = 0.2,
                                  .timer_jitter_max = 2}};
-  ScheduleHash hash;
   Engine engine{sys, *protocol, {.horizon = 600, .faults = &faults}};
-  engine.add_sink(&hash);
   engine.run();
-  return hash.value();
+  return engine.schedule_hash();
 }
 
 TEST(FaultInjection, DrawsAreReproducibleFromTheSeed) {

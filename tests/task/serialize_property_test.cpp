@@ -6,7 +6,6 @@
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "core/protocols/direct_sync.h"
-#include "metrics/schedule_hash.h"
 #include "sim/engine.h"
 #include "task/serialize.h"
 #include "workload/generator.h"
@@ -50,11 +49,9 @@ TEST_P(SerializeProperty, RoundTripPreservesTheSchedule) {
 
   const auto schedule_of = [&](const TaskSystem& sys) {
     DirectSyncProtocol ds;
-    ScheduleHash hash;
     Engine engine{sys, ds, {.horizon = horizon}};
-    engine.add_sink(&hash);
     engine.run();
-    return hash.value();
+    return engine.schedule_hash();
   };
   EXPECT_EQ(schedule_of(original), schedule_of(copy));
 }

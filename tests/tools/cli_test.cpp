@@ -488,6 +488,36 @@ TEST(Cli, SpecBuilderCountsRejectOutOfRangeValues) {
   }
 }
 
+TEST(Cli, SeedRejectsNegativeAndOverflowingValues) {
+  // --seed is a uint64 everywhere: a negative value or one of 2^64 or more
+  // is an error naming the flag, not a silently wrapped or clamped seed.
+  const std::string system = to_text(paper::example2());
+  for (const char* command : {"simulate", "montecarlo", "sweep", "faults", "generate"}) {
+    for (const std::string seed : {"-1", "18446744073709551616"}) {
+      const CliResult r = run_cli({command, "--seed=" + seed}, system);
+      EXPECT_EQ(r.exit_code, 1) << command << " " << seed;
+      EXPECT_TRUE(r.out.empty()) << command << " " << seed;
+      EXPECT_NE(r.err.find("--seed"), std::string::npos) << r.err;
+    }
+  }
+}
+
+TEST(Cli, SimulateRejectsOutOfRangeHorizon) {
+  const CliResult r = run_cli({"simulate", "--horizon=99999999999999999999"},
+                              to_text(paper::example2()));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("--horizon is out of range"), std::string::npos) << r.err;
+}
+
+TEST(Cli, SweepRunsTheLargestSeed) {
+  // The same hash a spec with `seed 18446744073709551615` produces; the
+  // value used to be clamped to 2^63 - 1 (hash 0x478e0847c3abd96f).
+  const CliResult r = run_cli({"sweep", "--systems=1", "--seed=18446744073709551615",
+                               "--horizon-periods=2", "--threads=1"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("schedule hash 0xee779452cfbe5cb9"), std::string::npos) << r.out;
+}
+
 TEST(Cli, RunRejectsOutOfRangeSpecCounts) {
   const CliResult r =
       run_cli({"run", "-"}, "e2esync-scenario v1\nscenario sweep\nsystems 4294967297\n");
@@ -535,6 +565,27 @@ TEST(Cli, AdmitJsonReportCarriesCulpritDetail) {
   EXPECT_NE(r.out.find("\"reason\": \"bound-failure\""), std::string::npos);
   EXPECT_NE(r.out.find("\"culprit\""), std::string::npos);
   EXPECT_NE(r.out.find("\"result_hash\""), std::string::npos);
+}
+
+/// True if `out` contains `prefix` + "0x" + 16 lowercase hex digits + `suffix`.
+bool has_hex_hash(const std::string& out, const std::string& prefix,
+                  const std::string& suffix) {
+  const std::size_t at = out.find(prefix + "0x");
+  if (at == std::string::npos) return false;
+  const std::string rest = out.substr(at + prefix.size() + 2);
+  return rest.size() >= 16 + suffix.size() &&
+         rest.find_first_not_of("0123456789abcdef") == 16 &&
+         rest.compare(16, suffix.size(), suffix) == 0;
+}
+
+TEST(Cli, AdmitPrintsResultHashInTheSixteenDigitForm) {
+  const std::string stream = "admit name=T1 period=100 sub=0:10:0\n";
+  const CliResult json = run_cli({"admit", "--processors=2", "--report=json"}, stream);
+  EXPECT_EQ(json.exit_code, 0) << json.err;
+  EXPECT_TRUE(has_hex_hash(json.out, "\"result_hash\": \"", "\"")) << json.out;
+  const CliResult table = run_cli({"admit", "--processors=2"}, stream);
+  EXPECT_EQ(table.exit_code, 0) << table.err;
+  EXPECT_TRUE(has_hex_hash(table.out, "  hash ", "\n")) << table.out;
 }
 
 // Each outcome names the engine path that decided it; the counts of a

@@ -162,6 +162,8 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
   const ProtocolKind kind = parse_protocol(args.value_string("protocol", "RG"));
   const Time horizon = args.value_int("horizon", system.default_horizon());
   if (horizon <= 0) throw InvalidArgument("--horizon must be a positive integer");
+  // Validated even when --exec-var, its only consumer, is absent.
+  const std::uint64_t seed = args.value_uint64("seed", 1);
 
   const auto protocol = make_protocol(kind, system);
   EerCollector eer{system};
@@ -174,7 +176,7 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
       throw InvalidArgument("--exec-var must be in (0, 1]");
     }
     variation = std::make_unique<UniformExecutionVariation>(
-        Rng{static_cast<std::uint64_t>(args.value_int("seed", 1))}, exec_var);
+        Rng{seed}, exec_var);
   }
 
   std::unique_ptr<FaultInjector> faults;
@@ -244,7 +246,7 @@ int cmd_montecarlo(const ArgParser& args, std::istream& in, std::ostream& out) {
                      "threads"});
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kMonteCarlo;
-  spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 1));
+  spec.seed = args.value_uint64("seed", 1);
   spec.systems = int_flag(args, "runs", 20);
   spec.horizon_periods = args.value_double("horizon-periods", 20.0);
   spec.exec_var = args.value_double("exec-var", 1.0);
@@ -265,7 +267,7 @@ int cmd_sweep(const ArgParser& args, std::istream& in, std::ostream& out) {
                      "horizon-periods", "threads"});
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kSweep;
-  spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 20260706));
+  spec.seed = args.value_uint64("seed", 20260706);
   spec.systems = int_flag(args, "systems", 20);
   spec.horizon_periods = args.value_double("horizon-periods", 30.0);
   spec.threads = parse_threads(args);
@@ -280,7 +282,7 @@ int cmd_faults(const ArgParser& args, std::istream& in, std::ostream& out) {
       {"systems", "subtasks", "utilization", "seed", "threads", "timesvc"});
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kFaults;
-  spec.seed = static_cast<std::uint64_t>(args.value_int("seed", 20260806));
+  spec.seed = args.value_uint64("seed", 20260806);
   spec.systems = int_flag(args, "systems", 10);
   spec.horizon_periods = 30.0;
   spec.threads = parse_threads(args);
@@ -380,7 +382,7 @@ int cmd_generate(const ArgParser& args, std::ostream& out) {
   options.tasks = count("tasks", 12);
   options.processors = count("processors", 4);
   options.ticks_per_unit = args.value_int("ticks", 1000);
-  Rng rng{static_cast<std::uint64_t>(args.value_int("seed", 20260706))};
+  Rng rng{args.value_uint64("seed", 20260706)};
   write_system(out, generate_system(rng, options));
   return 0;
 }
