@@ -102,6 +102,8 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     previous_completion = *completion;
     if (sc != nullptr) completions.push_back(*completion);
     worst = std::max(worst, sat_add(*completion, jitter) - (m - 1) * period);
+    // C(m') <= busy for every later instance, so none can beat `worst`.
+    if (sat_add(*busy, jitter) - m * period <= worst) break;
   }
   if (sc != nullptr) {
     sc->has = true;
@@ -182,6 +184,9 @@ Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
     // The max over m is what gets compared against the cutoff; once any
     // instance exceeds it the result is infinite regardless of the rest.
     if (worst > cutoff) return kTimeInfinity;
+    // C(m') <= busy for every later instance, so none can beat `worst`;
+    // their warm seeds stay last pass's, still below the fixpoints.
+    if (sat_add(*busy, own_accum) - m * period <= worst) break;
   }
   return worst;
 }

@@ -56,8 +56,23 @@ struct RunOutcome {
   std::int64_t overruns = 0;
   std::int64_t retransmits = 0;
   std::uint64_t schedule_hash = 0;
-  PrecisionReport precision;
+  /// Set only when the protocol queried the time service; every other
+  /// run reports its (severity, system) replay.
+  std::optional<PrecisionReport> precision;
 };
+
+/// The severity's plan, re-seeded per system: every protocol run (and
+/// the service replay) of one (severity, system) pair sees the same
+/// clock and channel draws.
+FaultPlan plan_for(const FaultSeverity& severity, const SystemCase& sc) {
+  FaultPlan plan = severity.plan;
+  plan.seed += sc.fault_seed_mix;
+  return plan;
+}
+
+std::vector<FaultSeverity> resolved_severities(const FaultSweepOptions& options) {
+  return options.severities.empty() ? default_fault_severities() : options.severities;
+}
 
 }  // namespace
 
@@ -69,8 +84,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
 FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
                                  ScenarioExecutor& executor) {
   E2E_ASSERT(options.systems > 0, "need at least one system");
-  const std::vector<FaultSeverity> severities =
-      options.severities.empty() ? default_fault_severities() : options.severities;
+  const std::vector<FaultSeverity> severities = resolved_severities(options);
   const std::vector<ProtocolKind> protocols =
       options.protocols.empty()
           ? std::vector<ProtocolKind>(std::begin(kExtendedProtocolKinds),
@@ -110,12 +124,32 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
   }
   E2E_ASSERT(!cases.empty(), "no PM-schedulable system in the sample budget");
 
+  const std::int64_t per_cell = static_cast<std::int64_t>(cases.size());
+
+  // The time service's statistics depend only on (severity, system) as
+  // long as no protocol queries it, so each pair's unqueried replay is
+  // computed once here, not once per protocol. Item order is
+  // severity-major, system-minor.
+  std::vector<PrecisionReport> replays;
+  if (options.timesvc.enabled()) {
+    replays = executor.map<PrecisionReport>(
+        static_cast<std::int64_t>(severities.size()) * per_cell,
+        [&](std::int64_t item, ScenarioExecutor::WorkerSlot&) {
+          const SystemCase& sc = cases[static_cast<std::size_t>(item % per_cell)];
+          const FaultInjector faults{
+              sc.system,
+              plan_for(severities[static_cast<std::size_t>(item / per_cell)], sc)};
+          TimeService timesvc{sc.system, &faults, options.timesvc};
+          timesvc.advance_all(sc.horizon);
+          return PrecisionReport::from(timesvc);
+        });
+  }
+
   // One work item per (severity, protocol, system) triple, system-minor;
   // every simulation is independent (the fault RNG is re-seeded from the
   // plan per run), so items fan out over the executor freely and the
   // serial in-order merge below keeps cells identical at every thread
   // count.
-  const std::int64_t per_cell = static_cast<std::int64_t>(cases.size());
   const std::int64_t items =
       static_cast<std::int64_t>(severities.size() * protocols.size()) * per_cell;
   const std::vector<RunOutcome> outcomes = executor.map<RunOutcome>(
@@ -127,9 +161,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
             protocols[static_cast<std::size_t>(cell_index) % protocols.size()];
         const SystemCase& sc = cases[static_cast<std::size_t>(item % per_cell)];
 
-        FaultPlan plan = severity.plan;
-        plan.seed += sc.fault_seed_mix;
-        FaultInjector faults{sc.system, plan};
+        FaultInjector faults{sc.system, plan_for(severity, sc)};
         // The service sees the injector even when the plan is inert (the
         // engine drops an inert injector, the service does not need to:
         // zero faults measure as zero error).
@@ -158,17 +190,25 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
           outcome.overruns = mpmr->overruns();
           outcome.retransmits = mpmr->retransmits();
         }
-        if (timesvc.has_value()) {
-          // Drive every client to the horizon so precision stats cover
-          // the whole run whether or not the protocol ever queried it.
+        if (timesvc.has_value() && timesvc->queried()) {
+          // The queries shaped this service's slew path: drive it to the
+          // horizon and report its own statistics.
           timesvc->advance_all(sc.horizon);
           outcome.precision = PrecisionReport::from(*timesvc);
         }
         return outcome;
       });
 
+  if (!replays.empty()) {
+    result.service_precision.resize(severities.size());
+    for (std::size_t r = 0; r < replays.size(); ++r) {
+      result.service_precision[r / cases.size()].merge(replays[r]);
+    }
+  }
+
   std::int64_t item = 0;
-  for (const FaultSeverity& severity : severities) {
+  for (std::size_t rung = 0; rung < severities.size(); ++rung) {
+    const FaultSeverity& severity = severities[rung];
     for (const ProtocolKind kind : protocols) {
       FaultCell cell;
       cell.severity = severity.label;
@@ -189,7 +229,12 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
         cell.retransmits += outcome.retransmits;
         cell.schedule_hash = hash_combine(cell.schedule_hash, outcome.schedule_hash);
         cell.events_processed += stats.events_processed;
-        cell.precision.merge(outcome.precision);
+        if (outcome.precision.has_value()) {
+          cell.precision.merge(*outcome.precision);
+        } else if (!replays.empty()) {
+          cell.precision.merge(
+              replays[rung * cases.size() + static_cast<std::size_t>(i)]);
+        }
       }
       result.cells.push_back(std::move(cell));
     }
@@ -212,44 +257,36 @@ void run_fault_report(std::ostream& out, const FaultSweepOptions& options,
       << "       miss = end-to-end deadline misses per 1000 completed "
          "instances.\n\n";
 
-  std::string current;
-  PrecisionReport current_precision;
-  TextTable table({"protocol", "viol/1k", "miss/1k", "dropped", "late", "dup",
-                   "stalls", "overruns", "retransmits"});
-  const auto flush = [&](const std::string& next) {
-    if (!current.empty()) {
-      out << "severity: " << current << "\n" << table.to_string();
-      if (options.timesvc.enabled()) {
-        // The service is protocol-independent, so one precision line per
-        // severity (taken from its first cell) covers every row above.
-        const PrecisionReport& p = current_precision;
-        out << "timesvc: |err| mean " << TextTable::fmt(p.mean_abs_error(), 1)
-            << " max " << p.abs_error_max << " ticks, sync "
-            << (p.exchanges - p.failures) << "/" << p.exchanges
-            << " ok, failovers " << p.failovers << ", holdover "
-            << p.holdover_time << " ticks\n";
-      }
-      out << "\n";
-      table = TextTable({"protocol", "viol/1k", "miss/1k", "dropped", "late",
-                         "dup", "stalls", "overruns", "retransmits"});
+  const std::size_t rungs = resolved_severities(options).size();
+  const std::size_t per_rung = result.cells.size() / rungs;
+  for (std::size_t rung = 0; rung < rungs; ++rung) {
+    TextTable table({"protocol", "viol/1k", "miss/1k", "dropped", "late", "dup",
+                     "stalls", "overruns", "retransmits"});
+    for (std::size_t c = rung * per_rung; c < (rung + 1) * per_rung; ++c) {
+      const FaultCell& cell = result.cells[c];
+      table.add_row({std::string{to_string(cell.kind)},
+                     TextTable::fmt(1000.0 * cell.violation_rate(), 2),
+                     TextTable::fmt(1000.0 * cell.miss_rate(), 2),
+                     std::to_string(cell.dropped_signals),
+                     std::to_string(cell.late_signals),
+                     std::to_string(cell.duplicated_signals),
+                     std::to_string(cell.stalls), std::to_string(cell.overruns),
+                     std::to_string(cell.retransmits)});
     }
-    current = next;
-  };
-  for (const FaultCell& cell : result.cells) {
-    if (cell.severity != current) {
-      flush(cell.severity);
-      current_precision = cell.precision;
+    out << "severity: " << result.cells[rung * per_rung].severity << "\n"
+        << table.to_string();
+    if (options.timesvc.enabled()) {
+      // The rung's unqueried replay: what every protocol that never
+      // queries the service reports, whatever order the protocols run in.
+      const PrecisionReport& p = result.service_precision[rung];
+      out << "timesvc: |err| mean " << TextTable::fmt(p.mean_abs_error(), 1)
+          << " max " << p.abs_error_max << " ticks, sync "
+          << (p.exchanges - p.failures) << "/" << p.exchanges
+          << " ok, failovers " << p.failovers << ", holdover "
+          << p.holdover_time << " ticks\n";
     }
-    table.add_row({std::string{to_string(cell.kind)},
-                   TextTable::fmt(1000.0 * cell.violation_rate(), 2),
-                   TextTable::fmt(1000.0 * cell.miss_rate(), 2),
-                   std::to_string(cell.dropped_signals),
-                   std::to_string(cell.late_signals),
-                   std::to_string(cell.duplicated_signals),
-                   std::to_string(cell.stalls), std::to_string(cell.overruns),
-                   std::to_string(cell.retransmits)});
+    out << "\n";
   }
-  flush("");
 
   out << "expectations: PM (clock-scheduled phases) and MPM (trusting bound\n"
       << "timers) accumulate precedence violations and misses under clock\n"

@@ -79,9 +79,10 @@ struct FaultCell {
   std::uint64_t schedule_hash = 0;
   std::int64_t events_processed = 0;
   /// Achieved time-service precision, aggregated over the cell's runs.
-  /// All zeros when the sweep ran without a time service. Identical for
-  /// every protocol within a severity (the service is protocol-
-  /// independent), which doubles as a pairing check.
+  /// All zeros when the sweep ran without a time service. Equal to the
+  /// rung's FaultSweepResult::service_precision for every protocol that
+  /// never queries the service; a querying protocol (PM-E) slews the
+  /// service along its own query times and reports its own figures.
   PrecisionReport precision;
 
   [[nodiscard]] double violation_rate() const noexcept {
@@ -102,6 +103,10 @@ struct FaultSweepResult {
   /// Generated systems discarded because SA/PM left a non-last subtask
   /// unbounded (PM/MPM/MPM-R could not be constructed for them).
   int skipped_systems = 0;
+  /// Per severity (option order): the time service's precision when no
+  /// protocol queries it, aggregated over the systems. Empty when the
+  /// sweep ran without a time service.
+  std::vector<PrecisionReport> service_precision;
 };
 
 /// Runs the sweep on a transient executor of `options.threads` workers.

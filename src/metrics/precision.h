@@ -28,6 +28,8 @@ struct PrecisionReport {
     std::int64_t abs_error_sum = 0;
     Duration abs_error_max = 0;
     Duration uncertainty_max = 0;
+
+    bool operator==(const PerProcessor&) const = default;
   };
 
   std::vector<PerProcessor> processors;
@@ -58,6 +60,8 @@ struct PrecisionReport {
   /// Merges another run's report into this one (the sweep accumulator:
   /// sums add, maxima take the max).
   void merge(const PrecisionReport& other);
+
+  bool operator==(const PrecisionReport&) const = default;
 };
 
 }  // namespace e2e

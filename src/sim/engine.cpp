@@ -184,13 +184,13 @@ void Engine::send_sync_signal(SubtaskRef to, std::int64_t instance) {
     protocol_->on_sync_signal(*this, to, instance);
     return;
   }
-  FaultInjector::SignalOutcome outcome = faults_->signal_outcome(now_);
+  const FaultInjector::SignalOutcome outcome = faults_->signal_outcome(now_);
   if (outcome.lost()) {
     ++stats_.dropped_signals;
     return;
   }
-  stats_.duplicated_signals += static_cast<std::int64_t>(outcome.delays.size()) - 1;
-  for (const Duration delay : outcome.delays) {
+  stats_.duplicated_signals += outcome.copies - 1;
+  for (const Duration delay : outcome.arrivals()) {
     if (delay == 0) {
       protocol_->on_sync_signal(*this, to, instance);
     } else {

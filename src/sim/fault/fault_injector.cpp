@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 
@@ -85,9 +86,12 @@ FaultInjector::SignalOutcome FaultInjector::signal_outcome(Time now) {
                ? 0
                : stream_.uniform_int(0, plan_.signal_delay_max);
   };
-  if (!lost) outcome.delays.push_back(draw_delay());
-  if (duplicated) outcome.delays.push_back(draw_delay());
-  std::sort(outcome.delays.begin(), outcome.delays.end());
+  if (!lost) outcome.delays[0] = draw_delay();
+  if (duplicated) outcome.delays[lost ? 0 : 1] = draw_delay();
+  outcome.copies = (lost ? 0 : 1) + (duplicated ? 1 : 0);
+  if (outcome.copies == 2 && outcome.delays[1] < outcome.delays[0]) {
+    std::swap(outcome.delays[0], outcome.delays[1]);
+  }
   return outcome;
 }
 

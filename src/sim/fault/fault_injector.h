@@ -14,7 +14,9 @@
 // fault_injector_test. Like the Engine, one injector serves one run.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -70,11 +72,20 @@ class FaultInjector {
   [[nodiscard]] Time perturb_timer(ProcessorId p, Time now, Time at);
 
   // --- signal channel -------------------------------------------------
+  /// Held inline, so transmitting a signal never touches the heap.
   struct SignalOutcome {
-    /// Delivery delays of each arriving copy, ascending; empty = lost.
-    /// One entry is the normal case; two = the signal was duplicated.
-    std::vector<Duration> delays;
-    [[nodiscard]] bool lost() const noexcept { return delays.empty(); }
+    /// Arriving copies: 0 = lost, 1 = the normal case, 2 = duplicated.
+    int copies = 0;
+    /// Delivery delay of each arriving copy, ascending; entries past
+    /// `copies` stay 0.
+    std::array<Duration, 2> delays{};
+
+    [[nodiscard]] bool lost() const noexcept { return copies == 0; }
+    /// The delays of the arriving copies, in delivery order.
+    [[nodiscard]] std::span<const Duration> arrivals() const noexcept {
+      return {delays.data(), static_cast<std::size_t>(copies)};
+    }
+    friend bool operator==(const SignalOutcome&, const SignalOutcome&) = default;
   };
   /// Channel outcome for one transmission attempt at global time `now`.
   /// Advances the stream -- except during a partition window, when every

@@ -206,6 +206,7 @@ void TimeService::advance(std::size_t p, Time to) {
 
 Time TimeService::estimate_now(ProcessorId p, Time now) {
   E2E_ASSERT(p.index() < clients_.size(), "unknown processor");
+  queried_ = true;
   advance(p.index(), now);
   const Client& client = clients_[p.index()];
   return now + true_error(p.index(), now) - client.applied_error;
@@ -224,6 +225,7 @@ Time TimeService::plan_alarm(ProcessorId p, Time now, Time target) {
 
 Duration TimeService::uncertainty(ProcessorId p, Time now) {
   E2E_ASSERT(p.index() < clients_.size(), "unknown processor");
+  queried_ = true;
   advance(p.index(), now);
   return uncertainty_at(clients_[p.index()], now);
 }

@@ -40,8 +40,12 @@
 // stream seeded from the fault-plan seed, drawn in processor order at
 // construction; everything else is integer arithmetic. The service is
 // passive (no engine events): clients advance lazily when queried and
-// are driven to the horizon by advance_all() for end-of-run statistics,
-// so a run's results are independent of how often protocols query it.
+// are driven to the horizon by advance_all() for end-of-run statistics.
+// A query also slews the applied correction up to the query time, and
+// the slew limit makes that path-dependent, so a queried service's
+// statistics are its own. A service no protocol queried depends only on
+// (system, fault plan, config): every unqueried replay of it agrees, and
+// queried() tells the two apart.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +119,10 @@ class TimeService {
   /// the whole run regardless of protocol query patterns.
   void advance_all(Time at);
 
+  /// True once estimate_now, plan_alarm or uncertainty advanced a
+  /// client. advance_all does not count.
+  [[nodiscard]] bool queried() const noexcept { return queried_; }
+
   [[nodiscard]] const ProcessorStats& stats(ProcessorId p) const;
 
  private:
@@ -169,6 +177,7 @@ class TimeService {
   const FaultInjector* faults_;
   Duration exchange_timeout_ = 1;  ///< send-to-giving-up, true ticks
   std::vector<Client> clients_;
+  bool queried_ = false;
 };
 
 }  // namespace e2e

@@ -6,6 +6,7 @@
 // hashes, statistics, and derived metrics.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "experiments/faults.h"
@@ -88,34 +89,49 @@ TEST(Determinism, SweepConfigurationIsIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, FaultSweepIsIdenticalAcrossThreadCounts) {
-  FaultSweepOptions options;
-  options.systems = 2;
-  options.seed = 13;
-  options.horizon_periods = 5.0;
+  for (const bool timesvc : {false, true}) {
+    SCOPED_TRACE(timesvc ? "timesvc on" : "timesvc off");
+    FaultSweepOptions options;
+    options.systems = 2;
+    options.seed = 13;
+    options.horizon_periods = 5.0;
+    if (timesvc) {
+      // PM-E queries its service and reports its own precision; every
+      // other protocol merges the (severity, system) replay the sweep
+      // computes in a pre-pass over the same executor.
+      options.timesvc = TimeServiceConfig{.sync_interval = 25'000};
+      options.protocols.assign(std::begin(kExtendedProtocolKinds),
+                               std::end(kExtendedProtocolKinds));
+      options.protocols.push_back(ProtocolKind::kPmEstimated);
+    }
 
-  options.threads = 1;
-  const FaultSweepResult baseline = run_fault_sweep(options);
-  ASSERT_FALSE(baseline.cells.empty());
+    options.threads = 1;
+    const FaultSweepResult baseline = run_fault_sweep(options);
+    ASSERT_FALSE(baseline.cells.empty());
+    EXPECT_EQ(baseline.service_precision.empty(), !timesvc);
 
-  for (const int threads : kThreadCounts) {
-    options.threads = threads;
-    const FaultSweepResult result = run_fault_sweep(options);
-    SCOPED_TRACE("threads = " + std::to_string(threads));
-    EXPECT_EQ(result.skipped_systems, baseline.skipped_systems);
-    ASSERT_EQ(result.cells.size(), baseline.cells.size());
-    for (std::size_t i = 0; i < baseline.cells.size(); ++i) {
-      const FaultCell& want = baseline.cells[i];
-      const FaultCell& got = result.cells[i];
-      SCOPED_TRACE(want.severity + " / " + std::string{to_string(want.kind)});
-      EXPECT_EQ(got.schedule_hash, want.schedule_hash);
-      EXPECT_EQ(got.events_processed, want.events_processed);
-      EXPECT_EQ(got.jobs_released, want.jobs_released);
-      EXPECT_EQ(got.violations, want.violations);
-      EXPECT_EQ(got.instances, want.instances);
-      EXPECT_EQ(got.misses, want.misses);
-      EXPECT_EQ(got.dropped_signals, want.dropped_signals);
-      EXPECT_EQ(got.overruns, want.overruns);
-      EXPECT_EQ(got.retransmits, want.retransmits);
+    for (const int threads : kThreadCounts) {
+      options.threads = threads;
+      const FaultSweepResult result = run_fault_sweep(options);
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      EXPECT_EQ(result.skipped_systems, baseline.skipped_systems);
+      EXPECT_EQ(result.service_precision, baseline.service_precision);
+      ASSERT_EQ(result.cells.size(), baseline.cells.size());
+      for (std::size_t i = 0; i < baseline.cells.size(); ++i) {
+        const FaultCell& want = baseline.cells[i];
+        const FaultCell& got = result.cells[i];
+        SCOPED_TRACE(want.severity + " / " + std::string{to_string(want.kind)});
+        EXPECT_EQ(got.schedule_hash, want.schedule_hash);
+        EXPECT_EQ(got.events_processed, want.events_processed);
+        EXPECT_EQ(got.jobs_released, want.jobs_released);
+        EXPECT_EQ(got.violations, want.violations);
+        EXPECT_EQ(got.instances, want.instances);
+        EXPECT_EQ(got.misses, want.misses);
+        EXPECT_EQ(got.dropped_signals, want.dropped_signals);
+        EXPECT_EQ(got.overruns, want.overruns);
+        EXPECT_EQ(got.retransmits, want.retransmits);
+        EXPECT_EQ(got.precision, want.precision);
+      }
     }
   }
 }

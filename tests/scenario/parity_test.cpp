@@ -1,8 +1,9 @@
 // Golden parity: `e2e run` with a scenario spec must reproduce the
 // legacy montecarlo/sweep/faults subcommands byte for byte, and the
-// figure/report specs must reproduce the committed small-size goldens in
-// tests/scenario/figure_goldens/, at every thread count (the spec layer
-// may not perturb results or formatting).
+// figure/report specs and the time-service fault specs must reproduce
+// the committed small-size goldens in tests/scenario/figure_goldens/, at
+// every thread count (the spec layer may not perturb results or
+// formatting).
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -109,6 +110,15 @@ TEST(ScenarioParity, FaultsMatchesLegacy) {
                 "", spec);
 }
 
+std::string run_spec_text(const std::string& text, int threads) {
+  ScenarioSpec spec = parse_scenario(text, ScenarioDefaults{});
+  spec.threads = threads;
+  std::istringstream in;
+  std::ostringstream out;
+  EXPECT_EQ(run_scenario(spec, in, out), 0);
+  return out.str();
+}
+
 // The goldens are the figure/report outputs at E2E_SYSTEMS_PER_CONFIG=3,
 // E2E_SIM_SYSTEMS_PER_CONFIG=4, E2E_HORIZON_PERIODS=5,
 // E2E_BREAKDOWN_SYSTEMS=3, 3 systems per HOPA/sensitivity cell and the
@@ -124,12 +134,8 @@ void expect_golden(const std::string& name, const std::string& keys) {
 
   const std::string text = "e2esync-scenario v1\n" + keys + "seed 20260706\n";
   for (const int threads : {1, 2, 8}) {
-    ScenarioSpec spec = parse_scenario(text, ScenarioDefaults{});
-    spec.threads = threads;
-    std::istringstream in;
-    std::ostringstream got;
-    ASSERT_EQ(run_scenario(spec, in, got), 0);
-    EXPECT_EQ(got.str(), want.str()) << name << " threads=" << threads;
+    EXPECT_EQ(run_spec_text(text, threads), want.str())
+        << name << " threads=" << threads;
   }
 }
 
@@ -164,6 +170,70 @@ TEST(ScenarioParity, PaperExamplesMatchesGolden) {
 }
 TEST(ScenarioParity, BreakdownMatchesGolden) {
   expect_golden("breakdown", "scenario breakdown\nsystems 3\n");
+}
+
+// The faulted goldens: a committed time-service spec with its `systems`
+// and `horizon-periods` keys rewritten to 3 and 10 and a `report` key
+// appended. The text report carries the per-rung `timesvc:` lines, the
+// CSV every cell's precision columns, PM-E's own included.
+std::string reduced_faults_spec(const std::string& name, const std::string& report) {
+  std::ifstream file{std::string{E2E_SCENARIO_DIR} + "/" + name + ".e2es"};
+  EXPECT_TRUE(file) << "missing spec " << name;
+  std::string text;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (line.starts_with("systems ")) line = "systems 3";
+    if (line.starts_with("horizon-periods ")) line = "horizon-periods 10";
+    text += line + "\n";
+  }
+  return text + "report " + report + "\n";
+}
+
+void expect_faults_golden(const std::string& name, const std::string& report,
+                          const std::string& golden) {
+  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + golden};
+  ASSERT_TRUE(file) << "missing golden " << golden;
+  std::ostringstream want;
+  want << file.rdbuf();
+  const std::string text = reduced_faults_spec(name, report);
+  for (const int threads : {1, 3}) {
+    EXPECT_EQ(run_spec_text(text, threads), want.str())
+        << golden << " threads=" << threads;
+  }
+}
+
+TEST(ScenarioParity, TimesvcLadderMatchesGolden) {
+  expect_faults_golden("timesvc_ladder", "table", "timesvc_ladder.txt");
+  expect_faults_golden("timesvc_ladder", "csv", "timesvc_ladder.csv");
+}
+TEST(ScenarioParity, PartitionMatchesGolden) {
+  expect_faults_golden("partition", "table", "partition.txt");
+  expect_faults_golden("partition", "csv", "partition.csv");
+}
+
+std::vector<std::string> timesvc_lines(const std::string& report) {
+  std::vector<std::string> lines;
+  std::istringstream in{report};
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("timesvc:")) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(ScenarioParity, TimesvcLineIgnoresProtocolOrder) {
+  // PM-E queries its time service, which slews that service along its
+  // own query times; the rung's `timesvc:` line must not depend on
+  // whether PM-E's cell comes first.
+  const std::string pm_first = reduced_faults_spec("timesvc_ladder", "table");
+  std::string pm_e_first = pm_first;
+  const std::string order = "protocol PM\nprotocol PM-E\n";
+  const std::size_t at = pm_e_first.find(order);
+  ASSERT_NE(at, std::string::npos);
+  pm_e_first.replace(at, order.size(), "protocol PM-E\nprotocol PM\n");
+
+  const std::vector<std::string> want = timesvc_lines(run_spec_text(pm_first, 1));
+  ASSERT_EQ(want.size(), 5u);
+  EXPECT_EQ(timesvc_lines(run_spec_text(pm_e_first, 1)), want);
 }
 
 }  // namespace

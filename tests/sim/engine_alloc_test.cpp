@@ -6,50 +6,22 @@
 // per-worker engine slots scale: steady-state cells never contend on the
 // process heap.
 //
-// Instrumentation: replacing the global operator new/delete is the
-// sanctioned hook for counting allocations (the test needs no allocator
-// library; gtest's own allocations happen outside the measured window).
+// Instrumentation: alloc_counter.cpp replaces the global allocator
+// (gtest's own allocations happen outside the measured windows).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <optional>
 
+#include "alloc_counter.h"
 #include "core/analysis/cache.h"
 #include "core/protocols/direct_sync.h"
 #include "core/protocols/modified_pm.h"
 #include "sim/engine.h"
+#include "sim/fault/fault_injector.h"
 #include "task/paper_examples.h"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// Count every path into the global allocator. The plain forms are the
-// funnel: the compiler may call the sized/aligned variants directly, so
-// those are replaced too.
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace e2e {
 namespace {
-
-std::uint64_t allocations() { return g_news.load(std::memory_order_relaxed); }
 
 TEST(EngineAllocTest, WarmResetAndRunAllocatesNothing) {
   const TaskSystem system = paper::example2();
@@ -66,10 +38,10 @@ TEST(EngineAllocTest, WarmResetAndRunAllocatesNothing) {
   engine.reset(ds, options);
   engine.run();
 
-  const std::uint64_t before = allocations();
+  const std::uint64_t before = global_allocations();
   engine.reset(ds, options);
   engine.run();
-  const std::uint64_t after = allocations();
+  const std::uint64_t after = global_allocations();
 
   EXPECT_EQ(after - before, 0u)
       << "warm reset()+run cycle touched the global allocator";
@@ -92,10 +64,10 @@ TEST(EngineAllocTest, WarmTimerDrivenRunAllocatesNothing) {
   engine.reset(mpm, options);
   engine.run();
 
-  const std::uint64_t before = allocations();
+  const std::uint64_t before = global_allocations();
   engine.reset(mpm, options);
   engine.run();
-  const std::uint64_t after = allocations();
+  const std::uint64_t after = global_allocations();
 
   EXPECT_EQ(after - before, 0u)
       << "warm MPM reset()+run cycle touched the global allocator";
@@ -119,14 +91,51 @@ TEST(EngineAllocTest, WarmRunWithGrownEerSeriesAllocatesNothing) {
   engine.reset(ds, options);
   engine.run();
 
-  const std::uint64_t before = allocations();
+  const std::uint64_t before = global_allocations();
   engine.reset(ds, options);
   engine.run();
-  const std::uint64_t after = allocations();
+  const std::uint64_t after = global_allocations();
 
   EXPECT_EQ(after - before, 0u)
       << "warm run with grown EER series touched the global allocator";
   EXPECT_EQ(engine.schedule_hash(), cold_hash);
+}
+
+TEST(EngineAllocTest, WarmFaultedRunAllocatesNothing) {
+  // A lossy, duplicating, delaying channel: the measured run drops some
+  // signals, delivers some late and some twice, and none of it may touch
+  // the heap. One injector serves one run, so each cycle gets a fresh
+  // one (same plan, same draws), built before the window opens.
+  const TaskSystem system = paper::example2();
+  DirectSyncProtocol ds;
+  const FaultPlan plan{.seed = 31,
+                       .signal_loss_prob = 0.2,
+                       .signal_delay_max = 40,
+                       .signal_duplicate_prob = 0.3};
+  std::optional<FaultInjector> faults;
+  const auto fresh_options = [&] {
+    faults.emplace(system, plan);
+    return EngineOptions{.horizon = 50 * system.max_period(), .faults = &*faults};
+  };
+
+  Engine engine{system, ds, fresh_options()};
+  engine.run();
+  const std::uint64_t cold_hash = engine.schedule_hash();
+  engine.reset(ds, fresh_options());
+  engine.run();
+
+  const EngineOptions options = fresh_options();
+  const std::uint64_t before = global_allocations();
+  engine.reset(ds, options);
+  engine.run();
+  const std::uint64_t after = global_allocations();
+
+  EXPECT_EQ(after - before, 0u)
+      << "warm faulted reset()+run cycle touched the global allocator";
+  EXPECT_EQ(engine.schedule_hash(), cold_hash);
+  EXPECT_GT(engine.stats().dropped_signals, 0);
+  EXPECT_GT(engine.stats().late_signals, 0);
+  EXPECT_GT(engine.stats().duplicated_signals, 0);
 }
 
 TEST(EngineAllocTest, ArenaFootprintIsStableAcrossReuse) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "sim/fault/fault_plan.h"
 #include "task/paper_examples.h"
@@ -139,8 +142,58 @@ TEST(FaultInjector, EventStreamIsReproducible) {
   FaultInjector a{sys, plan};
   FaultInjector b{sys, plan};
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(a.signal_outcome(i).delays, b.signal_outcome(i).delays);
+    EXPECT_EQ(a.signal_outcome(i), b.signal_outcome(i));
     EXPECT_EQ(a.stall(), b.stall());
+  }
+}
+
+TEST(FaultInjector, SignalCopiesDrawInOrderAndArriveAscending) {
+  const TaskSystem sys = paper::example2();
+  const FaultPlan plan{.seed = 17,
+                       .signal_loss_prob = 0.3,
+                       .signal_delay_max = 1'000,
+                       .signal_duplicate_prob = 0.5};
+  FaultInjector inj{sys, plan};
+  // The per-event stream as the injector forks it: the clock draws come
+  // from a fork taken first.
+  Rng stream{plan.seed};
+  (void)stream.fork(0xC10C);
+  int duplicated = 0;
+  int swapped = 0;
+  for (int i = 0; i < 500; ++i) {
+    const FaultInjector::SignalOutcome outcome = inj.signal_outcome(i);
+    // Reference draw order: loss, duplication, then one delay per copy
+    // (the original's before the duplicate's), delivered ascending.
+    const bool lost = stream.next_double() < plan.signal_loss_prob;
+    const bool dup = stream.next_double() < plan.signal_duplicate_prob;
+    std::vector<Duration> want;
+    if (!lost) want.push_back(stream.uniform_int(0, plan.signal_delay_max));
+    if (dup) want.push_back(stream.uniform_int(0, plan.signal_delay_max));
+    if (want.size() == 2 && want[1] < want[0]) ++swapped;
+    std::sort(want.begin(), want.end());
+
+    ASSERT_EQ(outcome.copies, static_cast<int>(want.size())) << "signal " << i;
+    const std::vector<Duration> got(outcome.arrivals().begin(),
+                                    outcome.arrivals().end());
+    EXPECT_EQ(got, want) << "signal " << i;
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    duplicated += outcome.copies == 2 ? 1 : 0;
+  }
+  // Both branches of the ordering ran.
+  EXPECT_GT(duplicated, 0);
+  EXPECT_GT(swapped, 0);
+}
+
+TEST(FaultInjector, LostSignalHasNoCopies) {
+  const TaskSystem sys = paper::example2();
+  const FaultPlan plan{.seed = 4, .signal_loss_prob = 1.0, .signal_delay_max = 50};
+  FaultInjector inj{sys, plan};
+  for (int i = 0; i < 20; ++i) {
+    const FaultInjector::SignalOutcome outcome = inj.signal_outcome(i);
+    EXPECT_TRUE(outcome.lost());
+    EXPECT_EQ(outcome.copies, 0);
+    EXPECT_TRUE(outcome.arrivals().empty());
+    EXPECT_EQ(outcome, FaultInjector::SignalOutcome{});
   }
 }
 
@@ -197,13 +250,15 @@ TEST(FaultInjector, PartitionSeversTheChannelWithoutConsumingDraws) {
   FaultInjector outside{sys, plan};
   // Every signal inside the window is lost, deterministically.
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(in_window.signal_outcome(1'000 + i * 10).lost());
+    const FaultInjector::SignalOutcome outcome = in_window.signal_outcome(1'000 + i * 10);
+    EXPECT_TRUE(outcome.lost());
+    EXPECT_TRUE(outcome.arrivals().empty());
   }
   // ... and consumed no draws: the post-window stream matches an injector
   // that never entered the window at all.
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(in_window.signal_outcome(2'000 + i).delays,
-              outside.signal_outcome(2'000 + i).delays);
+    EXPECT_EQ(in_window.signal_outcome(2'000 + i),
+              outside.signal_outcome(2'000 + i));
   }
 }
 

@@ -224,5 +224,30 @@ TEST(TimeService, AdvanceIsIdempotentAndQueryOrderIndependent) {
   EXPECT_EQ(queried.stats(pid).abs_error_max, driven.stats(pid).abs_error_max);
 }
 
+TEST(TimeService, QueriedCountsProtocolQueriesOnly) {
+  const TaskSystem sys = paper::example2();
+  const FaultPlan plan{.seed = 5, .clock_offset_max = 800};
+  const FaultInjector faults{sys, plan};
+  const ProcessorId pid{0};
+  // Draining to the horizon is not a query: the fault sweep relies on it
+  // to tell a replay no protocol shaped from one a protocol did.
+  TimeService service{sys, &faults, test_config()};
+  service.advance_all(50'000);
+  EXPECT_FALSE(service.queried());
+  (void)service.drift_estimate_ppm(pid);
+  (void)service.in_holdover(pid);
+  EXPECT_FALSE(service.queried());
+
+  TimeService by_estimate{sys, &faults, test_config()};
+  (void)by_estimate.estimate_now(pid, 10);
+  EXPECT_TRUE(by_estimate.queried());
+  TimeService by_alarm{sys, &faults, test_config()};
+  (void)by_alarm.plan_alarm(pid, 10, 5'000);
+  EXPECT_TRUE(by_alarm.queried());
+  TimeService by_uncertainty{sys, &faults, test_config()};
+  (void)by_uncertainty.uncertainty(pid, 10);
+  EXPECT_TRUE(by_uncertainty.queried());
+}
+
 }  // namespace
 }  // namespace e2e
