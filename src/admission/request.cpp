@@ -1,11 +1,11 @@
 #include "admission/request.h"
 
 #include <algorithm>
-#include <charconv>
 #include <vector>
 
 #include "common/args.h"
 #include "common/error.h"
+#include "common/number.h"
 
 namespace e2e::admission {
 namespace {
@@ -31,16 +31,6 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  std::int64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    throw InvalidArgument(key + " expects an integer, got '" + value + "'");
-  }
-  return parsed;
-}
-
 /// `proc:exec:prio[:np]`.
 SubtaskSpec parse_subtask(const std::string& value) {
   std::vector<std::string> parts;
@@ -58,9 +48,9 @@ SubtaskSpec parse_subtask(const std::string& value) {
     throw InvalidArgument("sub expects proc:exec:prio[:np], got '" + value + "'");
   }
   SubtaskSpec sub;
-  sub.processor = static_cast<int>(parse_int("sub processor", parts[0]));
-  sub.execution_time = parse_int("sub execution time", parts[1]);
-  sub.priority_level = static_cast<int>(parse_int("sub priority", parts[2]));
+  sub.processor = read_number<int>(parts[0], "sub processor");
+  sub.execution_time = read_number<Duration>(parts[1], "sub execution time");
+  sub.priority_level = read_number<int>(parts[2], "sub priority");
   if (parts.size() == 4) {
     if (parts[3] != "np") {
       throw InvalidArgument("sub flag must be 'np', got '" + parts[3] + "'");
@@ -119,12 +109,12 @@ Request parse_tokens(const std::vector<std::string>& tokens) {
     }
     const auto set_once = [&](Duration& field) {
       if (field != 0) throw InvalidArgument("duplicate key '" + key + "'");
-      field = parse_int(key, value);
+      field = read_number<Duration>(value, key);
     };
     if (key == "period") {
       if (saw_period) throw InvalidArgument("duplicate key 'period'");
       saw_period = true;
-      request.task.period = parse_int(key, value);
+      request.task.period = read_number<Duration>(value, key);
     } else if (key == "phase") {
       set_once(request.task.phase);
     } else if (key == "deadline") {

@@ -1,8 +1,6 @@
 #include "common/args.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "common/error.h"
 
@@ -54,51 +52,6 @@ bool ArgParser::has(const std::string& name) const {
 std::optional<std::string> ArgParser::value(const std::string& name) const {
   const auto it = options_.find(name);
   return it == options_.end() ? std::nullopt : it->second;
-}
-
-std::int64_t ArgParser::value_int(const std::string& name, std::int64_t fallback) const {
-  const std::optional<std::string> v = value(name);
-  if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
-    throw InvalidArgument("--" + name + " expects an integer, got '" + *v + "'");
-  }
-  if (errno == ERANGE) {
-    throw InvalidArgument("--" + name + " is out of range: '" + *v + "'");
-  }
-  return parsed;
-}
-
-std::uint64_t ArgParser::value_uint64(const std::string& name,
-                                      std::uint64_t fallback) const {
-  const std::optional<std::string> v = value(name);
-  if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  // strtoull accepts a sign and negates through the unsigned type, so a
-  // leading '-' is rejected up front instead of wrapping.
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || (*v)[0] == '-') {
-    throw InvalidArgument("--" + name + " expects an unsigned integer, got '" + *v +
-                          "'");
-  }
-  if (errno == ERANGE) {
-    throw InvalidArgument("--" + name + " is out of range: '" + *v + "'");
-  }
-  return parsed;
-}
-
-double ArgParser::value_double(const std::string& name, double fallback) const {
-  const std::optional<std::string> v = value(name);
-  if (!v.has_value()) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') {
-    throw InvalidArgument("--" + name + " expects a number, got '" + *v + "'");
-  }
-  return parsed;
 }
 
 std::string ArgParser::value_string(const std::string& name, std::string fallback) const {

@@ -6,12 +6,13 @@
 // validate against their known option set via expect_known().
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/number.h"
 
 namespace e2e {
 
@@ -37,14 +38,15 @@ class ArgParser {
   /// Value of `--name=value`; nullopt when absent or value-less.
   [[nodiscard]] std::optional<std::string> value(const std::string& name) const;
 
-  /// Typed accessors with defaults; throw InvalidArgument on a
-  /// non-numeric or out-of-range value.
-  [[nodiscard]] std::int64_t value_int(const std::string& name,
-                                       std::int64_t fallback) const;
-  /// The full uint64 range (seeds); a negative value is an error.
-  [[nodiscard]] std::uint64_t value_uint64(const std::string& name,
-                                           std::uint64_t fallback) const;
-  [[nodiscard]] double value_double(const std::string& name, double fallback) const;
+  /// `--name`'s value read by the rule of common/number.h (T is int,
+  /// std::int64_t, std::uint64_t or double), or `fallback` when absent;
+  /// throws InvalidArgument naming the flag on a malformed or
+  /// out-of-range value.
+  template <typename T>
+  [[nodiscard]] T value_as(const std::string& name, T fallback) const {
+    const std::optional<std::string> v = value(name);
+    return v.has_value() ? read_number<T>(*v, "--" + name) : fallback;
+  }
   [[nodiscard]] std::string value_string(const std::string& name,
                                          std::string fallback) const;
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/error.h"
+#include "common/number.h"
 
 namespace e2e::exec {
 
@@ -10,9 +11,8 @@ int resolve_threads(int requested) noexcept {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("E2E_THREADS");
       env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) return static_cast<int>(value);
+    const ParsedNumber<int> parsed = parse_number<int>(env);
+    if (parsed.ok() && parsed.value > 0) return parsed.value;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -1,7 +1,6 @@
 #include "report/format.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -30,17 +29,6 @@ std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""
 std::string hex_hash(std::uint64_t hash) {
   std::ostringstream stream;
   stream << "0x" << std::hex << std::setfill('0') << std::setw(16) << hash;
-  return stream.str();
-}
-
-std::string fmt_shortest(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream stream;
-    stream << std::setprecision(precision) << v;
-    if (std::strtod(stream.str().c_str(), nullptr) == v) return stream.str();
-  }
-  std::ostringstream stream;
-  stream << std::setprecision(17) << v;
   return stream.str();
 }
 

@@ -1,5 +1,5 @@
 // Text formatting shared by every machine-readable report (scenario
-// JSON/CSV, admission JSON, perf JSON) and the canonical spec writer.
+// JSON/CSV, admission JSON, perf JSON).
 #pragma once
 
 #include <cstdint>
@@ -17,8 +17,5 @@ namespace e2e {
 
 /// `0x` plus 16 lower-case hex digits.
 [[nodiscard]] std::string hex_hash(std::uint64_t hash);
-
-/// Shortest decimal form that strtod parses back exactly.
-[[nodiscard]] std::string fmt_shortest(double v);
 
 }  // namespace e2e

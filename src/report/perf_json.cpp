@@ -1,5 +1,6 @@
 #include "report/perf_json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #if defined(__linux__) || defined(__APPLE__)
@@ -14,6 +16,7 @@
 #endif
 
 #include "common/error.h"
+#include "common/number.h"
 #include "report/format.h"
 
 namespace e2e {
@@ -228,17 +231,16 @@ std::vector<int> bench_thread_counts() {
   if (const char* env = std::getenv("E2E_BENCH_THREADS");
       env != nullptr && *env != '\0') {
     std::vector<int> counts;
-    const char* cursor = env;
-    while (*cursor != '\0') {
-      char* end = nullptr;
-      const long value = std::strtol(cursor, &end, 10);
-      if (end == cursor || value <= 0) {
+    std::string_view rest{env};
+    while (!rest.empty()) {
+      const std::size_t comma = std::min(rest.find(','), rest.size());
+      const ParsedNumber<int> parsed = parse_number<int>(rest.substr(0, comma));
+      if (!parsed.ok() || parsed.value <= 0) {
         throw InvalidArgument(
             "E2E_BENCH_THREADS must be comma-separated positive integers");
       }
-      counts.push_back(static_cast<int>(value));
-      cursor = end;
-      if (*cursor == ',') ++cursor;
+      counts.push_back(parsed.value);
+      rest.remove_prefix(std::min(comma + 1, rest.size()));
     }
     if (!counts.empty()) return counts;
   }
@@ -468,12 +470,11 @@ int write_perf_report(const std::string& bench, const std::string& workload,
     double floor = 3.0;
     if (const char* env = std::getenv("E2E_BENCH_GATE_FLOOR");
         env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const double value = std::strtod(env, &end);
-      if (end == env || value <= 0.0) {
+      const ParsedNumber<double> parsed = parse_number<double>(env);
+      if (!parsed.ok() || parsed.value <= 0.0) {
         throw InvalidArgument("E2E_BENCH_GATE_FLOOR must be a positive number");
       }
-      floor = value;
+      floor = parsed.value;
     }
     if (const std::optional<std::string> failure =
             scaling_gate_failure(report, floor)) {

@@ -1,12 +1,9 @@
 #include "scenario/defaults.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/error.h"
+#include "common/number.h"
 
 namespace e2e {
 namespace {
@@ -18,56 +15,39 @@ const char* env_value(const std::string& name) {
 }
 
 [[noreturn]] void reject(const std::string& name, const char* value,
-                         const char* problem) {
+                         const std::string& problem) {
   throw InvalidArgument(name + "='" + value + "': " + problem);
 }
 
-/// env_int narrowed to an int field.
-int env_count(const std::string& name, int fallback) {
-  const std::int64_t value = env_int(name, fallback);
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    reject(name, env_value(name), "out of range");
+/// The variable read by the rule of common/number.h, or `fallback`.
+template <typename T>
+T env_number(const std::string& name, T fallback) {
+  const char* value = env_value(name);
+  if (value == nullptr) return fallback;
+  const ParsedNumber<T> parsed = parse_number<T>(value);
+  if (parsed.status == NumberStatus::kMalformed) {
+    reject(name, value, std::string{"expected "} + number_kind<T>());
   }
-  return static_cast<int>(value);
+  if (parsed.status == NumberStatus::kOutOfRange) reject(name, value, "out of range");
+  return parsed.value;
 }
 
-/// Seeds span the full uint64 range.
+int env_count(const std::string& name, int fallback) {
+  return env_number<int>(name, fallback);
+}
+
 std::uint64_t env_seed(std::uint64_t fallback) {
-  const char* value = env_value("E2E_SEED");
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 || *end != '\0') {
-    reject("E2E_SEED", value, "expected an unsigned integer");
-  }
-  if (errno == ERANGE) reject("E2E_SEED", value, "out of range");
-  return parsed;
+  return env_number<std::uint64_t>("E2E_SEED", fallback);
 }
 
 }  // namespace
 
 std::int64_t env_int(const std::string& name, std::int64_t fallback) {
-  const char* value = env_value(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t parsed = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0') reject(name, value, "expected an integer");
-  if (errno == ERANGE) reject(name, value, "out of range");
-  return parsed;
+  return env_number<std::int64_t>(name, fallback);
 }
 
 double env_double(const std::string& name, double fallback) {
-  const char* value = env_value(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') reject(name, value, "expected a number");
-  if (errno == ERANGE || !std::isfinite(parsed)) reject(name, value, "out of range");
-  return parsed;
+  return env_number<double>(name, fallback);
 }
 
 ScenarioDefaults ScenarioDefaults::load() {

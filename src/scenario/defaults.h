@@ -14,14 +14,15 @@ namespace e2e {
 
 /// Raw accessors for odd cases (bench gate floors); prefer the typed
 /// ScenarioDefaults fields. Empty or unset variables yield the fallback;
-/// a value with trailing characters, or one outside the type's range,
-/// throws InvalidArgument naming the variable. ScenarioDefaults::load()
-/// additionally rejects values that do not fit the field's type.
+/// a value that breaks the rule of common/number.h, or lies outside the
+/// type's range, throws InvalidArgument naming the variable.
+/// ScenarioDefaults::load() additionally rejects values that do not fit
+/// the field's type.
 [[nodiscard]] std::int64_t env_int(const std::string& name, std::int64_t fallback);
 [[nodiscard]] double env_double(const std::string& name, double fallback);
 
 /// One snapshot of every E2E_* variable with its per-context fallback.
-/// Contexts deliberately disagree on fallbacks (the CLI's montecarlo
+/// Contexts deliberately disagree on fallbacks (a montecarlo spec
 /// defaults to 20 runs, the bench to 200), so each (variable, context)
 /// pair gets its own field.
 struct ScenarioDefaults {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/number.h"
 #include "common/rng.h"
 #include "experiments/breakdown.h"
 #include "experiments/faults.h"
@@ -55,7 +56,8 @@ TaskSystem resolve_system(const SystemSource& src, std::istream& in) {
 
 // --- montecarlo -------------------------------------------------------
 
-/// The legacy `e2e montecarlo` block, byte for byte.
+/// The Monte-Carlo table block; its bytes are pinned by the legacy goldens
+/// of scenario_parity_test.
 void montecarlo_table(std::ostream& out, const TaskSystem& system,
                       ProtocolKind kind, int threads,
                       const MonteCarloResult& result) {
@@ -141,7 +143,8 @@ int run_montecarlo(const ScenarioSpec& spec, std::istream& in, std::ostream& out
 
 // --- sweep ------------------------------------------------------------
 
-/// The legacy `e2e sweep` block, byte for byte.
+/// The sweep table block; its bytes are pinned by the legacy goldens of
+/// scenario_parity_test.
 void sweep_table(std::ostream& out, const Configuration& config,
                  const ConfigResult& result) {
   out << "configuration N=" << config.subtasks_per_task

@@ -1,16 +1,13 @@
 #include "scenario/spec.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/args.h"
 #include "common/error.h"
-#include "report/format.h"
+#include "common/number.h"
 
 namespace e2e {
 namespace {
@@ -22,49 +19,11 @@ constexpr const char* kHeader = "e2esync-scenario v1";
                         message);
 }
 
-std::int64_t parse_int64(int line, const std::string& key,
-                         const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    fail(line, "'" + key + "' expects an integer, got '" + value + "'");
-  }
-  if (errno == ERANGE) fail(line, "'" + key + "' is out of range: '" + value + "'");
-  return parsed;
-}
-
-/// The parser for every int-typed key: a value that does not fit an int
-/// fails here instead of wrapping through static_cast<int>.
-int parse_int(int line, const std::string& key, const std::string& value) {
-  const std::int64_t parsed = parse_int64(line, key, value);
-  if (parsed < std::numeric_limits<int>::min() ||
-      parsed > std::numeric_limits<int>::max()) {
-    fail(line, "'" + key + "' is out of range: '" + value + "'");
-  }
-  return static_cast<int>(parsed);
-}
-
-/// Seeds span the full uint64 range, which strtoll would saturate.
-std::uint64_t parse_uint(int line, const std::string& key,
-                         const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || value[0] == '-') {
-    fail(line, "'" + key + "' expects an unsigned integer, got '" + value + "'");
-  }
-  if (errno == ERANGE) fail(line, "'" + key + "' is out of range: '" + value + "'");
-  return parsed;
-}
-
-double parse_double(int line, const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    fail(line, "'" + key + "' expects a number, got '" + value + "'");
-  }
-  return parsed;
+/// A key's value, read by the rule of common/number.h.
+template <typename T>
+T number(int line, const std::string& key, const std::string& value) {
+  return read_number<T>(value, "scenario spec line " + std::to_string(line) + ": '" +
+                                   key + "'");
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -302,30 +261,30 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
       }
     } else if (key == "seed") {
       want(1);
-      spec.seed = parse_uint(line_number, key, tokens[1]);
+      spec.seed = number<std::uint64_t>(line_number, key, tokens[1]);
       has_seed = true;
     } else if (key == "systems" || key == "runs") {
       want(1);
-      spec.systems = parse_int(line_number, key, tokens[1]);
+      spec.systems = number<int>(line_number, key, tokens[1]);
       has_systems = true;
     } else if (key == "horizon-periods") {
       want(1);
-      spec.horizon_periods = parse_double(line_number, key, tokens[1]);
+      spec.horizon_periods = number<double>(line_number, key, tokens[1]);
       has_horizon = true;
     } else if (key == "threads") {
       want(1);
-      spec.threads = parse_int(line_number, key, tokens[1]);
+      spec.threads = number<int>(line_number, key, tokens[1]);
     } else if (key == "exec-var") {
       want(1);
-      spec.exec_var = parse_double(line_number, key, tokens[1]);
+      spec.exec_var = number<double>(line_number, key, tokens[1]);
     } else if (key == "protocol") {
       want(1);
       spec.protocols.push_back(parse_protocol_name(line_number, tokens[1]));
     } else if (key == "config") {
       want(2);
       spec.grid.push_back(Configuration{
-          .subtasks_per_task = parse_int(line_number, "config N", tokens[1]),
-          .utilization_percent = parse_int(line_number, "config U", tokens[2])});
+          .subtasks_per_task = number<int>(line_number, "config N", tokens[1]),
+          .utilization_percent = number<int>(line_number, "config U", tokens[2])});
     } else if (key == "severity") {
       want(2);
       try {
@@ -364,17 +323,17 @@ ScenarioSpec parse_scenario(std::istream& in, const ScenarioDefaults& defaults) 
         }
         for (const auto& [k, v] : pairs) {
           if (k == "subtasks") {
-            src.generate_subtasks = parse_int(line_number, k, v);
+            src.generate_subtasks = number<int>(line_number, k, v);
           } else if (k == "utilization") {
-            src.generate_utilization = parse_int(line_number, k, v);
+            src.generate_utilization = number<int>(line_number, k, v);
           } else if (k == "tasks") {
-            src.generate_tasks = parse_int(line_number, k, v);
+            src.generate_tasks = number<int>(line_number, k, v);
           } else if (k == "processors") {
-            src.generate_processors = parse_int(line_number, k, v);
+            src.generate_processors = number<int>(line_number, k, v);
           } else if (k == "seed") {
-            src.generate_seed = parse_uint(line_number, k, v);
+            src.generate_seed = number<std::uint64_t>(line_number, k, v);
           } else if (k == "ticks") {
-            src.generate_ticks = parse_int64(line_number, k, v);
+            src.generate_ticks = number<std::int64_t>(line_number, k, v);
           } else {
             fail(line_number, "unknown generate key '" + k +
                                   "' (subtasks, utilization, tasks, "
@@ -544,13 +503,13 @@ void validate_scenario(const ScenarioSpec& spec) {
   if (spec.systems <= 0) {
     throw InvalidArgument("scenario: systems/runs must be positive");
   }
-  if (spec.horizon_periods <= 0.0) {
+  if (!(spec.horizon_periods > 0.0)) {
     throw InvalidArgument("scenario: horizon-periods must be positive");
   }
   if (spec.threads < 0) {
     throw InvalidArgument("scenario: threads must be non-negative");
   }
-  if (spec.exec_var <= 0.0 || spec.exec_var > 1.0) {
+  if (!(spec.exec_var > 0.0 && spec.exec_var <= 1.0)) {
     throw InvalidArgument("scenario: exec-var must be in (0, 1]");
   }
   for (const Configuration& config : spec.grid) {

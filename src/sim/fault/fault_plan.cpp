@@ -1,52 +1,27 @@
 #include "sim/fault/fault_plan.h"
 
-#include <cstdlib>
-#include <iomanip>
-#include <sstream>
-
 #include "common/args.h"
 #include "common/error.h"
+#include "common/number.h"
 
 namespace e2e {
 namespace {
 
-/// Shortest decimal form of `v` that strtod parses back exactly (the
-/// writer below must round-trip through parse_fault_plan bit-for-bit).
-std::string fmt_roundtrip(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream stream;
-    stream << std::setprecision(precision) << v;
-    if (std::strtod(stream.str().c_str(), nullptr) == v) return stream.str();
-  }
-  std::ostringstream stream;
-  stream << std::setprecision(17) << v;
-  return stream.str();
-}
+std::string fault_key(const std::string& key) { return "fault key '" + key + "'"; }
 
 double parse_probability(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw InvalidArgument("fault key '" + key + "' expects a number, got '" +
+  const double parsed = read_number<double>(value, fault_key(key));
+  if (!(parsed >= 0.0 && parsed <= 1.0)) {
+    throw InvalidArgument(fault_key(key) + " expects a probability in [0, 1], got '" +
                           value + "'");
-  }
-  if (parsed < 0.0 || parsed > 1.0) {
-    throw InvalidArgument("fault key '" + key + "' expects a probability in "
-                          "[0, 1], got '" + value + "'");
   }
   return parsed;
 }
 
 std::int64_t parse_ticks(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw InvalidArgument("fault key '" + key + "' expects an integer, got '" +
-                          value + "'");
-  }
+  const std::int64_t parsed = read_number<std::int64_t>(value, fault_key(key));
   if (parsed < 0) {
-    throw InvalidArgument("fault key '" + key + "' must be non-negative, got '" +
-                          value + "'");
+    throw InvalidArgument(fault_key(key) + " must be non-negative, got '" + value + "'");
   }
   return parsed;
 }
@@ -62,7 +37,7 @@ bool FaultPlan::enabled() const noexcept {
 
 void FaultPlan::validate() const {
   const auto check_prob = [](double p, const char* name) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       throw InvalidArgument(std::string{"fault plan: "} + name +
                             " must be a probability in [0, 1]");
     }
@@ -131,19 +106,19 @@ std::string write_fault_plan(const FaultPlan& plan) {
   }
   if (plan.drift_ppm_max != 0) emit("drift-ppm", std::to_string(plan.drift_ppm_max));
   if (plan.signal_loss_prob != 0.0) {
-    emit("loss-prob", fmt_roundtrip(plan.signal_loss_prob));
+    emit("loss-prob", fmt_shortest(plan.signal_loss_prob));
   }
   if (plan.signal_delay_max != 0) emit("delay", std::to_string(plan.signal_delay_max));
   if (plan.signal_duplicate_prob != 0.0) {
-    emit("dup-prob", fmt_roundtrip(plan.signal_duplicate_prob));
+    emit("dup-prob", fmt_shortest(plan.signal_duplicate_prob));
   }
   if (plan.timer_jitter_max != 0) {
     emit("timer-jitter", std::to_string(plan.timer_jitter_max));
   }
-  if (plan.stall_prob != 0.0) emit("stall-prob", fmt_roundtrip(plan.stall_prob));
+  if (plan.stall_prob != 0.0) emit("stall-prob", fmt_shortest(plan.stall_prob));
   if (plan.stall_max != 0) emit("stall", std::to_string(plan.stall_max));
   if (plan.sync_loss_prob != 0.0) {
-    emit("sync-loss-prob", fmt_roundtrip(plan.sync_loss_prob));
+    emit("sync-loss-prob", fmt_shortest(plan.sync_loss_prob));
   }
   if (plan.partition_at != 0) {
     emit("partition-at", std::to_string(plan.partition_at));
@@ -173,7 +148,7 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     }
     seen.push_back(key);
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_ticks(key, value));
+      plan.seed = read_number<std::uint64_t>(value, fault_key(key));
     } else if (key == "offset") {
       plan.clock_offset_max = parse_ticks(key, value);
     } else if (key == "drift-ppm") {

@@ -1,23 +1,17 @@
 #include "sim/timesvc/timesvc_config.h"
 
-#include <cstdlib>
-
 #include "common/args.h"
 #include "common/error.h"
+#include "common/number.h"
 
 namespace e2e {
 namespace {
 
 std::int64_t parse_count(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw InvalidArgument("timesvc key '" + key + "' expects an integer, got '" +
-                          value + "'");
-  }
+  const std::string subject = "timesvc key '" + key + "'";
+  const std::int64_t parsed = read_number<std::int64_t>(value, subject);
   if (parsed < 0) {
-    throw InvalidArgument("timesvc key '" + key +
-                          "' must be non-negative, got '" + value + "'");
+    throw InvalidArgument(subject + " must be non-negative, got '" + value + "'");
   }
   return parsed;
 }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/number.h"
 #include "task/builder.h"
 
 namespace e2e {
@@ -17,11 +18,17 @@ constexpr std::string_view kMagic = "e2esync v1";
                         message);
 }
 
-/// Consumes one whitespace-delimited integer token.
-std::int64_t parse_int(std::istringstream& line, int line_number, const char* what) {
-  std::int64_t value = 0;
-  if (!(line >> value)) fail(line_number, std::string("expected integer ") + what);
-  return value;
+/// Consumes one whitespace-delimited token as a T, by the rule of
+/// common/number.h.
+template <typename T = std::int64_t>
+T parse_int(std::istringstream& line, int line_number, const char* what) {
+  std::string token;
+  line >> token;
+  try {
+    return read_number<T>(token, what);
+  } catch (const InvalidArgument& e) {
+    fail(line_number, e.what());
+  }
 }
 
 /// Consumes the rest of the line (trimmed leading space) as a name.
@@ -95,16 +102,15 @@ TaskSystem read_system(std::istream& in) {
       }
     } else if (keyword == "sub") {
       if (!current_task.has_value()) fail(line_number, "'sub' before any 'task'");
-      const std::int64_t processor = parse_int(tokens, line_number, "processor id");
+      const int processor = parse_int<int>(tokens, line_number, "processor id");
       const std::int64_t exec = parse_int(tokens, line_number, "execution time");
-      const std::int64_t priority = parse_int(tokens, line_number, "priority");
+      const int priority = parse_int<int>(tokens, line_number, "priority");
       const std::int64_t preemptible = parse_int(tokens, line_number, "preemptible flag");
       if (preemptible != 0 && preemptible != 1) {
         fail(line_number, "preemptible flag must be 0 or 1");
       }
       try {
-        current_task->subtask(ProcessorId{static_cast<std::int32_t>(processor)}, exec,
-                              Priority{static_cast<std::int32_t>(priority)},
+        current_task->subtask(ProcessorId{processor}, exec, Priority{priority},
                               parse_name(tokens));
         if (preemptible == 0) current_task->non_preemptible();
       } catch (const InvalidArgument& e) {

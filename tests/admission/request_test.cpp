@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 namespace e2e::admission {
@@ -163,6 +164,21 @@ TEST(RequestParse, MalformedSubtasksAreRejected) {
     const auto request = parse_request(line);
     ASSERT_TRUE(request.has_value()) << line;
     EXPECT_FALSE(request->ok()) << line;
+  }
+}
+
+TEST(RequestParse, IdsThatWouldWrapAreRejected) {
+  // 2^32 used to narrow to processor 0 / priority 0 and be admitted.
+  for (const char* line : {
+           "admit name=T1 period=100 sub=4294967296:10:1",
+           "admit name=T1 period=100 sub=0:10:4294967297",
+           "admit name=T1 period=99999999999999999999 sub=0:10:1",
+       }) {
+    const auto request = parse_request(line);
+    ASSERT_TRUE(request.has_value()) << line;
+    EXPECT_FALSE(request->ok()) << line;
+    EXPECT_NE(request->parse_error.find("is out of range"), std::string::npos)
+        << request->parse_error;
   }
 }
 

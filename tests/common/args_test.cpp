@@ -21,7 +21,7 @@ TEST(Args, PositionalsInOrder) {
 TEST(Args, EqualsForm) {
   const ArgParser args{{"--protocol=RG", "--horizon=100"}};
   EXPECT_EQ(args.value_string("protocol", ""), "RG");
-  EXPECT_EQ(args.value_int("horizon", 0), 100);
+  EXPECT_EQ(args.value_as<std::int64_t>("horizon", 0), 100);
 }
 
 TEST(Args, SpaceSeparatedForm) {
@@ -36,7 +36,7 @@ TEST(Args, BareFlagBeforeAnotherOption) {
   const ArgParser args{{"--trace", "--gantt=2"}};
   EXPECT_TRUE(args.has("trace"));
   EXPECT_EQ(args.value("trace"), std::nullopt);
-  EXPECT_EQ(args.value_int("gantt", 1), 2);
+  EXPECT_EQ(args.value_as<std::int64_t>("gantt", 1), 2);
 }
 
 TEST(Args, TrailingBareFlag) {
@@ -53,34 +53,36 @@ TEST(Args, DoubleDashEndsOptions) {
 
 TEST(Args, MissingOptionUsesFallback) {
   const ArgParser args{{"cmd"}};
-  EXPECT_EQ(args.value_int("horizon", 42), 42);
-  EXPECT_DOUBLE_EQ(args.value_double("x", 1.5), 1.5);
+  EXPECT_EQ(args.value_as<std::int64_t>("horizon", 42), 42);
+  EXPECT_DOUBLE_EQ(args.value_as<double>("x", 1.5), 1.5);
   EXPECT_EQ(args.value_string("name", "deflt"), "deflt");
   EXPECT_FALSE(args.has("horizon"));
 }
 
 TEST(Args, BadNumbersThrow) {
   const ArgParser args{{"--horizon=ten", "--ratio=1.2.3"}};
-  EXPECT_THROW((void)args.value_int("horizon", 0), InvalidArgument);
-  EXPECT_THROW((void)args.value_double("ratio", 0.0), InvalidArgument);
+  EXPECT_THROW((void)args.value_as<std::int64_t>("horizon", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_as<double>("ratio", 0.0), InvalidArgument);
 }
 
 TEST(Args, OutOfRangeIntegersThrow) {
   const ArgParser args{{"--big=9223372036854775808", "--small=-9223372036854775809",
                         "--edge=9223372036854775807"}};
-  EXPECT_THROW((void)args.value_int("big", 0), InvalidArgument);
-  EXPECT_THROW((void)args.value_int("small", 0), InvalidArgument);
-  EXPECT_EQ(args.value_int("edge", 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_THROW((void)args.value_as<std::int64_t>("big", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_as<std::int64_t>("small", 0), InvalidArgument);
+  EXPECT_EQ(args.value_as<std::int64_t>("edge", 0),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(Args, Uint64CoversTheFullRangeAndRejectsNegatives) {
   const ArgParser args{{"--max=18446744073709551615", "--over=18446744073709551616",
                         "--neg=-1", "--word=x"}};
-  EXPECT_EQ(args.value_uint64("max", 0), std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(args.value_uint64("absent", 7), 7u);
-  EXPECT_THROW((void)args.value_uint64("over", 0), InvalidArgument);
-  EXPECT_THROW((void)args.value_uint64("neg", 0), InvalidArgument);
-  EXPECT_THROW((void)args.value_uint64("word", 0), InvalidArgument);
+  EXPECT_EQ(args.value_as<std::uint64_t>("max", 0),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(args.value_as<std::uint64_t>("absent", 7), 7u);
+  EXPECT_THROW((void)args.value_as<std::uint64_t>("over", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_as<std::uint64_t>("neg", 0), InvalidArgument);
+  EXPECT_THROW((void)args.value_as<std::uint64_t>("word", 0), InvalidArgument);
 }
 
 TEST(Args, ExpectKnownAcceptsKnown) {
@@ -97,7 +99,7 @@ TEST(Args, ArgcArgvConstructorSkipsProgramName) {
   const char* argv[] = {"e2e", "analyze", "--x=1"};
   const ArgParser args{3, argv};
   EXPECT_EQ(args.positional(0), "analyze");
-  EXPECT_EQ(args.value_int("x", 0), 1);
+  EXPECT_EQ(args.value_as<std::int64_t>("x", 0), 1);
 }
 
 TEST(Args, EmptyInput) {
@@ -109,7 +111,7 @@ TEST(Args, EmptyInput) {
 TEST(Args, NegativeNumericValues) {
   // "--offset -5": -5 does not start with "--", so it is the value.
   const ArgParser args{{"--offset", "-5"}};
-  EXPECT_EQ(args.value_int("offset", 0), -5);
+  EXPECT_EQ(args.value_as<std::int64_t>("offset", 0), -5);
 }
 
 TEST(SplitKeyValues, BasicPairsInOrder) {

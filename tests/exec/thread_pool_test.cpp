@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,17 @@ TEST(ResolveThreads, IgnoresInvalidEnvValues) {
   EXPECT_GE(resolve_threads(0), 1);
   ::setenv("E2E_THREADS", "-3", 1);
   EXPECT_GE(resolve_threads(0), 1);
+  ::unsetenv("E2E_THREADS");
+}
+
+TEST(ResolveThreads, IgnoresEnvValuesThatWouldWrap) {
+  // Only resolves the count; no pool is built. 2^32 + k used to narrow
+  // to k; chosen so that k differs from the hardware fallback.
+  ::unsetenv("E2E_THREADS");
+  const int fallback = resolve_threads(0);
+  const std::string wrapping = std::to_string(4294967296LL + fallback + 1);
+  ::setenv("E2E_THREADS", wrapping.c_str(), 1);
+  EXPECT_EQ(resolve_threads(0), fallback);
   ::unsetenv("E2E_THREADS");
 }
 

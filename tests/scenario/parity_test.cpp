@@ -1,9 +1,8 @@
 // Golden parity: `e2e run` with a scenario spec must reproduce the
-// legacy montecarlo/sweep/faults subcommands byte for byte, and the
-// figure/report specs and the time-service fault specs must reproduce
-// the committed small-size goldens in tests/scenario/figure_goldens/, at
-// every thread count (the spec layer may not perturb results or
-// formatting).
+// committed goldens in tests/scenario/figure_goldens/ at every thread
+// count -- the retired montecarlo/sweep/faults subcommands' output, the
+// small-size figure/report outputs and the time-service fault specs (the
+// spec layer may not perturb results or formatting).
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,24 +33,37 @@ CliResult run_cli(const std::vector<std::string>& args,
   return CliResult{code, out.str(), err.str()};
 }
 
-void expect_parity(const std::vector<std::string>& legacy_args,
-                   const std::string& legacy_stdin, const std::string& spec) {
-  for (const int threads : {1, 2, 8}) {
-    const std::string flag = "--threads=" + std::to_string(threads);
-    std::vector<std::string> legacy = legacy_args;
-    legacy.push_back(flag);
-    const CliResult want = run_cli(legacy, legacy_stdin);
-    ASSERT_EQ(want.exit_code, 0) << want.err;
-    ASSERT_FALSE(want.out.empty());
+std::string read_golden(const std::string& name) {
+  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name};
+  EXPECT_TRUE(file) << "missing golden " << name;
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
 
-    const CliResult got = run_cli({"run", "-", flag}, spec);
+// The legacy goldens are the output of the retired `e2e montecarlo`,
+// `e2e sweep` and `e2e faults` subcommands at --threads=1, captured
+// before they were removed; `e2e run -` with the equivalent spec must
+// keep those bytes. Only the Monte-Carlo header names the thread count.
+void expect_legacy_golden(const std::string& golden, const std::string& spec) {
+  const std::string serial = read_golden(golden);
+  ASSERT_FALSE(serial.empty());
+  for (const int threads : {1, 2, 8}) {
+    std::string want = serial;
+    const std::string header = "threads=1 (0 = auto)";
+    if (const std::size_t at = want.find(header); at != std::string::npos) {
+      want.replace(at, header.size(),
+                   "threads=" + std::to_string(threads) + " (0 = auto)");
+    }
+    const CliResult got = run_cli({"run", "-", "--threads=" + std::to_string(threads)},
+                                  spec);
     ASSERT_EQ(got.exit_code, 0) << got.err;
-    EXPECT_EQ(got.out, want.out) << "threads=" << threads;
+    EXPECT_EQ(got.out, want) << golden << " threads=" << threads;
   }
 }
 
-TEST(ScenarioParity, MontecarloMatchesLegacy) {
-  const std::string system = to_text(paper::example2());
+TEST(ScenarioParity, MontecarloMatchesLegacyGolden) {
+  // Was: e2e montecarlo --runs=6 --horizon-periods=4 --seed=11 < example2
   const std::string spec =
       "e2esync-scenario v1\n"
       "scenario montecarlo\n"
@@ -60,13 +72,13 @@ TEST(ScenarioParity, MontecarloMatchesLegacy) {
       "horizon-periods 4\n"
       "protocol RG\n"
       "begin system\n" +
-      system + "end system\n";
-  expect_parity({"montecarlo", "--runs=6", "--horizon-periods=4", "--seed=11"},
-                system, spec);
+      to_text(paper::example2()) + "end system\n";
+  expect_legacy_golden("legacy_montecarlo_rg.txt", spec);
 }
 
-TEST(ScenarioParity, MontecarloExplicitProtocolMatchesLegacy) {
-  const std::string system = to_text(paper::example2());
+TEST(ScenarioParity, MontecarloExplicitProtocolMatchesLegacyGolden) {
+  // Was: e2e montecarlo --protocol=MPM-R --runs=4 --horizon-periods=4
+  //      --exec-var=0.5 --seed=3 < example2
   const std::string spec =
       "e2esync-scenario v1\n"
       "scenario montecarlo\n"
@@ -76,38 +88,33 @@ TEST(ScenarioParity, MontecarloExplicitProtocolMatchesLegacy) {
       "exec-var 0.5\n"
       "protocol MPM-R\n"
       "begin system\n" +
-      system + "end system\n";
-  expect_parity({"montecarlo", "--protocol=MPM-R", "--runs=4",
-                 "--horizon-periods=4", "--exec-var=0.5", "--seed=3"},
-                system, spec);
+      to_text(paper::example2()) + "end system\n";
+  expect_legacy_golden("legacy_montecarlo_mpm_r.txt", spec);
 }
 
-TEST(ScenarioParity, SweepMatchesLegacy) {
-  const std::string spec =
-      "e2esync-scenario v1\n"
-      "scenario sweep\n"
-      "seed 5\n"
-      "systems 3\n"
-      "horizon-periods 4\n"
-      "config 2 40\n";
-  expect_parity({"sweep", "--systems=3", "--subtasks=2", "--utilization=40",
-                 "--horizon-periods=4", "--seed=5"},
-                "", spec);
+TEST(ScenarioParity, SweepMatchesLegacyGolden) {
+  // Was: e2e sweep --systems=3 --subtasks=2 --utilization=40
+  //      --horizon-periods=4 --seed=5
+  expect_legacy_golden("legacy_sweep.txt",
+                       "e2esync-scenario v1\n"
+                       "scenario sweep\n"
+                       "seed 5\n"
+                       "systems 3\n"
+                       "horizon-periods 4\n"
+                       "config 2 40\n");
 }
 
-TEST(ScenarioParity, FaultsMatchesLegacy) {
-  // The legacy faults subcommand pins horizon-periods to 30, so the spec
-  // says so explicitly (shielding the test from E2E_HORIZON_PERIODS).
-  const std::string spec =
-      "e2esync-scenario v1\n"
-      "scenario faults\n"
-      "seed 9\n"
-      "systems 1\n"
-      "horizon-periods 30\n"
-      "config 2 40\n";
-  expect_parity({"faults", "--systems=1", "--subtasks=2", "--utilization=40",
-                 "--seed=9"},
-                "", spec);
+TEST(ScenarioParity, FaultsMatchesLegacyGolden) {
+  // Was: e2e faults --systems=1 --subtasks=2 --utilization=40 --seed=9,
+  // which pinned horizon-periods to 30 (written as a key here, so
+  // E2E_HORIZON_PERIODS cannot change what runs).
+  expect_legacy_golden("legacy_faults.txt",
+                       "e2esync-scenario v1\n"
+                       "scenario faults\n"
+                       "seed 9\n"
+                       "systems 1\n"
+                       "horizon-periods 30\n"
+                       "config 2 40\n");
 }
 
 std::string run_spec_text(const std::string& text, int threads) {
@@ -127,14 +134,10 @@ std::string run_spec_text(const std::string& text, int threads) {
 // goldens were captured from the standalone programs that printed those
 // reports before they became figure specs.
 void expect_golden(const std::string& name, const std::string& keys) {
-  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name + ".txt"};
-  ASSERT_TRUE(file) << "missing golden " << name;
-  std::ostringstream want;
-  want << file.rdbuf();
-
+  const std::string want = read_golden(name + ".txt");
   const std::string text = "e2esync-scenario v1\n" + keys + "seed 20260706\n";
   for (const int threads : {1, 2, 8}) {
-    EXPECT_EQ(run_spec_text(text, threads), want.str())
+    EXPECT_EQ(run_spec_text(text, threads), want)
         << name << " threads=" << threads;
   }
 }
@@ -191,13 +194,10 @@ std::string reduced_faults_spec(const std::string& name, const std::string& repo
 
 void expect_faults_golden(const std::string& name, const std::string& report,
                           const std::string& golden) {
-  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + golden};
-  ASSERT_TRUE(file) << "missing golden " << golden;
-  std::ostringstream want;
-  want << file.rdbuf();
+  const std::string want = read_golden(golden);
   const std::string text = reduced_faults_spec(name, report);
   for (const int threads : {1, 3}) {
-    EXPECT_EQ(run_spec_text(text, threads), want.str())
+    EXPECT_EQ(run_spec_text(text, threads), want)
         << golden << " threads=" << threads;
   }
 }

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -165,6 +166,20 @@ TEST(ScenarioSpecParse, OutOfRangeCountsFailInsteadOfWrapping) {
   EXPECT_EQ(parse(head + "systems 2147483647\n").systems, 2147483647);
 }
 
+TEST(ScenarioSpecParse, NonFiniteValuesFailByLine) {
+  // `exec-var nan` used to pass validation and abort the Monte-Carlo run;
+  // `horizon-periods inf` ran with an infinite horizon.
+  const std::string head = "e2esync-scenario v1\nscenario montecarlo\n";
+  EXPECT_EQ(parse_error(head + "exec-var nan\n"),
+            "scenario spec line 3: 'exec-var' is out of range: 'nan'");
+  for (const char* value : {"inf", "nan", "-inf", "1e999"}) {
+    const std::string message = parse_error(head + "horizon-periods " + value + "\n");
+    EXPECT_NE(message.find("line 3: 'horizon-periods' is out of range"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(ScenarioSpecParse, RejectsMissingHeader) {
   EXPECT_THROW(parse("scenario sweep\n"), InvalidArgument);
 }
@@ -246,6 +261,14 @@ TEST(ScenarioSpecValidate, RejectsUnrunnableSpecs) {
 
   spec = parse("e2esync-scenario v1\nscenario sweep\n");
   spec.exec_var = 1.5;
+  EXPECT_THROW(validate_scenario(spec), InvalidArgument);
+
+  // NaN fails every comparison, so each check is written to reject it.
+  spec = parse("e2esync-scenario v1\nscenario montecarlo\n");
+  spec.exec_var = std::nan("");
+  EXPECT_THROW(validate_scenario(spec), InvalidArgument);
+  spec = parse("e2esync-scenario v1\nscenario montecarlo\n");
+  spec.horizon_periods = std::nan("");
   EXPECT_THROW(validate_scenario(spec), InvalidArgument);
 
   spec = parse("e2esync-scenario v1\nscenario faults\n");

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -113,6 +115,32 @@ TEST(FaultPlan, ParseErrorsNameTheKey) {
   EXPECT_THROW((void)parse_fault_plan("offset=abc"), InvalidArgument);
   EXPECT_THROW((void)parse_fault_plan("loss-prob=2"), InvalidArgument);
   EXPECT_THROW((void)parse_fault_plan("offset"), InvalidArgument);
+}
+
+/// The message parse_fault_plan throws for `spec`.
+std::string fault_error(const std::string& spec) {
+  try {
+    (void)parse_fault_plan(spec);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgument for " << spec;
+  return {};
+}
+
+TEST(FaultPlan, OverflowAndNonFiniteValuesAreErrorsNamingTheKey) {
+  // strtoll saturated the first to INT64_MAX and strtod let NaN through,
+  // which every range check passed and which turned loss off.
+  EXPECT_EQ(fault_error("delay=99999999999999999999999"),
+            "fault key 'delay' is out of range: '99999999999999999999999'");
+  EXPECT_EQ(fault_error("loss-prob=nan"), "fault key 'loss-prob' is out of range: 'nan'");
+  EXPECT_EQ(fault_error("dup-prob=inf"), "fault key 'dup-prob' is out of range: 'inf'");
+  EXPECT_THROW((FaultPlan{.signal_loss_prob = std::nan("")}).validate(), InvalidArgument);
+  // The seed spans the full uint64 range, so every seed the writer emits
+  // reads back.
+  const FaultPlan plan{.seed = 18446744073709551615u, .signal_delay_max = 3};
+  EXPECT_EQ(parse_fault_plan(write_fault_plan(plan)), plan);
+  EXPECT_EQ(fault_error("seed=-1"), "fault key 'seed' expects an unsigned integer, got '-1'");
 }
 
 TEST(FaultInjector, ClockDrawsAreSeededAndPerProcessor) {

@@ -69,6 +69,17 @@ TEST(TimeServiceConfig, ParseErrorsNameTheKeyAndListKnownKeys) {
   EXPECT_THROW((void)parse_timesvc_config("interval"), InvalidArgument);
 }
 
+TEST(TimeServiceConfig, OverflowIsAnErrorNamingTheKey) {
+  // strtoll used to saturate this to INT64_MAX without a word.
+  try {
+    (void)parse_timesvc_config("interval=99999999999999999999");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "timesvc key 'interval' is out of range: '99999999999999999999'");
+  }
+  EXPECT_THROW((void)parse_timesvc_config("slew-ppm=+5"), InvalidArgument);
+}
+
 TEST(TimeServiceConfig, ValidateRejectsBadValues) {
   EXPECT_THROW((TimeServiceConfig{.sync_interval = -1}).validate(),
                InvalidArgument);

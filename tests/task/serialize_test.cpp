@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "task/builder.h"
@@ -95,6 +96,24 @@ TEST(Serialize, RejectsTaskBeforeProcessors) {
 TEST(Serialize, RejectsBadNumbers) {
   EXPECT_THROW((void)from_text("e2esync v1\nprocessors 1\ntask ten 0 10 0 T\n"),
                InvalidArgument);
+}
+
+TEST(Serialize, RejectsIdsThatWouldWrap) {
+  // 2^32 used to narrow to processor 0 (and priority 0) and load.
+  const std::string head = "e2esync v1\nprocessors 2\ntask 10 0 10 0 T1\n";
+  for (const std::string sub : {"sub 4294967296 2 0 1 S", "sub 0 2 4294967296 1 S",
+                                "sub -4294967296 2 0 1 S"}) {
+    try {
+      (void)from_text(head + sub + "\n");
+      ADD_FAILURE() << "expected InvalidArgument for " << sub;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("is out of range"), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW((void)from_text(head + "sub 0 2 0 1x S\n"), InvalidArgument);
+  EXPECT_THROW((void)from_text(head + "sub +0 2 0 1 S\n"), InvalidArgument);
 }
 
 TEST(Serialize, RejectsInvalidModel) {

@@ -193,55 +193,72 @@ TEST(Cli, GeneratePipesIntoAnalyze) {
   EXPECT_NE(analyzed.out.find("bound PM/MPM/RG"), std::string::npos);
 }
 
+const std::string kMontecarloSpec =
+    "e2esync-scenario v1\n"
+    "scenario montecarlo\n"
+    "runs 2\n"
+    "horizon-periods 4\n"
+    "system example2\n";
+
 TEST(Cli, ThreadsZeroIsAnError) {
-  const CliResult r = run_cli({"montecarlo", "--threads=0", "--runs=2"},
-                              to_text(paper::example2()));
+  const CliResult r = run_cli({"run", "-", "--threads=0"}, kMontecarloSpec);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--threads must be a positive integer"),
             std::string::npos);
 }
 
 TEST(Cli, ThreadsNonNumericIsAnError) {
-  const CliResult r = run_cli({"montecarlo", "--threads=abc", "--runs=2"},
-                              to_text(paper::example2()));
+  const CliResult r = run_cli({"run", "-", "--threads=abc"}, kMontecarloSpec);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--threads"), std::string::npos);
 }
 
-TEST(Cli, FaultsRejectsNegativeThreads) {
-  const CliResult r = run_cli({"faults", "--threads=-2"});
+TEST(Cli, RunRejectsNegativeThreads) {
+  const CliResult r = run_cli({"run", "-", "--threads=-2"},
+                              "e2esync-scenario v1\nscenario faults\nconfig 2 40\n");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("--threads must be a positive integer"),
             std::string::npos);
 }
 
-TEST(Cli, MontecarloPrintsScheduleHashAndTable) {
-  const CliResult r = run_cli(
-      {"montecarlo", "--runs=3", "--horizon-periods=4", "--threads=1"},
-      to_text(paper::example2()));
+TEST(Cli, RunRejectsOutOfRangeThreads) {
+  // Narrowed to int, 2^32 + 1 would run on one thread.
+  const CliResult r = run_cli({"run", "-", "--threads=4294967297"}, kMontecarloSpec);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_TRUE(r.out.empty());
+  EXPECT_NE(r.err.find("--threads is out of range"), std::string::npos) << r.err;
+}
+
+TEST(Cli, RunMontecarloPrintsScheduleHashAndTable) {
+  const CliResult r = run_cli({"run", "-", "--threads=1"},
+                              "e2esync-scenario v1\n"
+                              "scenario montecarlo\n"
+                              "runs 3\n"
+                              "horizon-periods 4\n"
+                              "system example2\n");
   ASSERT_EQ(r.exit_code, 0) << r.err;
   EXPECT_NE(r.out.find("schedule hash 0x"), std::string::npos);
   EXPECT_NE(r.out.find("mean EER"), std::string::npos);
   EXPECT_NE(r.out.find("T1"), std::string::npos);
 }
 
-TEST(Cli, MontecarloIsDeterministicAcrossThreadCounts) {
-  const std::string system = to_text(paper::example2());
-  const std::vector<std::string> base = {"montecarlo", "--runs=6",
-                                         "--horizon-periods=4", "--seed=11"};
+TEST(Cli, RunMontecarloIsDeterministicAcrossThreadCounts) {
+  const std::string spec =
+      "e2esync-scenario v1\n"
+      "scenario montecarlo\n"
+      "seed 11\n"
+      "runs 6\n"
+      "horizon-periods 4\n"
+      "system example2\n";
   auto tail_from_hash = [](const std::string& out) {
     const std::size_t pos = out.find("schedule hash");
     EXPECT_NE(pos, std::string::npos);
     return out.substr(pos);
   };
-  std::vector<std::string> one = base;
-  one.push_back("--threads=1");
-  const CliResult serial = run_cli(one, system);
+  const CliResult serial = run_cli({"run", "-", "--threads=1"}, spec);
   ASSERT_EQ(serial.exit_code, 0) << serial.err;
   for (const char* threads : {"--threads=2", "--threads=8"}) {
-    std::vector<std::string> many = base;
-    many.push_back(threads);
-    const CliResult parallel = run_cli(many, system);
+    const CliResult parallel = run_cli({"run", "-", threads}, spec);
     ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
     // Everything from the schedule hash on (the header names the thread
     // count itself) must be byte-identical.
@@ -249,19 +266,19 @@ TEST(Cli, MontecarloIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Cli, SweepIsDeterministicAcrossThreadCounts) {
-  const std::vector<std::string> base = {"sweep", "--systems=3", "--subtasks=2",
-                                         "--utilization=40",
-                                         "--horizon-periods=4", "--seed=5"};
-  std::vector<std::string> one = base;
-  one.push_back("--threads=1");
-  const CliResult serial = run_cli(one);
+TEST(Cli, RunSweepIsDeterministicAcrossThreadCounts) {
+  const std::string spec =
+      "e2esync-scenario v1\n"
+      "scenario sweep\n"
+      "seed 5\n"
+      "systems 3\n"
+      "horizon-periods 4\n"
+      "config 2 40\n";
+  const CliResult serial = run_cli({"run", "-", "--threads=1"}, spec);
   ASSERT_EQ(serial.exit_code, 0) << serial.err;
   EXPECT_NE(serial.out.find("schedule hash 0x"), std::string::npos);
 
-  std::vector<std::string> many = base;
-  many.push_back("--threads=8");
-  const CliResult parallel = run_cli(many);
+  const CliResult parallel = run_cli({"run", "-", "--threads=8"}, spec);
   ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
   EXPECT_EQ(parallel.out, serial.out);  // sweep output names no thread count
 }
@@ -389,19 +406,15 @@ TEST(Cli, RunFaultsWithTimesvcAddsPrecisionCsvColumns) {
   EXPECT_EQ(without.out.find("sync_err_mean"), std::string::npos);
 }
 
-TEST(Cli, FaultsTimesvcFlagAddsPmEstimated) {
-  const CliResult r = run_cli({"faults", "--systems=1", "--subtasks=2",
-                               "--utilization=40", "--threads=1",
-                               "--timesvc=interval=25000"});
-  ASSERT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_NE(r.out.find("PM-E"), std::string::npos);
-  EXPECT_NE(r.out.find("timesvc: |err| mean"), std::string::npos);
-}
-
-TEST(Cli, FaultsRejectsMalformedTimesvc) {
-  const CliResult r = run_cli({"faults", "--timesvc=intervall=5"});
+TEST(Cli, RunRejectsMalformedTimesvc) {
+  const CliResult r = run_cli({"run", "-"},
+                              "e2esync-scenario v1\n"
+                              "scenario faults\n"
+                              "config 2 40\n"
+                              "timesvc intervall=5\n");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("unknown timesvc key 'intervall'"), std::string::npos);
+  EXPECT_NE(r.err.find("line 4"), std::string::npos) << r.err;
 }
 
 TEST(Cli, PartitionExampleScenarioParsesAndPlans) {
@@ -466,33 +479,11 @@ TEST(Cli, GenerateRejectsNonPositiveCounts) {
   }
 }
 
-TEST(Cli, SpecBuilderCountsRejectOutOfRangeValues) {
-  // Narrowed to int, 2^32 + 1 and 2^32 + 2 would run as 1 and 2; every
-  // int flag of the spec-builders fails by name instead.
-  const std::string system = to_text(paper::example2());
-  const std::pair<std::vector<std::string>, std::string> cases[] = {
-      {{"montecarlo", "--runs=4294967297"}, "--runs is out of range"},
-      {{"montecarlo", "--runs=2", "--threads=4294967297"},
-       "--threads is out of range"},
-      {{"sweep", "--subtasks=4294967298"}, "--subtasks is out of range"},
-      {{"sweep", "--systems=4294967297"}, "--systems is out of range"},
-      {{"sweep", "--utilization=-4294967236"}, "--utilization is out of range"},
-      {{"faults", "--systems=99999999999999999999"}, "--systems is out of range"},
-      {{"faults", "--subtasks=4294967298"}, "--subtasks is out of range"},
-      {{"faults", "--utilization=4294967356"}, "--utilization is out of range"}};
-  for (const auto& [args, message] : cases) {
-    const CliResult r = run_cli(args, system);
-    EXPECT_EQ(r.exit_code, 1) << args[1];
-    EXPECT_TRUE(r.out.empty()) << args[1];
-    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
-  }
-}
-
 TEST(Cli, SeedRejectsNegativeAndOverflowingValues) {
   // --seed is a uint64 everywhere: a negative value or one of 2^64 or more
   // is an error naming the flag, not a silently wrapped or clamped seed.
   const std::string system = to_text(paper::example2());
-  for (const char* command : {"simulate", "montecarlo", "sweep", "faults", "generate"}) {
+  for (const char* command : {"simulate", "generate"}) {
     for (const std::string seed : {"-1", "18446744073709551616"}) {
       const CliResult r = run_cli({command, "--seed=" + seed}, system);
       EXPECT_EQ(r.exit_code, 1) << command << " " << seed;
@@ -509,13 +500,65 @@ TEST(Cli, SimulateRejectsOutOfRangeHorizon) {
   EXPECT_NE(r.err.find("--horizon is out of range"), std::string::npos) << r.err;
 }
 
-TEST(Cli, SweepRunsTheLargestSeed) {
-  // The same hash a spec with `seed 18446744073709551615` produces; the
-  // value used to be clamped to 2^63 - 1 (hash 0x478e0847c3abd96f).
-  const CliResult r = run_cli({"sweep", "--systems=1", "--seed=18446744073709551615",
-                               "--horizon-periods=2", "--threads=1"});
+TEST(Cli, RunSweepRunsTheLargestSeed) {
+  // The value used to be clamped to 2^63 - 1 (hash 0x478e0847c3abd96f).
+  const CliResult r = run_cli({"run", "-", "--threads=1"},
+                              "e2esync-scenario v1\n"
+                              "scenario sweep\n"
+                              "seed 18446744073709551615\n"
+                              "systems 1\n"
+                              "horizon-periods 2\n"
+                              "config 4 60\n");
   ASSERT_EQ(r.exit_code, 0) << r.err;
   EXPECT_NE(r.out.find("schedule hash 0xee779452cfbe5cb9"), std::string::npos) << r.out;
+}
+
+TEST(Cli, RetiredSpecBuildersAreUnknownCommands) {
+  for (const char* command : {"montecarlo", "sweep", "faults"}) {
+    const CliResult r = run_cli({command}, to_text(paper::example2()));
+    EXPECT_EQ(r.exit_code, 1) << command;
+    EXPECT_NE(r.err.find("unknown command"), std::string::npos) << r.err;
+  }
+}
+
+TEST(Cli, NonFiniteNumbersAreRejectedByName) {
+  // NaN used to pass every range check: --utilization=nan set every exec
+  // time to 1, loss-prob=nan turned loss off, and a spec's exec-var nan
+  // aborted the process.
+  const std::string system = to_text(paper::example2());
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"generate", "--utilization=nan"}, "--utilization is out of range: 'nan'"},
+      {{"simulate", "--faults=loss-prob=nan"},
+       "fault key 'loss-prob' is out of range: 'nan'"},
+      {{"simulate", "--exec-var=inf"}, "--exec-var is out of range: 'inf'"}};
+  for (const auto& [args, message] : cases) {
+    const CliResult r = run_cli(args, system);
+    EXPECT_EQ(r.exit_code, 1) << args[1];
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
+  const CliResult spec = run_cli({"run", "-"}, kMontecarloSpec + "exec-var nan\n");
+  EXPECT_EQ(spec.exit_code, 1);
+  EXPECT_NE(spec.err.find("line 6: 'exec-var' is out of range: 'nan'"), std::string::npos)
+      << spec.err;
+}
+
+TEST(Cli, OverflowingFaultTicksAreRejectedByName) {
+  // strtoll saturated this to INT64_MAX: every signal arrived "late".
+  const CliResult r = run_cli({"simulate", "--protocol=DS",
+                               "--faults=delay=99999999999999999999999"},
+                              to_text(paper::example2()));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_TRUE(r.out.empty());
+  EXPECT_NE(r.err.find("fault key 'delay' is out of range"), std::string::npos) << r.err;
+}
+
+TEST(Cli, AdmitRejectsAProcessorIdThatWouldWrap) {
+  // 2^32 used to narrow to processor 0 and be accepted.
+  const CliResult r = run_cli({"admit", "--processors=2"},
+                              "admit name=A period=100 sub=4294967296:10:1\n");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.out.find("sub processor is out of range"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("admitted 0"), std::string::npos) << r.out;
 }
 
 TEST(Cli, RunRejectsOutOfRangeSpecCounts) {

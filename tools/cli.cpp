@@ -3,7 +3,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "admission/service.h"
@@ -24,7 +23,6 @@
 #include "sim/execution_model.h"
 #include "sim/fault/fault_injector.h"
 #include "sim/fault/fault_plan.h"
-#include "sim/timesvc/timesvc_config.h"
 #include "task/paper_examples.h"
 #include "task/serialize.h"
 #include "workload/generator.h"
@@ -48,18 +46,6 @@ constexpr const char* kUsage =
     "  generate             random paper-style system; --subtasks=N\n"
     "                       --utilization=PCT --tasks=N --processors=N\n"
     "                       --seed=N --ticks=N\n"
-    "  montecarlo [file]    latency distribution over randomized phasings;\n"
-    "                       --protocol=... --runs=N --seed=N\n"
-    "                       --horizon-periods=F --exec-var=F --threads=N\n"
-    "  sweep                evaluate one (N, U) configuration cell;\n"
-    "                       --subtasks=N --utilization=PCT --systems=N\n"
-    "                       --seed=N --horizon-periods=F --threads=N\n"
-    "  faults               robustness ladder (all protocols); --systems=N\n"
-    "                       --subtasks=N --utilization=PCT --seed=N\n"
-    "                       --threads=N --timesvc=key=val,...  (keys: interval,\n"
-    "                         slew-ppm, holdover-ppm, backup-offset,\n"
-    "                         holdover-after, failover-after; adds PM-E and\n"
-    "                         achieved-precision lines to the report)\n"
     "  run <spec|->         run a declarative scenario spec (see\n"
     "                       docs/scenarios.md); --threads=N --report=FMT\n"
     "                       --plan (print the cell plan, don't run)\n"
@@ -70,11 +56,11 @@ constexpr const char* kUsage =
     "  example2             print the paper's Example 2 system description\n"
     "  help                 this text\n"
     "\n"
-    "--threads=N must be positive; when omitted, the E2E_THREADS\n"
-    "environment variable applies, then hardware concurrency. Results are\n"
-    "identical at every thread count.\n"
+    "--threads=N must be positive; when omitted, the spec's threads key\n"
+    "applies, then the E2E_THREADS environment variable, then hardware\n"
+    "concurrency. Results are identical at every thread count.\n"
     "\n"
-    "analyze/simulate/montecarlo read the system from [file] or stdin (see\n"
+    "analyze/simulate read the system from [file] or stdin (see\n"
     "'e2e example2' for the format).\n";
 
 TaskSystem load_system(const ArgParser& args, std::istream& in) {
@@ -93,23 +79,9 @@ ProtocolKind parse_protocol(const std::string& name) {
                         "' (DS, PM, MPM, RG, MPM-R, PM-E)");
 }
 
-/// An int-typed flag: a value outside int's range is an error instead of
-/// wrapping through static_cast<int>.
-int int_flag(const ArgParser& args, const std::string& name, int fallback) {
-  const std::int64_t value = args.value_int(name, fallback);
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    throw InvalidArgument("--" + name + " is out of range: '" +
-                          args.value_string(name, "") + "'");
-  }
-  return static_cast<int>(value);
-}
-
-/// --threads: absent -> 0 (defer to E2E_THREADS / hardware concurrency);
-/// present -> a positive integer, anything else is an error.
+/// --threads: a positive integer; anything else is an error.
 int parse_threads(const ArgParser& args) {
-  if (!args.has("threads")) return 0;
-  const int threads = int_flag(args, "threads", 0);
+  const int threads = args.value_as<int>("threads", 0);
   if (threads <= 0) {
     throw InvalidArgument("--threads must be a positive integer");
   }
@@ -160,10 +132,10 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
   const TaskSystem system = load_system(args, in);
 
   const ProtocolKind kind = parse_protocol(args.value_string("protocol", "RG"));
-  const Time horizon = args.value_int("horizon", system.default_horizon());
+  const Time horizon = args.value_as<Time>("horizon", system.default_horizon());
   if (horizon <= 0) throw InvalidArgument("--horizon must be a positive integer");
   // Validated even when --exec-var, its only consumer, is absent.
-  const std::uint64_t seed = args.value_uint64("seed", 1);
+  const std::uint64_t seed = args.value_as<std::uint64_t>("seed", 1);
 
   const auto protocol = make_protocol(kind, system);
   EerCollector eer{system};
@@ -171,7 +143,7 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
 
   std::unique_ptr<UniformExecutionVariation> variation;
   if (args.has("exec-var")) {
-    const double exec_var = args.value_double("exec-var", 1.0);
+    const double exec_var = args.value_as<double>("exec-var", 1.0);
     if (!(exec_var > 0.0 && exec_var <= 1.0)) {
       throw InvalidArgument("--exec-var must be in (0, 1]");
     }
@@ -232,77 +204,9 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
         << ", deferred releases: " << engine.stats().deferred_releases << "\n";
   }
   if (args.has("gantt")) {
-    out << "\n" << gantt.render(std::max<Time>(1, args.value_int("gantt", 1)));
+    out << "\n" << gantt.render(std::max<Time>(1, args.value_as<Time>("gantt", 1)));
   }
   return 0;
-}
-
-// The montecarlo/sweep/faults subcommands are thin spec-builders: flags
-// map onto a ScenarioSpec and run_scenario is the single pipeline behind
-// them and `e2e run`, so a spec file reproduces the same bytes.
-
-int cmd_montecarlo(const ArgParser& args, std::istream& in, std::ostream& out) {
-  args.expect_known({"protocol", "runs", "seed", "horizon-periods", "exec-var",
-                     "threads"});
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kMonteCarlo;
-  spec.seed = args.value_uint64("seed", 1);
-  spec.systems = int_flag(args, "runs", 20);
-  spec.horizon_periods = args.value_double("horizon-periods", 20.0);
-  spec.exec_var = args.value_double("exec-var", 1.0);
-  spec.threads = parse_threads(args);
-  spec.protocols = {parse_protocol(args.value_string("protocol", "RG"))};
-  const std::string path = args.positional(1);
-  if (path.empty() || path == "-") {
-    spec.system.kind = SystemSource::Kind::kStdin;
-  } else {
-    spec.system.kind = SystemSource::Kind::kFile;
-    spec.system.path = path;
-  }
-  return run_scenario(spec, in, out);
-}
-
-int cmd_sweep(const ArgParser& args, std::istream& in, std::ostream& out) {
-  args.expect_known({"subtasks", "utilization", "systems", "seed",
-                     "horizon-periods", "threads"});
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kSweep;
-  spec.seed = args.value_uint64("seed", 20260706);
-  spec.systems = int_flag(args, "systems", 20);
-  spec.horizon_periods = args.value_double("horizon-periods", 30.0);
-  spec.threads = parse_threads(args);
-  spec.grid = {Configuration{
-      .subtasks_per_task = int_flag(args, "subtasks", 4),
-      .utilization_percent = int_flag(args, "utilization", 60)}};
-  return run_scenario(spec, in, out);
-}
-
-int cmd_faults(const ArgParser& args, std::istream& in, std::ostream& out) {
-  args.expect_known(
-      {"systems", "subtasks", "utilization", "seed", "threads", "timesvc"});
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kFaults;
-  spec.seed = args.value_uint64("seed", 20260806);
-  spec.systems = int_flag(args, "systems", 10);
-  spec.horizon_periods = 30.0;
-  spec.threads = parse_threads(args);
-  spec.grid = {Configuration{
-      .subtasks_per_task = int_flag(args, "subtasks", 4),
-      .utilization_percent = int_flag(args, "utilization", 60)}};
-  spec.protocols.assign(std::begin(kExtendedProtocolKinds),
-                        std::end(kExtendedProtocolKinds));
-  spec.severities = default_fault_severities();
-  if (args.has("timesvc")) {
-    const std::optional<std::string> value = args.value("timesvc");
-    if (!value.has_value()) {
-      throw InvalidArgument("--timesvc expects key=value,... (see 'e2e help')");
-    }
-    spec.timesvc = parse_timesvc_config(*value);
-    // With a live time service the estimated-clock protocol becomes
-    // meaningful; add it to the ladder so PM vs PM-E is visible.
-    spec.protocols.push_back(ProtocolKind::kPmEstimated);
-  }
-  return run_scenario(spec, in, out);
 }
 
 int cmd_run(const ArgParser& args, std::istream& in, std::ostream& out) {
@@ -341,13 +245,13 @@ int cmd_admit(const ArgParser& args, std::istream& in, std::ostream& out) {
   options.controller.policy =
       admission::parse_policy(args.value_string("policy", "pm"));
   const std::int64_t processors =
-      args.value_int("processors", defaults.admission_processors);
+      args.value_as<std::int64_t>("processors", defaults.admission_processors);
   if (processors <= 0) {
     throw InvalidArgument("--processors must be a positive integer");
   }
   options.controller.processors = static_cast<std::size_t>(processors);
   options.controller.full_recompute = args.has("full-recompute");
-  const std::int64_t cache = args.value_int(
+  const std::int64_t cache = args.value_as<std::int64_t>(
       "cache", static_cast<std::int64_t>(options.controller.decision_cache_capacity));
   if (cache < 0) throw InvalidArgument("--cache must be >= 0");
   options.controller.decision_cache_capacity = static_cast<std::size_t>(cache);
@@ -372,17 +276,17 @@ int cmd_generate(const ArgParser& args, std::ostream& out) {
   // A negative count would wrap to a huge size_t; 0 passes through to
   // the generator, whose own message names what is missing.
   const auto count = [&](const std::string& name, std::int64_t fallback) {
-    const std::int64_t value = args.value_int(name, fallback);
+    const std::int64_t value = args.value_as<std::int64_t>(name, fallback);
     if (value < 0) throw InvalidArgument("--" + name + " must be a positive integer");
     return static_cast<std::size_t>(value);
   };
   GeneratorOptions options;
   options.subtasks_per_task = count("subtasks", 4);
-  options.utilization = args.value_double("utilization", 60.0) / 100.0;
+  options.utilization = args.value_as<double>("utilization", 60.0) / 100.0;
   options.tasks = count("tasks", 12);
   options.processors = count("processors", 4);
-  options.ticks_per_unit = args.value_int("ticks", 1000);
-  Rng rng{args.value_uint64("seed", 20260706)};
+  options.ticks_per_unit = args.value_as<std::int64_t>("ticks", 1000);
+  Rng rng{args.value_as<std::uint64_t>("seed", 20260706)};
   write_system(out, generate_system(rng, options));
   return 0;
 }
@@ -402,9 +306,6 @@ int run(const std::vector<std::string>& args_vector, std::istream& in,
     if (command == "analyze") return cmd_analyze(args, in, out);
     if (command == "simulate") return cmd_simulate(args, in, out, err);
     if (command == "generate") return cmd_generate(args, out);
-    if (command == "montecarlo") return cmd_montecarlo(args, in, out);
-    if (command == "sweep") return cmd_sweep(args, in, out);
-    if (command == "faults") return cmd_faults(args, in, out);
     if (command == "run") return cmd_run(args, in, out);
     if (command == "admit") return cmd_admit(args, in, out);
     if (command == "example2") {

@@ -4,15 +4,15 @@
 //   e2e analyze  [file]                     bounds + verdicts (stdin if no file)
 //   e2e simulate [file] --protocol=RG ...   metrics, optional gantt/trace
 //   e2e generate --subtasks=N --utilization=U ...   emit a random system
-//   e2e montecarlo [file] --runs=K ...      latency distribution estimate
-//   e2e sweep --subtasks=N --utilization=U  one configuration cell
-//   e2e faults --systems=K ...              fault-robustness ladder
+//   e2e run <spec|->                        a scenario spec (docs/scenarios.md)
+//   e2e admit [file|-] --processors=N ...   answer an admission request stream
 //   e2e example2                            emit the paper's Example 2
 //   e2e help                                usage
 //
-// The experiment subcommands (montecarlo, sweep, faults) take
-// --threads=<n> (positive; default: the E2E_THREADS environment
-// variable, then hardware concurrency) and produce output that is
+// `run` is the one way to run an experiment (Monte-Carlo, (N, U) sweep,
+// fault ladder, figure, breakdown). It takes --threads=<n> (positive;
+// default: the spec's `threads` key, then the E2E_THREADS environment
+// variable, then hardware concurrency) and produces output that is
 // byte-identical at every thread count.
 //
 // `simulate` options: --protocol=DS|PM|MPM|RG|MPM-R (default RG),
