@@ -159,6 +159,19 @@ class IncrementalDsEngine final : public Engine {
       }
       slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - old_tasks));
     }
+    // A resident that gained interferers from several batch members has
+    // one entry per member, all pushed onto the same tail: merge them so
+    // the loop below walks each resident's whole tail exactly once.
+    std::sort(dep_pushes.begin(), dep_pushes.end());
+    std::size_t merged = 0;
+    for (std::size_t i = 0; i < dep_pushes.size(); ++i) {
+      if (merged > 0 && dep_pushes[merged - 1].first == dep_pushes[i].first) {
+        dep_pushes[merged - 1].second += dep_pushes[i].second;
+      } else {
+        dep_pushes[merged++] = dep_pushes[i];
+      }
+    }
+    dep_pushes.resize(merged);
     // Reverse index, kept ascending (what ieert_index_dependencies
     // builds): resident lists gain candidate readers at the tail in flat
     // order; the candidates' own lists are new and sorted once.

@@ -1,6 +1,7 @@
 #include "report/perf_json.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -259,32 +260,49 @@ PerfReport run_perf_harness(
   const unsigned hw = std::thread::hardware_concurrency();
   report.hw_threads = hw > 0 ? static_cast<int>(hw) : 1;
 
-  for (const int threads : thread_counts) {
-    const auto start = std::chrono::steady_clock::now();
-    const PerfRunOutcome outcome = run(threads);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
+  // Time the whole ladder kRepeats times, interleaved (1,2,4,8,1,2,4,8,
+  // ...), so a burst of host contention lands on one repeat of every
+  // thread count rather than on all repeats of one; each entry keeps the
+  // median wall time.
+  constexpr std::size_t kRepeats = 3;
+  const std::size_t counts = thread_counts.size();
+  std::vector<double> walls(counts * kRepeats);
+  std::vector<PerfRunOutcome> outcomes(counts * kRepeats);
+  for (std::size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    for (std::size_t i = 0; i < counts; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      outcomes[repeat * counts + i] = run(thread_counts[i]);
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      walls[repeat * counts + i] = elapsed.count();
+    }
+  }
+  for (std::size_t i = 0; i < counts; ++i) {
+    std::array<double, kRepeats> repeat_walls{};
+    for (std::size_t repeat = 0; repeat < kRepeats; ++repeat) {
+      repeat_walls[repeat] = walls[repeat * counts + i];
+      // Every repeat at every thread count must reproduce the workload.
+      if (outcomes[repeat * counts + i].schedule_hash != outcomes[0].schedule_hash) {
+        report.deterministic = false;
+      }
+    }
+    std::sort(repeat_walls.begin(), repeat_walls.end());
 
     PerfEntry entry;
-    entry.threads = threads;
-    entry.wall_seconds = elapsed.count();
-    entry.events = outcome.events;
+    entry.threads = thread_counts[i];
+    entry.wall_seconds = repeat_walls[kRepeats / 2];
+    entry.events = outcomes[i].events;
     entry.events_per_second =
         entry.wall_seconds > 0.0
-            ? static_cast<double>(outcome.events) / entry.wall_seconds
+            ? static_cast<double>(entry.events) / entry.wall_seconds
             : 0.0;
-    entry.schedule_hash = outcome.schedule_hash;
+    entry.schedule_hash = outcomes[i].schedule_hash;
     const double baseline = report.entries.empty()
                                 ? entry.wall_seconds
                                 : report.entries.front().wall_seconds;
     entry.speedup_vs_1_thread =
         entry.wall_seconds > 0.0 ? baseline / entry.wall_seconds : 0.0;
     report.entries.push_back(entry);
-  }
-  for (const PerfEntry& entry : report.entries) {
-    if (entry.schedule_hash != report.entries.front().schedule_hash) {
-      report.deterministic = false;
-    }
   }
   // Sampled after the runs so the figure covers the workload's high-water
   // mark, not just the harness's own footprint.

@@ -3,8 +3,8 @@
 // (BENCH_<name>.json) that successive commits can diff.
 //
 // The harness is also a determinism check: each timed run reports its
-// combined schedule hash, and the report records whether every thread
-// count produced the identical hash. A bench in --json mode exits
+// combined schedule hash, and the report records whether every run at
+// every thread count produced the identical hash. A bench in --json mode exits
 // nonzero when they differ, so a parallelism bug fails CI even if the
 // timings look fine.
 #pragma once
@@ -18,10 +18,10 @@
 
 namespace e2e {
 
-/// One timed run of the workload at a fixed thread count.
+/// The timed runs of the workload at a fixed thread count.
 struct PerfEntry {
   int threads = 0;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;        ///< median over the harness's repeats
   std::int64_t events = 0;          ///< simulation events processed
   double events_per_second = 0.0;
   double speedup_vs_1_thread = 0.0; ///< wall(1 thread) / wall(this)
@@ -78,9 +78,12 @@ struct PerfRunOutcome {
 /// positive integers) when set, otherwise {1, 2, 4, 8}.
 [[nodiscard]] std::vector<int> bench_thread_counts();
 
-/// Runs `run(threads)` once per requested thread count, timing each with
-/// a monotonic clock, and assembles the report. The first count is the
-/// speedup baseline (callers normally put 1 first).
+/// Runs `run(threads)` three times per requested thread count, the whole
+/// ladder at a time (1,2,4,8,1,2,4,8,...), timing each run with a
+/// monotonic clock, and assembles the report: each entry keeps its median
+/// wall time, and the report is deterministic only if every run of every
+/// count produced the same hash. The first count is the speedup baseline
+/// (callers normally put 1 first).
 [[nodiscard]] PerfReport run_perf_harness(
     const std::string& bench, const std::string& workload,
     const std::vector<int>& thread_counts,

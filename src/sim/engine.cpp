@@ -228,32 +228,21 @@ void Engine::run() {
 
   // One iteration per *instant*, the earlier of the heap head and the
   // earliest completion slot. Completions due at the instant retire first,
-  // in dispatch order; then every queued event at the instant is drained
-  // into batch_ and processed; then scheduling decisions run once.
-  // Handlers may enqueue same-instant events; every such event carries a
-  // larger seq than the whole batch, so it sorts after the batch entry
-  // that created it unless its phase is strictly smaller -- the
-  // pop_if_at(key) interleave below merges those in exact (phase, seq)
-  // order, keeping the batched loop's event order identical to the
-  // one-pop-per-iteration loop it replaced (engine_soa_test pins this
-  // against pre-refactor golden hashes).
+  // in dispatch order; then the queue yields the instant's events in exact
+  // (phase, seq) order, including those the handlers enqueue for the
+  // instant itself, which wait in the queue's phase FIFOs instead of the
+  // heap (event_queue.h); then scheduling decisions run once.
+  // engine_soa_test pins the resulting order against golden hashes.
   while (true) {
     const Time due = next_completion_time();
     const Time t = queue_.empty() ? due : std::min(due, queue_.top_time());
     if (is_infinite(t) || t > options_.horizon) break;
     E2E_ASSERT(t >= now_, "simulation clock went backwards");
     now_ = t;
+    queue_.open_instant(t);
     if (due == t) retire_completions();
-    queue_.pop_batch_at(t, batch_);
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      EventQueue::Packed mid;
-      while (queue_.pop_if_at(t, batch_[i].key, mid)) process(mid);
-      process(batch_[i]);
-    }
-    // Same-instant events enqueued after their merge position passed the
-    // final batch entry (e.g. releases from the last handler).
-    EventQueue::Packed tail;
-    while (queue_.pop_if_at(t, ~std::uint64_t{0}, tail)) process(tail);
+    EventQueue::Packed event;
+    while (queue_.pop_instant(event)) process(event);
     // Scheduling decisions fire once per instant, after every simultaneous
     // event has been absorbed. The flush only fills completion slots with
     // future times (executions are >= 1 tick), so it cannot reopen the

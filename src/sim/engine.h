@@ -29,19 +29,21 @@
 // Reuse: experiments that simulate thousands of runs recycle one Engine
 // via reset(), which rebinds the (system, protocol, options) triple and
 // rewinds all simulation state while keeping every allocation warm (event
-// heap, job-slot arena, ready queues, the per-run arena). A reset engine
-// is observationally identical to a freshly constructed one -- same
-// events, same schedule hash -- asserted by engine_reuse_test; a *warm*
-// reset+run cycle performs zero global-allocator calls -- asserted by
-// engine_alloc_test.
+// heap and FIFOs, job-slot arena, ready queues, the per-run arena). A
+// reset engine is observationally identical to a freshly constructed one
+// (same events, same schedule hash), asserted by engine_reuse_test; a
+// *warm* reset+run cycle performs zero global-allocator calls, asserted
+// by engine_alloc_test.
 //
 // Memory layout (DESIGN.md section 9): all per-run tables live in a
 // MonotonicArena as flat SoA planes indexed by a precomputed
 // (task, chain index) -> flat-subtask offset table; reset() rewinds the
 // arena cursor instead of clear()ing nested containers. Job completions
 // sit in one slot per processor, outside the event queue. The run loop
-// advances to the earlier of the queue head and the earliest slot, one
-// timestamp at a time (see run() for the order). The engine reaches the
+// advances to the earlier of the heap head and the earliest slot, one
+// instant at a time (see run() for the order); events that handlers create
+// for the instant being drained -- release_now above all -- wait in the
+// queue's per-phase FIFOs and never touch the heap. The engine reaches the
 // protocol only through the SyncProtocol interface: one virtual call per
 // callback, whatever the protocol.
 #pragma once
@@ -393,9 +395,6 @@ class Engine {
   /// assign() this replaces re-touched each element every run.
   std::vector<std::uint64_t> dispatch_stamp_;
   std::uint64_t dispatch_epoch_ = 0;
-
-  /// Same-timestamp batch buffer drained from queue_ by run().
-  std::vector<EventQueue::Packed> batch_;
 
   /// Completion slots (DESIGN.md section 9): per processor, the running
   /// job's completion time (kTimeInfinity when idle) and dispatch order,

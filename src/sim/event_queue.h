@@ -13,18 +13,27 @@
 //
 // Storage: events are packed into 32-byte records (time, an order key
 // folding phase|seq|kind into one word, and a per-kind payload) kept in a
-// plain-vector 4-ary heap. Packing halves the bytes each sift moves --
-// the heap is the simulator's hottest data structure -- and the single
-// order key turns the three-way comparator into two integer compares.
-// The packed key preserves the contract exactly: phase occupies the top
-// bits, seq the middle, and kind the low 3 bits, where it can never
-// reorder two events (seq is unique). All hot operations are inline.
+// plain-vector 4-ary heap, or in a same-instant FIFO (below). Packing
+// halves the bytes each sift moves -- the heap is the simulator's hottest
+// data structure -- and the single order key turns the three-way
+// comparator into two integer compares. The packed key preserves the
+// contract exactly: phase occupies the top bits, seq the middle, and kind
+// the low 3 bits, where it can never reorder two events (seq is unique).
+// All hot operations are inline.
 //
-// Batched drain: Engine::run absorbs one timestamp per iteration through
-// pop_batch_at()/pop_if_at(), which lets the run loop hoist the
-// per-event "did the instant end?" check out of the handler path. See
-// Engine::run for the interleaving rule that keeps handler-enqueued
-// same-instant events in exact (phase, seq) order.
+// Same-instant FIFOs: while Engine::run drains an instant t (between
+// open_instant(t) and pop_instant() returning false), an event pushed for
+// time t -- a release_now, a timer or release clamped to t -- skips the
+// heap and is appended to a FIFO for its phase. pop_instant() yields
+//
+//   heap phase-0 events at t, the phase-0 FIFO,
+//   heap phase-1 events at t, the phase-1 FIFO,
+//
+// re-checking from the top after every event. That is exactly (phase,
+// seq) order: every FIFO event was pushed during the instant, so its seq
+// exceeds that of every heap event at t, and each FIFO is in seq order.
+// Outside an instant (before the run, and during protocol initialize())
+// every push goes to the heap.
 #pragma once
 
 #include <cstdint>
@@ -62,13 +71,14 @@ struct Event {
   std::int64_t instance = 0;
 };
 
-/// Min-heap by (time, phase, seq). push() assigns the sequence number.
+/// Min-priority queue by (time, phase, seq). push() assigns the sequence
+/// number.
 ///
-/// Storage is a plain vector managed with std::push_heap/std::pop_heap
-/// (rather than std::priority_queue) so that a reused engine can clear()
-/// the queue without surrendering its allocation: a reset queue starts
-/// from seq 0 with warm capacity, making reuse bit-identical to a fresh
-/// queue while skipping the per-run reallocation ramp-up.
+/// Storage is plain vectors (a hand-rolled heap rather than a
+/// std::priority_queue) so that a reused engine can clear() the queue
+/// without surrendering its allocations: a reset queue starts from seq 0
+/// with warm capacity, making reuse bit-identical to a fresh queue while
+/// skipping the per-run reallocation ramp-up.
 class EventQueue {
  public:
   /// The 32-byte stored form. `key` orders same-time events: bits 61..63
@@ -115,11 +125,22 @@ class EventQueue {
 
   void push(const Event& event) {
     E2E_ASSERT(next_seq_ < kSeqLimit, "event sequence space exhausted");
-    heap_.push_back(pack(event, next_seq_++));
+    const Packed packed = pack(event, next_seq_++);
+    if (event.time == instant_) {
+      fifo_[event.phase].push_back(packed);
+      return;
+    }
+    heap_.push_back(packed);
     sift_up(heap_.size() - 1);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  /// Pending events, heap and FIFOs together.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + (fifo_[0].size() - fifo_head_[0]) +
+           (fifo_[1].size() - fifo_head_[1]);
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  /// Time of the earliest heap event; meaningful between instants only.
   [[nodiscard]] Time top_time() const noexcept { return heap_.front().time; }
 
   [[nodiscard]] Event top() const {
@@ -127,38 +148,48 @@ class EventQueue {
     return unpack(heap_.front());
   }
 
+  /// Pops the earliest heap event (no instant may be open).
   Event pop() {
     E2E_ASSERT(!heap_.empty(), "pop from empty event queue");
     return unpack(pop_packed());
   }
 
-  /// Batched drain: pops every event currently at time `t` (the head
-  /// time) into `out` in (phase, seq) order. `out` is cleared first and
-  /// keeps its capacity across calls.
-  void pop_batch_at(Time t, std::vector<Packed>& out) {
-    out.clear();
-    while (!heap_.empty() && heap_.front().time == t) {
-      out.push_back(pop_packed());
+  /// Opens instant `t` (no earlier than every pending event): until
+  /// pop_instant() returns false, pushes at `t` go to the phase FIFOs.
+  void open_instant(Time t) noexcept { instant_ = t; }
+
+  /// Pops the next event of the open instant in (phase, seq) order (see
+  /// the file comment). Returns false, closing the instant, once no event
+  /// at the instant is left.
+  [[nodiscard]] bool pop_instant(Packed& out) {
+    if (heap_at_instant() && heap_.front().phase() == kTimerPhase) {
+      out = pop_packed();
+      return true;
     }
+    if (fifo_head_[kTimerPhase] < fifo_[kTimerPhase].size()) {
+      out = fifo_[kTimerPhase][fifo_head_[kTimerPhase]++];
+      return true;
+    }
+    if (heap_at_instant()) {
+      out = pop_packed();
+      return true;
+    }
+    if (fifo_head_[kReleasePhase] < fifo_[kReleasePhase].size()) {
+      out = fifo_[kReleasePhase][fifo_head_[kReleasePhase]++];
+      return true;
+    }
+    instant_ = kNoInstant;
+    clear_fifos();
+    return false;
   }
 
-  /// Pops the head iff it is at time `t` with key < `before_key` -- the
-  /// interleaving primitive for handler-enqueued same-instant events.
-  [[nodiscard]] bool pop_if_at(Time t, std::uint64_t before_key, Packed& out) {
-    if (heap_.empty() || heap_.front().time != t ||
-        heap_.front().key >= before_key) {
-      return false;
-    }
-    out = pop_packed();
-    return true;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-
-  /// Drops every pending event and restarts the insertion-sequence
-  /// counter at 0. Keeps the heap's allocated storage.
+  /// Drops every pending event, closes any open instant and restarts the
+  /// insertion-sequence counter at 0. Keeps the heap's and the FIFOs'
+  /// allocated storage.
   void clear() noexcept {
     heap_.clear();
+    clear_fifos();
+    instant_ = kNoInstant;
     next_seq_ = 0;
   }
   /// Pre-sizes the heap storage for `capacity` concurrent events.
@@ -169,6 +200,20 @@ class EventQueue {
   [[nodiscard]] static bool earlier(const Packed& a, const Packed& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
+  }
+
+  /// No event time is negative, so no push matches this while closed.
+  static constexpr Time kNoInstant = -1;
+
+  [[nodiscard]] bool heap_at_instant() const noexcept {
+    return !heap_.empty() && heap_.front().time == instant_;
+  }
+
+  void clear_fifos() noexcept {
+    for (int phase = 0; phase < 2; ++phase) {
+      fifo_[phase].clear();
+      fifo_head_[phase] = 0;
+    }
   }
 
   Packed pop_packed() {
@@ -216,6 +261,10 @@ class EventQueue {
   }
 
   std::vector<Packed> heap_;
+  /// Same-instant events per phase; fifo_head_ is the next one to pop.
+  std::vector<Packed> fifo_[2];
+  std::size_t fifo_head_[2] = {0, 0};
+  Time instant_ = kNoInstant;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -73,6 +73,7 @@ void TimeService::slew(Client& client, Time to) {
   const Duration budget =
       clock_drift_error(to - client.applied_at, config_.max_slew_ppm);
   const Duration gap = estimated_error(client, to) - client.applied_error;
+  if (gap > budget || gap < -budget) ++client.stats.slew_limited;
   client.applied_error += std::clamp(gap, -budget, budget);
   client.applied_at = to;
 }

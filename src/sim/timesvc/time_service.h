@@ -42,8 +42,8 @@
 // passive (no engine events): clients advance lazily when queried and
 // are driven to the horizon by advance_all() for end-of-run statistics.
 // A query also slews the applied correction up to the query time, and
-// the slew limit makes that path-dependent, so a queried service's
-// statistics are its own. A service no protocol queried depends only on
+// once the slew limit binds (ProcessorStats::slew_limited > 0) that is
+// path-dependent, so a queried service's statistics are its own. A service no protocol queried depends only on
 // (system, fault plan, config): every unqueried replay of it agrees, and
 // queried() tells the two apart.
 #pragma once
@@ -75,6 +75,7 @@ class TimeService {
     std::int64_t abs_error_sum = 0;    ///< sum |estimated-clock error|, ticks
     Duration abs_error_max = 0;        ///< max |estimated-clock error|, ticks
     Duration uncertainty_max = 0;      ///< max advertised uncertainty, ticks
+    std::int64_t slew_limited = 0;     ///< slews max_slew_ppm cut short
   };
 
   /// `faults` may be null (perfect clocks, ideal channel) and must

@@ -187,6 +187,15 @@ TEST(AdmissionProperty, BatchedStreamsMatch) {
   run_lockstep(Policy::kHolistic, 0x5EED0003u, lockstep_shape(0.3));
 }
 
+// Batch-commits whose members add interferers to one resident from two
+// members at once (seed 19 first does so at request 86, seed 4 at 157):
+// the delta-maintained reverse index must list the resident under each
+// new input exactly once, as a fresh index does.
+TEST(AdmissionProperty, BatchMembersSharingAResidentMatch) {
+  run_lockstep(Policy::kDs, 19u, lockstep_shape(0.3));
+  run_lockstep(Policy::kHolistic, 4u, lockstep_shape(0.3));
+}
+
 // Few processors and long chains crowd many chains onto each processor,
 // so the IEERT dependencies form cycles: the SA/DS removals must re-solve
 // multi-member components (and keep others untouched) while staying in

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/sa_ds.h"
 
@@ -314,6 +315,52 @@ TEST(Controller, FullAndIncrementalAgreeOnHandcraftedStream) {
     EXPECT_EQ(ca.batch_size, cb.batch_size);
     EXPECT_EQ(a.result_hash(), b.result_hash())
         << "policy " << to_string(policy);
+  }
+}
+
+// Batch members A and B each put a non-first subtask above resident R on
+// processor 0, so R gains two IEERT inputs in one batch-commit: A,1 and
+// B,1 (through A,2's and B,2's release jitter). The reverse index must
+// list R as a reader of both. C then interferes with A,1 alone on
+// processor 1; A,1's bound grows, which raises A,2's jitter and R's
+// bound past R's deadline -- so C must be rejected, as a full recompute
+// rejects it. A reverse index that lost R under A,1 never re-sweeps R.
+TEST(Controller, DsBatchCommitIndexesEveryNewInputOfAResident) {
+  for (const Policy policy : {Policy::kDs, Policy::kHolistic}) {
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    for (AdmissionController* controller : {&full, &incremental}) {
+      ASSERT_TRUE(controller->admit(make_spec("R", 100, {{0, 10, 9}}, 15)).accepted);
+      ASSERT_TRUE(controller->batch_begin().accepted);
+      (void)controller->admit(make_spec("A", 20, {{1, 2, 5}, {0, 2, 1}}));
+      (void)controller->admit(make_spec("B", 50, {{1, 2, 1}, {0, 2, 2}}));
+      const Outcome commit = controller->batch_commit();
+      ASSERT_TRUE(commit.accepted) << to_string(policy) << ": " << commit.message;
+    }
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+
+    const SystemState::Built built =
+        incremental.state().build_with(nullptr, 0, std::nullopt);
+    const InterferenceMap fresh_map{built.system};
+    IeertIncrementalState fresh_index;
+    ieert_index_dependencies(built.system, fresh_map, fresh_index);
+    const std::optional<Engine::StructureDigest> digest = incremental.structure_digest();
+    ASSERT_TRUE(digest.has_value());
+    EXPECT_EQ(digest->dependency_hash, ieert_dependency_hash(fresh_index))
+        << to_string(policy);
+
+    const TaskSpec c = make_spec("C", 40, {{1, 5, 3}});
+    const Outcome full_c = full.admit(c);
+    const Outcome incremental_c = incremental.admit(c);
+    EXPECT_FALSE(full_c.accepted) << to_string(policy);
+    EXPECT_EQ(full_c.culprit_task, "R") << to_string(policy);
+    EXPECT_EQ(incremental_c.accepted, full_c.accepted) << to_string(policy);
+    EXPECT_EQ(incremental_c.culprit_bound, full_c.culprit_bound) << to_string(policy);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
   }
 }
 

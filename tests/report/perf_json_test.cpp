@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -162,6 +164,45 @@ TEST(PerfJson, HarnessFlagsNonDeterministicWorkloads) {
                                   static_cast<std::uint64_t>(threads)};
       });
   EXPECT_FALSE(report.deterministic);
+}
+
+TEST(PerfJson, HarnessRepeatsTheLadderInterleaved) {
+  std::vector<int> calls;
+  const PerfReport report =
+      run_perf_harness("demo", "w", {1, 2, 8}, [&](int threads) {
+        calls.push_back(threads);
+        return PerfRunOutcome{.events = 10, .schedule_hash = 42};
+      });
+  EXPECT_EQ(calls, (std::vector<int>{1, 2, 8, 1, 2, 8, 1, 2, 8}));
+  ASSERT_EQ(report.entries.size(), 3u);
+  EXPECT_EQ(report.entries[2].threads, 8);
+  EXPECT_EQ(report.entries[2].events, 10);
+  EXPECT_TRUE(report.deterministic);
+}
+
+TEST(PerfJson, HarnessKeepsTheMedianWallTime) {
+  // One slow repeat (as if the host were busy) per thread count: the
+  // median ignores it.
+  int call = 0;
+  const PerfReport report = run_perf_harness("demo", "w", {1, 2}, [&](int) {
+    if (call++ % 3 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return PerfRunOutcome{.events = 10, .schedule_hash = 42};
+  });
+  ASSERT_EQ(report.entries.size(), 2u);
+  for (const PerfEntry& entry : report.entries) {
+    EXPECT_LT(entry.wall_seconds, 0.15) << entry.threads;
+  }
+}
+
+TEST(PerfJson, HarnessFlagsARepeatThatChangesTheHash) {
+  int call = 0;
+  const PerfReport report = run_perf_harness("demo", "w", {1, 2}, [&](int) {
+    // Only the last run (the third repeat at 2 threads) differs.
+    return PerfRunOutcome{.events = 10,
+                          .schedule_hash = ++call == 6 ? 43u : 42u};
+  });
+  EXPECT_FALSE(report.deterministic);
+  EXPECT_EQ(report.entries[1].schedule_hash, 42u);
 }
 
 TEST(PerfJson, HarnessRecordsHostFacts) {

@@ -284,6 +284,115 @@ TEST(Engine, SameInstantCompletionsRetireInDispatchOrderFirst) {
   EXPECT_EQ(engine.stats().timer_interrupts, 1);
 }
 
+/// Logs timer firings as "timer#<instance>@<now>"; the hooks below arm
+/// them.
+class ScriptedTimers : public SyncProtocol {
+ public:
+  explicit ScriptedTimers(std::vector<std::string>& log) : log_(&log) {}
+  [[nodiscard]] std::string_view name() const override { return "scripted"; }
+  void on_timer(Engine& engine, SubtaskRef, std::int64_t instance) override {
+    log_->push_back("timer#" + std::to_string(instance) + "@" +
+                    std::to_string(engine.now()));
+  }
+
+ private:
+  std::vector<std::string>* log_;
+};
+
+TEST(Engine, SameInstantTimerFromAReleaseRunsBeforeTheRemainingReleases) {
+  // Three arrivals share t=10. The first one's release handler arms a
+  // timer for t=10 itself: the timer phase precedes the release phase, so
+  // it fires before the two arrivals still queued for the instant.
+  class TimerOnFirstRelease final : public ScriptedTimers {
+   public:
+    using ScriptedTimers::ScriptedTimers;
+    void on_job_released(Engine& engine, const Job& job) override {
+      if (job.ref.task == TaskId{0}) engine.set_timer(engine.now(), job.ref, 7);
+    }
+  };
+  TaskSystemBuilder b{3};
+  for (std::int32_t p = 0; p < 3; ++p) {
+    b.add_task({.period = 100, .phase = 10}).subtask(ProcessorId{p}, 1, Priority{0});
+  }
+  const TaskSystem sys = std::move(b).build();
+  EventLog log;
+  TimerOnFirstRelease protocol{log.entries};
+  Engine engine{sys, protocol, {.horizon = 10}};
+  engine.add_sink(&log);
+  engine.run();
+
+  const std::vector<std::string> expected = {
+      "release T1,1#0@10", "timer#7@10",        "release T2,1#0@10",
+      "release T3,1#0@10", "start T1,1#0@10",   "start T2,1#0@10",
+      "start T3,1#0@10"};
+  EXPECT_EQ(log.entries, expected);
+  EXPECT_EQ(engine.stats().timer_interrupts, 1);
+  EXPECT_EQ(engine.stats().events_processed, 4);
+}
+
+TEST(Engine, ReleaseNowFromACompletionRunsAfterTheInstantsQueuedReleases) {
+  // T1,1 completes at t=10, where two arrivals are already queued. DS
+  // releases T1,2 from the completion handler; that release is created
+  // during the instant, so it comes after both queued arrivals.
+  TaskSystemBuilder b{3};
+  b.add_task({.period = 100})
+      .subtask(ProcessorId{0}, 10, Priority{0})
+      .subtask(ProcessorId{1}, 1, Priority{0});
+  b.add_task({.period = 100, .phase = 10}).subtask(ProcessorId{1}, 1, Priority{1});
+  b.add_task({.period = 100, .phase = 10}).subtask(ProcessorId{2}, 1, Priority{0});
+  const TaskSystem sys = std::move(b).build();
+  EventLog log;
+  DirectSyncProtocol protocol;
+  Engine engine{sys, protocol, {.horizon = 10}};
+  engine.add_sink(&log);
+  engine.run();
+
+  const std::vector<std::string> expected = {
+      "release T1,1#0@0",  "start T1,1#0@0",    "complete T1,1#0@10",
+      "idle@10",           "release T2,1#0@10", "release T3,1#0@10",
+      "release T1,2#0@10", "start T1,2#0@10",   "start T3,1#0@10"};
+  EXPECT_EQ(log.entries, expected);
+  EXPECT_EQ(engine.stats().sync_signals, 1);
+}
+
+TEST(Engine, EventsScheduledAtZeroDuringInitializeKeepTheirHeapOrder) {
+  // initialize() schedules, in this order, a release of T4, a timer, a
+  // release of T3 and a timer, all for t=0. No instant is open yet, so
+  // they go through the heap: at t=0 the timers fire first, then the
+  // releases, each in scheduling order.
+  // T3 and T4 never arrive (phase beyond the horizon); T1's first arrival
+  // is at t=5, so nothing else shares t=0.
+  class ScheduleAtZero final : public ScriptedTimers {
+   public:
+    using ScriptedTimers::ScriptedTimers;
+    void initialize(Engine& engine) override {
+      engine.schedule_release(SubtaskRef{TaskId{3}, 0}, 0, 0);
+      engine.set_timer(0, SubtaskRef{TaskId{0}, 0}, 1);
+      engine.schedule_release(SubtaskRef{TaskId{2}, 0}, 0, 0);
+      engine.set_timer(0, SubtaskRef{TaskId{0}, 0}, 2);
+    }
+  };
+  TaskSystemBuilder b{3};
+  b.add_task({.period = 100, .phase = 5}).subtask(ProcessorId{0}, 1, Priority{0});
+  b.add_task({.period = 100, .phase = 5}).subtask(ProcessorId{1}, 1, Priority{0});
+  b.add_task({.period = 100, .phase = 50}).subtask(ProcessorId{2}, 1, Priority{0});
+  b.add_task({.period = 100, .phase = 50}).subtask(ProcessorId{0}, 1, Priority{0});
+  const TaskSystem sys = std::move(b).build();
+  EventLog log;
+  ScheduleAtZero protocol{log.entries};
+  Engine engine{sys, protocol, {.horizon = 5}};
+  engine.add_sink(&log);
+  engine.run();
+
+  const std::vector<std::string> expected = {
+      "timer#1@0",         "timer#2@0",       "release T4,1#0@0",
+      "release T3,1#0@0",  "start T4,1#0@0",  "start T3,1#0@0",
+      "complete T4,1#0@1", "idle@1",          "complete T3,1#0@1",
+      "idle@1",            "release T1,1#0@5", "release T2,1#0@5",
+      "start T1,1#0@5",    "start T2,1#0@5"};
+  EXPECT_EQ(log.entries, expected);
+}
+
 TEST(Engine, DroppedCompletionInsideHorizonCountsAsAnEvent) {
   // lo starts at 0 with its completion due at 10; hi preempts it at 2, so
   // that completion is dropped (lo resumes at 5 and would finish at 13).

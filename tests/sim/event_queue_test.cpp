@@ -102,97 +102,106 @@ TEST(EventQueue, ClearKeepsCapacityAndReserveGrowsIt) {
   EXPECT_EQ(q.capacity(), reserved);  // clear() surrenders no storage
 }
 
-TEST(EventQueue, PopBatchAtDrainsExactlyOneTimestampInOrder) {
-  // Property check for the engine's batched drain: pop_batch_at(t) must
-  // yield exactly the events a one-pop loop would, in the same (phase,
-  // seq) order, and leave later timestamps untouched. Randomized times
-  // and phases with many deliberate full ties.
-  Rng rng{20260808};
-  EventQueue batched;
-  EventQueue reference;
-  for (std::int64_t i = 0; i < 500; ++i) {
-    Event e;
-    e.time = rng.uniform_int(0, 19);  // ~25 events per timestamp
-    e.phase = static_cast<std::uint8_t>(rng.uniform_int(kTimerPhase, kReleasePhase));
-    e.kind = EventKind::kRelease;
-    e.instance = i;  // identifies the event across both queues
-    batched.push(e);
-    reference.push(e);
-  }
+Event tagged(Time time, std::uint8_t phase, std::int64_t id) {
+  Event e = at(time, phase);
+  e.instance = id;  // identifies the event across queues
+  return e;
+}
 
-  std::vector<EventQueue::Packed> batch;
-  while (!batched.empty()) {
-    const Time t = batched.top_time();
-    batched.pop_batch_at(t, batch);
-    ASSERT_FALSE(batch.empty());
-    for (const EventQueue::Packed& p : batch) {
+TEST(EventQueue, SameInstantPushesWaitBehindTheHeapEventsOfTheirPhase) {
+  // Events pushed for the open instant skip the heap, yet pop in (phase,
+  // seq) order: after the heap's events of their own phase, before the
+  // heap's events of a later phase.
+  EventQueue q;
+  q.push(tagged(5, kReleasePhase, 0));
+  q.push(tagged(5, kTimerPhase, 1));
+  q.push(tagged(9, kTimerPhase, 2));
+  q.open_instant(5);
+
+  EventQueue::Packed out;
+  ASSERT_TRUE(q.pop_instant(out));
+  EXPECT_EQ(EventQueue::unpack(out).instance, 1);
+  q.push(tagged(5, kReleasePhase, 3));  // e.g. release_now from a timer
+  q.push(tagged(5, kTimerPhase, 4));    // a timer clamped to the instant
+  EXPECT_EQ(q.size(), 4u);
+  ASSERT_TRUE(q.pop_instant(out));
+  EXPECT_EQ(EventQueue::unpack(out).instance, 4);
+  ASSERT_TRUE(q.pop_instant(out));
+  EXPECT_EQ(EventQueue::unpack(out).instance, 0);
+  ASSERT_TRUE(q.pop_instant(out));
+  EXPECT_EQ(EventQueue::unpack(out).instance, 3);
+  EXPECT_EQ(EventQueue::unpack(out).seq, 3u);  // FIFO events keep their seq
+  EXPECT_FALSE(q.pop_instant(out));
+
+  // The instant is closed: a push at 5 is an ordinary heap event again,
+  // and the later timer was never touched.
+  q.push(tagged(5, kReleasePhase, 5));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().instance, 5);
+  EXPECT_EQ(q.pop().instance, 2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, InstantDrainMatchesOnePopOrderUnderSameInstantPushes) {
+  // Property check for the engine's drain: opening each instant and
+  // draining it with pop_instant() -- while "handlers" push events for the
+  // same instant and for later ones -- must yield exactly the sequence a
+  // plain heap pops in (time, phase, seq) order. Randomized times and
+  // phases with many deliberate full ties.
+  Rng rng{20261019};
+  EventQueue drained;
+  EventQueue reference;  // never opens an instant: every push is a heap push
+  std::int64_t next_id = 0;
+  const auto push_both = [&](Time time) {
+    const auto phase =
+        static_cast<std::uint8_t>(rng.uniform_int(kTimerPhase, kReleasePhase));
+    drained.push(tagged(time, phase, next_id));
+    reference.push(tagged(time, phase, next_id));
+    ++next_id;
+  };
+  for (int i = 0; i < 300; ++i) push_both(rng.uniform_int(0, 19));
+
+  std::int64_t same_instant_pushes = 0;
+  while (!drained.empty()) {
+    const Time t = drained.top_time();
+    drained.open_instant(t);
+    EventQueue::Packed p;
+    while (drained.pop_instant(p)) {
       const Event got = EventQueue::unpack(p);
       const Event want = reference.pop();
-      EXPECT_EQ(got.time, t);
-      EXPECT_EQ(got.time, want.time);
-      EXPECT_EQ(got.phase, want.phase);
-      EXPECT_EQ(got.instance, want.instance);
+      ASSERT_EQ(got.time, t);
+      ASSERT_EQ(got.time, want.time);
+      ASSERT_EQ(got.phase, want.phase);
+      ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.instance, want.instance);
+      if (next_id >= 3000) continue;
+      const std::int64_t pushes = rng.uniform_int(0, 2);
+      for (std::int64_t k = 0; k < pushes; ++k) {
+        const bool now = rng.uniform_int(0, 1) == 0;
+        same_instant_pushes += now ? 1 : 0;
+        push_both(now ? t : t + rng.uniform_int(1, 5));
+      }
     }
-    // The batch boundary is exact: nothing at time t remains.
-    if (!batched.empty()) {
-      EXPECT_GT(batched.top_time(), t);
+    // The instant boundary is exact: nothing at time t remains.
+    if (!drained.empty()) {
+      EXPECT_GT(drained.top_time(), t);
     }
   }
   EXPECT_TRUE(reference.empty());
+  EXPECT_GT(same_instant_pushes, 500);  // the FIFOs really were exercised
 }
 
-TEST(EventQueue, PopIfAtRespectsTimeAndKeyBounds) {
-  // The interleaving primitive: only a same-instant event ordered before
-  // `before_key` may be popped (a handler-enqueued event must not jump
-  // ahead of the batch position that enqueued it).
+TEST(EventQueue, ClearClosesTheInstantAndDropsFifoEvents) {
   EventQueue q;
-  Event now = at(10, kTimerPhase);
-  q.push(now);
-  Event later_phase = at(10, kReleasePhase);
-  q.push(later_phase);
-  Event next_time = at(11, kTimerPhase);
-  q.push(next_time);
-
-  const std::uint64_t timer_key = EventQueue::pack(now, /*seq=*/0).key;
-
-  EventQueue::Packed out;
-  // Head is the timer itself: not strictly before its own key.
-  EXPECT_FALSE(q.pop_if_at(10, timer_key, out));
-  // With a bound above it, the timer pops; the release (higher phase,
-  // hence higher key) then stays put.
-  EXPECT_TRUE(q.pop_if_at(10, timer_key + 1, out));
-  EXPECT_EQ(EventQueue::unpack(out).phase, kTimerPhase);
-  EXPECT_FALSE(q.pop_if_at(10, timer_key + 1, out));
-  // Wrong timestamp never pops, even with a permissive key bound.
-  (void)q.pop();  // drain the release at 10
-  EXPECT_FALSE(q.pop_if_at(10, ~0ull, out));
-  EXPECT_EQ(q.pop().time, 11);
-}
-
-TEST(EventQueue, BatchedDrainMatchesOnePopUnderInterleavedPushes) {
-  // Pushing while draining (what protocol handlers do mid-batch): a
-  // batched queue that alternates pop_batch_at with same-time pushes via
-  // pop_if_at must still reproduce the one-pop order. Modeled here by
-  // draining one instant, then pushing same-instant stragglers and
-  // verifying pop_if_at admits them in key order.
-  EventQueue q;
-  for (int i = 0; i < 3; ++i) q.push(at(5, kTimerPhase));
-  std::vector<EventQueue::Packed> batch;
-  q.pop_batch_at(5, batch);
-  ASSERT_EQ(batch.size(), 3u);
-
-  // A handler at t=5 enqueues two more t=5 events (later seq -> later
-  // key than everything drained, so the engine's interleave picks them
-  // up before moving time forward).
-  q.push(at(5, kReleasePhase));
-  q.push(at(5, kReleasePhase));
-  EventQueue::Packed out;
-  ASSERT_TRUE(q.pop_if_at(5, ~0ull, out));
-  const std::uint64_t first_key = out.key;
-  ASSERT_TRUE(q.pop_if_at(5, ~0ull, out));
-  EXPECT_GT(out.key, first_key);  // seq order preserved among stragglers
-  EXPECT_FALSE(q.pop_if_at(5, ~0ull, out));
+  q.push(at(5, kTimerPhase));
+  q.open_instant(5);
+  q.push(at(5, kReleasePhase));  // waits in the release FIFO
+  q.clear();
   EXPECT_TRUE(q.empty());
+  // No instant is open after clear(): a push at 5 lands in the heap.
+  q.push(at(5, kReleasePhase));
+  EXPECT_EQ(q.top_time(), 5);
+  EXPECT_EQ(q.pop().seq, 0u);
 }
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {

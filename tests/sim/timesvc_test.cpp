@@ -207,32 +207,82 @@ TEST(TimeService, FailsOverToBackupWhenPrimaryGoesSilent) {
   }
 }
 
-TEST(TimeService, AdvanceIsIdempotentAndQueryOrderIndependent) {
-  const TaskSystem sys = paper::example2();
-  FaultPlan plan;
-  plan.seed = 13;
-  plan.clock_offset_max = 800;
-  plan.drift_ppm_max = 300;
-  plan.signal_loss_prob = 0.2;
-  const FaultInjector faults_a{sys, plan};
-  const FaultInjector faults_b{sys, plan};
-  TimeService queried{sys, &faults_a, test_config()};
-  TimeService driven{sys, &faults_b, test_config()};
-
-  // One service is queried incrementally, the other driven straight to
-  // the horizon: identical end state (the service is passive/lazy).
-  const ProcessorId pid{1};
-  for (Time t = 10'000; t <= 90'000; t += 7'000) {
-    (void)queried.estimate_now(pid, t);
+/// Runs two services over the same lossy, drifting clocks: `queried` is
+/// asked for processor 1's time every 3000 ticks, `driven` only by the
+/// final advance_all.
+struct QueriedAndDriven {
+  QueriedAndDriven(const TaskSystem& sys, const TimeServiceConfig& config)
+      : faults_a{sys, plan()}, faults_b{sys, plan()},
+        queried{sys, &faults_a, config}, driven{sys, &faults_b, config} {
+    for (Time t = 1'000; t <= 90'000; t += 3'000) {
+      (void)queried.estimate_now(ProcessorId{1}, t);
+    }
+    queried.advance_all(100'000);
+    driven.advance_all(100'000);
   }
-  queried.advance_all(100'000);
-  driven.advance_all(100'000);
-  EXPECT_EQ(queried.estimate_now(pid, 100'000),
-            driven.estimate_now(pid, 100'000));
-  EXPECT_EQ(queried.drift_estimate_ppm(pid), driven.drift_estimate_ppm(pid));
-  EXPECT_EQ(queried.stats(pid).exchanges, driven.stats(pid).exchanges);
-  EXPECT_EQ(queried.stats(pid).failures, driven.stats(pid).failures);
-  EXPECT_EQ(queried.stats(pid).abs_error_max, driven.stats(pid).abs_error_max);
+  static FaultPlan plan() {
+    FaultPlan plan;
+    plan.seed = 13;
+    plan.clock_offset_max = 800;
+    plan.drift_ppm_max = 300;
+    plan.signal_loss_prob = 0.2;
+    return plan;
+  }
+  const FaultInjector faults_a;
+  const FaultInjector faults_b;
+  TimeService queried;
+  TimeService driven;
+};
+
+TEST(TimeService, AdvanceIsIdempotentAndQueryOrderIndependentWhileTheSlewNeverBinds) {
+  // While the slew limit never cuts a correction short, the applied
+  // correction equals the estimate at every slew point, so the extra
+  // query points cannot change anything: identical end state. Here the
+  // client never fails over, so the backup source's offset never jumps
+  // the estimate.
+  const TaskSystem sys = paper::example2();
+  TimeServiceConfig config = test_config();
+  config.failover_after = 1'000'000;
+  QueriedAndDriven run{sys, config};
+
+  const ProcessorId pid{1};
+  const TimeService::ProcessorStats& queried = run.queried.stats(pid);
+  const TimeService::ProcessorStats& driven = run.driven.stats(pid);
+  ASSERT_EQ(queried.slew_limited, 0);  // the precondition
+  ASSERT_EQ(driven.slew_limited, 0);
+  EXPECT_GT(queried.failures, 0);
+  EXPECT_GT(queried.abs_error_sum, 0);  // the clocks really err
+  EXPECT_EQ(run.queried.estimate_now(pid, 100'000),
+            run.driven.estimate_now(pid, 100'000));
+  EXPECT_EQ(run.queried.drift_estimate_ppm(pid), run.driven.drift_estimate_ppm(pid));
+  EXPECT_EQ(queried.exchanges, driven.exchanges);
+  EXPECT_EQ(queried.failures, driven.failures);
+  EXPECT_EQ(queried.samples, driven.samples);
+  EXPECT_EQ(queried.abs_error_max, driven.abs_error_max);
+  EXPECT_EQ(queried.abs_error_sum, driven.abs_error_sum);
+}
+
+TEST(TimeService, QueriesChangeThePrecisionOnceTheSlewBinds) {
+  // The same run with the default failover: switching between the
+  // primary and the backup source jumps the estimate by up to 1000
+  // ticks, which the 50000-ppm slew absorbs over many intervals. A
+  // clamped slew is path-dependent, so the queries' extra slew points
+  // change the achieved precision (as PM-E's service differs from the
+  // unqueried replay of timesvc_ladder.e2es), while the exchanges
+  // themselves stay the same.
+  const TaskSystem sys = paper::example2();
+  QueriedAndDriven run{sys, test_config()};
+
+  const ProcessorId pid{1};
+  const TimeService::ProcessorStats& queried = run.queried.stats(pid);
+  const TimeService::ProcessorStats& driven = run.driven.stats(pid);
+  EXPECT_GT(driven.failovers, 0);
+  EXPECT_GT(driven.slew_limited, 0);
+  EXPECT_GT(queried.slew_limited, driven.slew_limited);
+  EXPECT_EQ(queried.exchanges, driven.exchanges);
+  EXPECT_EQ(queried.failures, driven.failures);
+  EXPECT_EQ(queried.samples, driven.samples);
+  EXPECT_NE(queried.abs_error_sum, driven.abs_error_sum);
 }
 
 TEST(TimeService, QueriedCountsProtocolQueriesOnly) {
