@@ -21,12 +21,16 @@
 //
 //  * admit (single or batch): demand only grows, so every old entry
 //    under-approximates the new fixpoint. Survivors keep their values
-//    and warm seeds; entries whose demand equation changed -- the
-//    candidates' own and every resident on a processor a candidate
-//    occupies (interference sets AND non-preemptive blocking terms live
-//    there) -- are force-flagged, and the dependency tracking
-//    propagates any growth transitively. The sweep journals pre-trial
-//    values first-touch, so a rejected trial rolls back byte-for-byte.
+//    and warm seeds; exactly the entries whose demand equation changed
+//    are force-flagged -- the candidates' own, and the residents each
+//    InterferenceMap::AdmitDelta lists as having gained interferers
+//    (`appended`) or a higher blocking term (`old_blocking`). A
+//    resident's equation reads only its interference set, its blocking
+//    term, the cap and its table inputs, so no other resident's equation
+//    moved; the dependency tracking propagates any growth of the inputs
+//    transitively. The sweep journals pre-trial values first-touch
+//    (IeertSweepUndo, allocation-free once warm), so a rejected trial
+//    rolls back byte-for-byte.
 //
 //  * remove: demand shrinks, so old values OVER-approximate and must
 //    not seed the affected entries. The dirty cone is the closure, under
@@ -111,6 +115,7 @@ class IncrementalDsEngine final : public Engine {
                            std::span<const TaskSpec> specs) override {
     E2E_ASSERT(!specs.empty(), "admit_batch: empty batch");
     if (!system_.has_value()) return bootstrap(state, first_slot, specs);
+    state_.evaluations = 0;
 
     const std::size_t old_tasks = system_->task_count();
     const std::size_t old_count = imap_.subtask_count();
@@ -202,14 +207,7 @@ class IncrementalDsEngine final : public Engine {
       pre_warm = state_.warm;
       trial_converged = run_cold();
     } else {
-      // Equation-changed region: every subtask on a processor a
-      // candidate occupies (candidates included -- their processors are
-      // all touched). Interference sets and blocking terms there moved.
-      std::vector<int> touched;
-      for (const TaskSpec& spec : specs) {
-        for (const SubtaskSpec& sub : spec.subtasks) add_unique(touched, sub.processor);
-      }
-      arm_sweep(touched);
+      arm_sweep(imap_deltas, old_count, count);
       undo_.arm(count);
       trial_converged = sweep_to_fixpoint(&undo_);
       if (!trial_converged) {
@@ -219,15 +217,13 @@ class IncrementalDsEngine final : public Engine {
         path.path = EnginePath::kColdBudget;
         pre_table = table_;
         pre_warm = state_.warm;
-        for (const IeertSweepUndo::Entry& e : undo_.entries) {
-          pre_table.set(e.ref, e.value);
-          pre_warm[e.flat] = e.warm;
-        }
+        undo_.replay(pre_table, pre_warm);
         cold = true;
         trial_converged = run_cold();
       }
     }
 
+    path.evaluations = state_.evaluations;
     refresh_outcomes(trial_converged);
     if (all_schedulable()) {
       cap_ = new_cap;
@@ -241,10 +237,7 @@ class IncrementalDsEngine final : public Engine {
       table_ = std::move(pre_table);
       state_.warm = std::move(pre_warm);
     } else {
-      for (const IeertSweepUndo::Entry& e : undo_.entries) {
-        table_.set(e.ref, e.value);
-        state_.warm[e.flat] = e.warm;
-      }
+      undo_.replay(table_, state_.warm);
     }
     for (std::size_t k = specs.size(); k-- > 0;) {
       table_.remove_row(old_tasks + k);
@@ -285,6 +278,7 @@ class IncrementalDsEngine final : public Engine {
     const std::size_t base =
         imap_.flat_index(SubtaskRef{TaskId{static_cast<std::int32_t>(idx)}, 0});
     const std::size_t len = departing.subtasks.size();
+    state_.evaluations = 0;
 
     // -- Shrink every persistent structure (removal always commits). --
     system_->remove_task(idx);
@@ -322,6 +316,7 @@ class IncrementalDsEngine final : public Engine {
       }
     }
     cap_ = new_cap;
+    path.evaluations = state_.evaluations;
     refresh_outcomes(converged_);
     if (all_schedulable()) return {true, std::nullopt, path};
     return {false, failure_of(std::nullopt), path};
@@ -382,7 +377,8 @@ class IncrementalDsEngine final : public Engine {
     }
     const bool trial_converged = run_cold();
     refresh_outcomes(trial_converged);
-    const PathRecord path{.path = EnginePath::kBootstrap};
+    const PathRecord path{.path = EnginePath::kBootstrap,
+                          .evaluations = state_.evaluations};
     if (all_schedulable()) {
       cap_ = cap_of(*system_);
       converged_ = trial_converged;
@@ -528,6 +524,7 @@ class IncrementalDsEngine final : public Engine {
         const SubtaskRef ref = imap_.ref_of(flat);
         const Duration bound = ieert_bound_entry(*system_, imap_, table_, ref, options,
                                                  &state_.warm[flat], state_.hp_jitter);
+        ++state_.evaluations;
         if (bound == table_.at(ref)) continue;
         table_.set(ref, bound);
         for (const std::uint32_t reader : state_.rdeps[flat]) {
@@ -612,20 +609,33 @@ class IncrementalDsEngine final : public Engine {
     SaDsResult result = analyze_sa_ds(*system_, imap_, options);
     table_ = std::move(result.analysis.subtask_bounds);
     state_.warm.assign(imap_.subtask_count(), {});
+    state_.evaluations += result.evaluations;
     return result.converged;
   }
 
-  /// Arms the next sweeps as a delta re-analysis: nothing counts as
-  /// changed yet, and every entry on the `touched` processors is forced
-  /// (their interference sets and blocking terms moved).
-  void arm_sweep(std::span<const int> touched) {
+  /// Arms the next sweeps as the delta re-analysis of an admit: nothing
+  /// counts as changed yet, and exactly the entries whose equation the
+  /// admit changed are forced -- the candidate rows [first, count), and
+  /// each resident that `deltas` list as having gained interferers or a
+  /// higher blocking term. Every other entry's equation reads the same
+  /// interference set, blocking term and cap as before, so only its
+  /// table inputs can move, and the sweep's dependency tracking reaches
+  /// it when one does.
+  void arm_sweep(std::span<const InterferenceMap::AdmitDelta> deltas, std::size_t first,
+                 std::size_t count) {
     state_.recompute_all = false;
     state_.changed.clear();
     state_.force.clear();
-    for (const int p : touched) {
-      for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
-        state_.force.push_back(static_cast<std::uint32_t>(imap_.flat_index(ref)));
+    for (const InterferenceMap::AdmitDelta& delta : deltas) {
+      for (const auto& [flat, appended] : delta.appended) {
+        state_.force.push_back(static_cast<std::uint32_t>(flat));
       }
+      for (const auto& [flat, blocking] : delta.old_blocking) {
+        state_.force.push_back(static_cast<std::uint32_t>(flat));
+      }
+    }
+    for (std::size_t f = first; f < count; ++f) {
+      state_.force.push_back(static_cast<std::uint32_t>(f));
     }
   }
 

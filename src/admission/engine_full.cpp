@@ -26,12 +26,13 @@ class FullEngine final : public Engine {
                            std::span<const TaskSpec> specs) override {
     const SystemState::Built built =
         state.build_with_batch(specs, first_slot, std::nullopt);
-    const AnalysisResult result = analyze(built.system);
+    PathRecord path{.path = EnginePath::kFull};
+    const AnalysisResult result = analyze(built.system, path);
     if (!result.system_schedulable()) {
-      return {false, failure_of(built, result, first_slot), kPath};
+      return {false, failure_of(built, result, first_slot), path};
     }
     store(built, result);
-    return {true, std::nullopt, kPath};
+    return {true, std::nullopt, path};
   }
 
   TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
@@ -43,10 +44,11 @@ class FullEngine final : public Engine {
       return {true, std::nullopt};
     }
     const SystemState::Built built = state.build_with(nullptr, 0, slot);
-    const AnalysisResult result = analyze(built.system);
+    PathRecord path{.path = EnginePath::kFull};
+    const AnalysisResult result = analyze(built.system, path);
     store(built, result);  // removal always commits
-    if (result.system_schedulable()) return {true, std::nullopt, kPath};
-    return {false, failure_of(built, result, std::nullopt), kPath};
+    if (result.system_schedulable()) return {true, std::nullopt, path};
+    return {false, failure_of(built, result, std::nullopt), path};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
@@ -67,15 +69,19 @@ class FullEngine final : public Engine {
   const char* name() const noexcept override { return "full-recompute"; }
 
  private:
-  static constexpr PathRecord kPath{.path = EnginePath::kFull};
-
-  [[nodiscard]] AnalysisResult analyze(const TaskSystem& system) const {
+  /// The policy's offline analysis; records its entry solves in `path`
+  /// (SA/PM solves each subtask equation once).
+  [[nodiscard]] AnalysisResult analyze(const TaskSystem& system, PathRecord& path) const {
+    SaDsResult ds;
     switch (policy_) {
-      case Policy::kPm: return analyze_sa_pm(system);
-      case Policy::kDs: return analyze_sa_ds(system).analysis;
-      case Policy::kHolistic: return analyze_holistic_ds(system).analysis;
+      case Policy::kPm:
+        path.evaluations = system.subtask_count();
+        return analyze_sa_pm(system);
+      case Policy::kDs: ds = analyze_sa_ds(system); break;
+      case Policy::kHolistic: ds = analyze_holistic_ds(system); break;
     }
-    return {};
+    path.evaluations = ds.evaluations;
+    return std::move(ds.analysis);
   }
 
   void store(const SystemState::Built& built, const AnalysisResult& result) {

@@ -10,7 +10,12 @@
 //
 //  * admit touches the candidate's processors only (every other entry's
 //    equation -- interferer set, blocking, cap -- is bit-identical, so
-//    signature-exact reuse applies with no monotonicity argument);
+//    signature-exact reuse applies with no monotonicity argument). On a
+//    touched processor, under an unchanged cap, a resident is skipped
+//    without even assembling its equation when no candidate there has a
+//    level <= its own (none joins its H set) and no non-preemptible
+//    candidate there has a level above it (none can raise its blocking
+//    term): its equation, hence its stored signature, is unchanged;
 //  * admits never shrink demand or the cap, so re-solves warm-start from
 //    the stored fixpoints (monotone warm start; entries whose previous
 //    bound was infinite restart cold, since a larger cap can turn
@@ -26,6 +31,7 @@
 // residents, not to the system -- which is where the order-of-magnitude
 // win over full recompute comes from (bench_admission).
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -84,18 +90,23 @@ class IncrementalPmEngine final : public Engine {
     }
     const Time new_cap = cap_from_periods();
     const bool cap_changed = was_empty || new_cap != cap_;
-    const PathRecord path{.path = was_empty     ? EnginePath::kBootstrap
-                                  : cap_changed ? EnginePath::kColdCap
-                                                : EnginePath::kWarm};
+    PathRecord path{.path = was_empty     ? EnginePath::kBootstrap
+                            : cap_changed ? EnginePath::kColdCap
+                                          : EnginePath::kWarm};
 
-    std::vector<std::uint8_t> touched(planes_.size(), 0);
-    if (cap_changed) {
-      std::fill(touched.begin(), touched.end(), 1);
-    } else {
-      for (const TaskSpec& spec : specs) {
-        for (const SubtaskSpec& sub : spec.subtasks) {
-          touched[static_cast<std::size_t>(sub.processor)] = 1;
-        }
+    // Per plane, the candidates' lowest level and the highest level of a
+    // non-preemptible candidate: a plane no candidate occupies keeps every
+    // equation unless the cap moved.
+    struct CandidateLevels {
+      int min_level = std::numeric_limits<int>::max();
+      int max_np_level = std::numeric_limits<int>::min();
+    };
+    std::vector<CandidateLevels> levels(planes_.size());
+    for (const TaskSpec& spec : specs) {
+      for (const SubtaskSpec& sub : spec.subtasks) {
+        CandidateLevels& l = levels[static_cast<std::size_t>(sub.processor)];
+        l.min_level = std::min(l.min_level, sub.priority_level);
+        if (!sub.preemptible) l.max_np_level = std::max(l.max_np_level, sub.priority_level);
       }
     }
 
@@ -113,10 +124,20 @@ class IncrementalPmEngine final : public Engine {
 
     std::set<std::uint32_t> dirty;
     for (std::size_t p = 0; p < planes_.size(); ++p) {
-      if (touched[p] == 0) continue;
+      const CandidateLevels& l = levels[p];
+      if (!cap_changed && l.min_level == std::numeric_limits<int>::max()) continue;
       for (std::size_t k = 0; k < planes_[p].size(); ++k) {
         const PlaneEntry& ref = planes_[p][k];
         PmSub& entry = sub_of(ref);
+        // Under an unchanged cap, a resident that no candidate joins in
+        // its H set (none has a level <= its own) and whose blocking term
+        // no non-preemptible candidate below it can raise keeps its
+        // equation, so its stored signature is current: skip assembling
+        // it.
+        if (!cap_changed && ref.slot < first_slot && entry.scratch.has &&
+            l.min_level > ref.level && l.max_np_level <= ref.level) {
+          continue;
+        }
         const ResponseEquation eq = equation_of(planes_[p], k, new_cap);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
         if (sig == entry.signature && entry.scratch.has) continue;
@@ -127,6 +148,7 @@ class IncrementalPmEngine final : public Engine {
         // warm-start; a previously unbounded entry must restart cold.
         const bool warm = entry.scratch.has && !is_infinite(entry.bound);
         entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, warm);
+        ++path.evaluations;
         entry.signature = sig;
         dirty.insert(ref.slot);
       }
@@ -167,7 +189,7 @@ class IncrementalPmEngine final : public Engine {
 
     const Time new_cap = cap_from_periods();
     const bool cap_changed = new_cap != cap_;
-    const PathRecord path{.path = cap_changed ? EnginePath::kColdCap : EnginePath::kWarm};
+    PathRecord path{.path = cap_changed ? EnginePath::kColdCap : EnginePath::kWarm};
     std::vector<std::uint8_t> touched(planes_.size(), 0);
     if (cap_changed) {
       std::fill(touched.begin(), touched.end(), 1);
@@ -190,6 +212,7 @@ class IncrementalPmEngine final : public Engine {
         // cold (signature-exact reuse above needs no such care).
         entry.scratch = SubtaskScratch{};
         entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, false);
+        ++path.evaluations;
         entry.signature = sig;
         dirty.insert(ref.slot);
       }

@@ -98,7 +98,8 @@ std::string render_json(const std::vector<Outcome>& outcomes,
           << ", \"deadline\": " << o.culprit_deadline << "}";
     }
     if (o.verb == Verb::kQuery) out << ", \"margin\": " << TextTable::fmt(o.margin, 6);
-    out << ", \"path\": " << json_str(to_string(o.path.path));
+    out << ", \"path\": " << json_str(to_string(o.path.path))
+        << ", \"evaluations\": " << o.path.evaluations;
     if (o.path.cone > 0) {  // a component re-solve ran (possibly then cold)
       out << ", \"cone\": " << o.path.cone
           << ", \"components_resolved\": " << o.path.resolved

@@ -44,11 +44,14 @@ enum class EnginePath : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EnginePath path) noexcept;
 
-/// What an engine did for one request. The counts are set whenever a
-/// component re-solve ran: on kComponents, and on a kColdBudget remove
-/// that fell back after one.
+/// What an engine did for one request. The component counts are set
+/// whenever a component re-solve ran: on kComponents, and on a
+/// kColdBudget remove that fell back after one.
 struct PathRecord {
   EnginePath path = EnginePath::kNone;
+  /// Entry solves the request ran: IEERT entries under SA/DS and
+  /// holistic, subtask equations under SA/PM; 0 when no analysis ran.
+  std::uint64_t evaluations = 0;
   std::uint32_t cone = 0;      ///< entries in the dirty cone
   std::uint32_t resolved = 0;  ///< dependency components re-solved
   std::uint32_t skipped = 0;   ///< dependency components kept as they were

@@ -12,31 +12,16 @@
 namespace e2e {
 namespace {
 
-/// Sum of execution times of T_{i,1} .. T_{i,j} -- the earliest possible
-/// completion of position `index` relative to the chain's first release.
-Duration best_case_through(const TaskSystem& system, SubtaskRef ref) {
-  Duration sum = 0;
-  const Task& t = system.task(ref.task);
-  for (std::int32_t j = 0; j <= ref.index; ++j) {
-    sum += t.subtasks[static_cast<std::size_t>(j)].execution_time;
-  }
-  return sum;
-}
-
-/// Release jitter attributed to subtask `ref` given the current IEER
-/// bounds of its predecessor: R_{u,v-1} (optionally minus the best case),
-/// plus the parent task's bounded first-release jitter J_u (extension;
-/// 0 in the paper's model, where first releases are strictly periodic).
-Duration release_jitter(const TaskSystem& system, SubtaskRef ref,
-                        const SubtaskTable& current, const IeertOptions& options) {
-  const Duration task_jitter = system.task(ref.task).release_jitter;
-  if (ref.index <= 0) return task_jitter;
-  const SubtaskRef pred{ref.task, ref.index - 1};
-  const Duration bound = current.at(pred);
-  if (is_infinite(bound)) return kTimeInfinity;
-  if (!options.refine_jitter_with_best_case) return sat_add(bound, task_jitter);
-  return sat_add(std::max<Duration>(0, bound - best_case_through(system, pred)),
-                 task_jitter);
+/// Release jitter of a non-first subtask whose predecessor's current IEER
+/// bound is `predecessor_bound`: R_{u,v-1} (minus `best_case`, B_{u,v-1},
+/// in the refined mode; pass 0 otherwise) plus the task's bounded
+/// first-release jitter J_u (extension; 0 in the paper's model, where
+/// first releases are strictly periodic). A first subtask's jitter is J_u
+/// alone. kTimeInfinity when the predecessor is unbounded.
+Duration chain_jitter(Duration predecessor_bound, Duration best_case,
+                      Duration task_jitter) {
+  if (is_infinite(predecessor_bound)) return kTimeInfinity;
+  return sat_add(std::max<Duration>(0, predecessor_bound - best_case), task_jitter);
 }
 
 }  // namespace
@@ -46,17 +31,26 @@ Duration ieert_bound_entry(const TaskSystem& system, const InterferenceMap& inte
                            const IeertOptions& options, IeertWarmEntry* warm,
                            std::vector<Duration>& hp_jitter) {
   const Task& task = system.task(ref.task);
-  const Subtask& subtask = task.subtasks[static_cast<std::size_t>(ref.index)];
   const std::span<const Interferer> hp_aos = interference.of(ref);
+  const InterferenceMap::SoaView hp = interference.soa_of(ref);
+  const Duration blocking = interference.blocking(ref);
   const Duration period = task.period;
-  const Duration exec = subtask.execution_time;
+  const Duration exec = task.subtasks[static_cast<std::size_t>(ref.index)].execution_time;
+  const bool refine = options.refine_jitter_with_best_case;
   // Constant offset added to every instance's IEER: the predecessor's
   // IEER bound plus (extension) the task's own first-release jitter.
-  const Duration own_accum =
-      sat_add(current.predecessor_or_zero(ref), task.release_jitter);
-  const Duration own_jitter = release_jitter(system, ref, current, options);
-  const Duration blocking = interference.blocking(ref);
+  const Duration predecessor_bound =
+      ref.index > 0 ? current.at(SubtaskRef{ref.task, ref.index - 1}) : 0;
+  const Duration own_accum = sat_add(predecessor_bound, task.release_jitter);
   if (is_infinite(own_accum)) return kTimeInfinity;
+  Duration own_jitter = task.release_jitter;
+  if (ref.index > 0) {
+    Duration own_best_case = 0;
+    for (std::int32_t j = 0; refine && j < ref.index; ++j) {
+      own_best_case += task.subtasks[static_cast<std::size_t>(j)].execution_time;
+    }
+    own_jitter = chain_jitter(predecessor_bound, own_best_case, task.release_jitter);
+  }
 
   const Duration cutoff = options.failure_period_multiplier > 0.0
                               ? sat_scale(options.failure_period_multiplier, period)
@@ -64,16 +58,21 @@ Duration ieert_bound_entry(const TaskSystem& system, const InterferenceMap& inte
   // IEER >= predecessor IEER + own execution: already beyond salvation.
   if (own_accum > cutoff) return kTimeInfinity;
 
-  // On return hp_jitter holds this subtask's per-interferer jitters (the
-  // caller reuses the buffer, so a sweep allocates nothing in steady
+  // Each interferer's jitter comes from its own row fields and one table
+  // read. On return hp_jitter holds this subtask's per-interferer jitters
+  // (the caller reuses the buffer, so a sweep allocates nothing in steady
   // state).
   hp_jitter.resize(hp_aos.size());
   for (std::size_t k = 0; k < hp_aos.size(); ++k) {
-    hp_jitter[k] = release_jitter(system, hp_aos[k].ref, current, options);
+    const Interferer& h = hp_aos[k];
+    hp_jitter[k] =
+        h.predecessor_index < 0
+            ? h.task_release_jitter
+            : chain_jitter(current.at(SubtaskRef{h.ref.task, h.predecessor_index}),
+                           refine ? h.predecessor_best_case : 0, h.task_release_jitter);
     if (is_infinite(hp_jitter[k])) return kTimeInfinity;
   }
 
-  const InterferenceMap::SoaView hp = interference.soa_of(ref);
   const HpView hp_view{hp.periods, hp.execs, hp_jitter};
   const IeerEquation eq{.period = period,
                         .exec = exec,
@@ -139,7 +138,7 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
   E2E_ASSERT(state.deps.size() == count && state.rdeps.size() == count,
              "ieert_sweep: dependency index not maintained");
   E2E_ASSERT(state.warm.size() == count, "ieert_sweep: warm not sized");
-  E2E_ASSERT(undo == nullptr || undo->seen.size() == count,
+  E2E_ASSERT(undo == nullptr || undo->armed_for(count),
              "ieert_sweep: undo journal not armed");
 
   // The worklist is a bitset over flat indices, drained lowest bit first,
@@ -177,17 +176,10 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
       pending[w] &= pending[w] - 1;
       const auto flat = static_cast<std::uint32_t>(w * 64 + bit);
       const SubtaskRef ref = interference.ref_of(flat);
-      if (undo != nullptr && undo->seen[flat] == 0) {
-        undo->seen[flat] = 1;
-        undo->entries.push_back(IeertSweepUndo::Entry{
-            .ref = ref,
-            .flat = flat,
-            .value = table.at(ref),
-            .warm = state.warm[flat],
-        });
-      }
+      if (undo != nullptr) undo->record(ref, flat, table.at(ref), state.warm[flat]);
       const Duration bound = ieert_bound_entry(system, interference, table, ref, options,
                                                &state.warm[flat], state.hp_jitter);
+      ++state.evaluations;
       if (bound == table.at(ref)) continue;
       table.set(ref, bound);
       ++changed_count;

@@ -91,7 +91,7 @@ struct IeertIncrementalState {
   /// allowed). Callers that seed the table from a previous analysis of a
   /// *different* system (the admission engine's delta re-analysis) use
   /// this to force exactly the entries whose demand equations changed --
-  /// interference sets and blocking terms on the touched processors --
+  /// new rows, and rows whose interference set or blocking term moved --
   /// while the dependency tracking handles the transitive jitter
   /// propagation from there. Cleared by the sweep that consumes it.
   std::vector<std::uint32_t> force;
@@ -104,6 +104,9 @@ struct IeertIncrementalState {
   /// ieert_bound_entry.
   std::vector<std::uint64_t> pending;
   std::vector<Duration> hp_jitter;
+  /// Running count of the entry solves (ieert_bound_entry calls) the
+  /// sweeps ran; never reset by a sweep. Reporting only.
+  std::uint64_t evaluations = 0;
 };
 
 /// Builds `state.deps` and `state.rdeps` for every subtask of `system`
@@ -169,21 +172,62 @@ void ieert_index_dependencies(const TaskSystem& system,
 /// admission trial byte-for-byte. `arm(count)` resets it for a new
 /// trial; each recomputed entry's pre-trial value and warm seed are
 /// recorded exactly once (at first recomputation), so replaying the
-/// journal in any order restores the pre-trial state.
-struct IeertSweepUndo {
+/// journal in any order restores the pre-trial state. The journal keeps
+/// its entries, and their warm seeds' capacity, from trial to trial: once
+/// it has seen a trial of a given size, journaling another allocates
+/// nothing.
+class IeertSweepUndo {
+ public:
   struct Entry {
     SubtaskRef ref;
     std::uint32_t flat = 0;
     Duration value = 0;
     IeertWarmEntry warm;
   };
-  std::vector<std::uint8_t> seen;  ///< per flat index: already journaled
-  std::vector<Entry> entries;
 
+  /// Resets the journal for a trial over `count` flat entries.
   void arm(std::size_t count) {
-    seen.assign(count, 0);
-    entries.clear();
+    for (std::size_t k = 0; k < size_; ++k) seen_[entries_[k].flat] = 0;
+    seen_.resize(count, 0);
+    size_ = 0;
   }
+
+  /// True if armed for a system of `count` flat entries.
+  [[nodiscard]] bool armed_for(std::size_t count) const noexcept {
+    return seen_.size() == count;
+  }
+
+  /// Journals the pre-trial `value` and `warm` seed of entry `flat`,
+  /// unless this trial already journaled it.
+  void record(SubtaskRef ref, std::uint32_t flat, Duration value,
+              const IeertWarmEntry& warm) {
+    if (seen_[flat] != 0) return;
+    seen_[flat] = 1;
+    if (size_ == entries_.size()) entries_.emplace_back();
+    Entry& e = entries_[size_++];
+    e.ref = ref;
+    e.flat = flat;
+    e.value = value;
+    e.warm = warm;  // copy-assignment reuses the entry's capacity
+  }
+
+  /// This trial's journal, in first-touch order.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept {
+    return {entries_.data(), size_};
+  }
+
+  /// Writes every journaled pre-trial value and warm seed back.
+  void replay(SubtaskTable& table, std::vector<IeertWarmEntry>& warm) const {
+    for (const Entry& e : entries()) {
+      table.set(e.ref, e.value);
+      warm[e.flat] = e.warm;
+    }
+  }
+
+ private:
+  std::vector<std::uint8_t> seen_;  ///< per flat index: journaled this trial
+  std::vector<Entry> entries_;      ///< [0, size_) live; the rest keep capacity
+  std::size_t size_ = 0;
 };
 
 /// One in-place Gauss-Seidel sweep of `table` -- the no-copy form of

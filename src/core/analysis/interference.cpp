@@ -22,6 +22,19 @@ void InterferenceMap::Row::truncate(std::size_t size) {
   jitters.resize(size);
 }
 
+namespace {
+
+/// B_{u,v-1} of subtask `ref` of `task`: the execution times before it.
+Duration predecessor_best_case(const Task& task, SubtaskRef ref) {
+  Duration sum = 0;
+  for (std::int32_t j = 0; j < ref.index; ++j) {
+    sum += task.subtasks[static_cast<std::size_t>(j)].execution_time;
+  }
+  return sum;
+}
+
+}  // namespace
+
 InterferenceMap::Row InterferenceMap::build_row(const TaskSystem& system,
                                                 const Subtask& s) {
   Row row{.ref = s.ref, .processor = s.processor};
@@ -36,6 +49,7 @@ InterferenceMap::Row InterferenceMap::build_row(const TaskSystem& system,
           .execution_time = other.execution_time,
           .predecessor_index = other_ref.index - 1,
           .task_release_jitter = other_task.release_jitter,
+          .predecessor_best_case = predecessor_best_case(other_task, other_ref),
       });
     } else if (!other.preemptible) {
       // blocking_term's rule, folded into the same scan.
@@ -94,6 +108,7 @@ InterferenceMap::AdmitDelta InterferenceMap::apply_admit(const TaskSystem& syste
               .execution_time = c.execution_time,
               .predecessor_index = c.ref.index - 1,
               .task_release_jitter = cand.release_jitter,
+              .predecessor_best_case = predecessor_best_case(cand, c.ref),
           });
           ++appended;
         } else if (!c.preemptible) {
@@ -187,6 +202,7 @@ std::uint64_t InterferenceMap::content_hash() const noexcept {
       h = hash_combine(h, static_cast<std::uint64_t>(e.execution_time));
       h = hash_combine(h, static_cast<std::uint64_t>(e.predecessor_index));
       h = hash_combine(h, static_cast<std::uint64_t>(e.task_release_jitter));
+      h = hash_combine(h, static_cast<std::uint64_t>(e.predecessor_best_case));
     }
     for (const auto* soa : {&row.periods, &row.execs, &row.jitters}) {
       h = hash_combine(h, soa->size());

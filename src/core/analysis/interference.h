@@ -41,6 +41,12 @@ struct Interferer {
   /// paper's model). The jitter-aware equations add this to every
   /// interference ceiling.
   Duration task_release_jitter = 0;
+  /// Sum of the execution times through its predecessor, B_{u,v-1}
+  /// (0 for a first subtask): the best case the holistic jitter term
+  /// R_{u,v-1} - B_{u,v-1} subtracts (IeertOptions::
+  /// refine_jitter_with_best_case). Carried here so IEERT gathers every
+  /// jitter term from the row and the table alone.
+  Duration predecessor_best_case = 0;
 };
 
 /// Interference sets for every subtask in a system, indexed by SubtaskRef.

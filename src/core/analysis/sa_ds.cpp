@@ -90,6 +90,7 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interf
     }
     current = std::move(next);
   }
+  result.evaluations = incremental.evaluations;
 
   // Only a converged table is a genuine fixpoint worth warm-starting
   // from; a pass-budget blowout leaves `current` mid-iteration.

@@ -10,6 +10,8 @@
 // failure criterion used for Figure 12.
 #pragma once
 
+#include <cstdint>
+
 #include "core/analysis/bounds.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/scratch.h"
@@ -35,6 +37,8 @@ struct SaDsResult {
   AnalysisResult analysis;
   /// Number of IEERT passes executed.
   int passes = 0;
+  /// Number of IEERT entry solves over all passes (reporting only).
+  std::uint64_t evaluations = 0;
   /// True if the iteration reached an exact fixpoint (including fixpoints
   /// with infinite entries); false only if max_passes was exhausted. Then
   /// every `analysis.eer_bounds` entry is conservatively infinite (so

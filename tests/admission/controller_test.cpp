@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis/ieert.h"
@@ -433,6 +434,95 @@ TEST(Controller, DsRemoveResolvesADependencyCycle) {
     ASSERT_TRUE(digest.has_value());
     EXPECT_EQ(digest->table_hash, fresh.analysis.subtask_bounds.content_hash())
         << to_string(policy);
+  }
+}
+
+// A non-preemptible candidate *below* resident R on processor 0 changes
+// only R's blocking term: R's interference set, the cap (S keeps the
+// largest period) and every other equation stay as they were. A warm
+// admit must still re-solve R. The first candidate's blocking (19) pushes
+// R past its deadline, so it is rejected with R as the culprit; the
+// second's (9) keeps R schedulable. Both verdicts, every bound and the
+// result hash must match the full recompute's.
+TEST(Controller, WarmAdmitResolvesABlockingOnlyChange) {
+  for (const Policy policy : {Policy::kPm, Policy::kDs, Policy::kHolistic}) {
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    for (AdmissionController* controller : {&full, &incremental}) {
+      ASSERT_TRUE(controller->admit(make_spec("R", 100, {{0, 10, 1}}, 25)).accepted);
+      ASSERT_TRUE(controller->admit(make_spec("S", 200, {{1, 10, 1}})).accepted);
+    }
+    const auto np_below_r = [](std::string name, Duration exec) {
+      return make_spec(std::move(name), 100,
+                       {{.processor = 0, .execution_time = exec, .priority_level = 5,
+                         .preemptible = false}});
+    };
+    const TaskSpec blocks_too_much = np_below_r("C1", 20);
+    const Outcome full_c1 = full.admit(blocks_too_much);
+    const Outcome incremental_c1 = incremental.admit(blocks_too_much);
+    EXPECT_EQ(incremental_c1.path.path, EnginePath::kWarm) << to_string(policy);
+    EXPECT_FALSE(full_c1.accepted) << to_string(policy);
+    EXPECT_EQ(full_c1.culprit_task, "R") << to_string(policy);
+    EXPECT_EQ(incremental_c1.accepted, full_c1.accepted) << to_string(policy);
+    EXPECT_EQ(incremental_c1.culprit_task, full_c1.culprit_task) << to_string(policy);
+    EXPECT_EQ(incremental_c1.culprit_bound, full_c1.culprit_bound) << to_string(policy);
+    EXPECT_EQ(incremental_c1.culprit_eer, full_c1.culprit_eer) << to_string(policy);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+
+    const TaskSpec blocks_within_deadline = np_below_r("C2", 10);
+    const Outcome full_c2 = full.admit(blocks_within_deadline);
+    const Outcome incremental_c2 = incremental.admit(blocks_within_deadline);
+    EXPECT_EQ(incremental_c2.path.path, EnginePath::kWarm) << to_string(policy);
+    EXPECT_TRUE(full_c2.accepted) << to_string(policy);
+    EXPECT_EQ(incremental_c2.accepted, full_c2.accepted) << to_string(policy);
+    EXPECT_EQ(full.query().margin, incremental.query().margin) << to_string(policy);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
+    if (policy == Policy::kPm) continue;
+    const SystemState::Built built =
+        incremental.state().build_with(nullptr, 0, std::nullopt);
+    const SaDsResult fresh = analyze_sa_ds(
+        built.system, InterferenceMap{built.system},
+        SaDsOptions{.refine_jitter_with_best_case = policy == Policy::kHolistic});
+    const std::optional<Engine::StructureDigest> digest = incremental.structure_digest();
+    ASSERT_TRUE(digest.has_value());
+    EXPECT_EQ(digest->table_hash, fresh.analysis.subtask_bounds.content_hash())
+        << to_string(policy);
+  }
+}
+
+// A preemptible candidate below all six residents of processor 0 joins
+// no resident's interference set and raises no blocking term, so a warm
+// admit solves its own equation and none of theirs: fewer entry solves
+// than the processor has residents, and the full recompute's bounds.
+TEST(Controller, WarmAdmitBelowEveryResidentSolvesFewerEntriesThanResidents) {
+  constexpr int kResidents = 6;
+  for (const Policy policy : {Policy::kPm, Policy::kDs, Policy::kHolistic}) {
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    for (AdmissionController* controller : {&full, &incremental}) {
+      for (int i = 0; i < kResidents; ++i) {
+        ASSERT_TRUE(
+            controller->admit(make_spec("R" + std::to_string(i), 100, {{0, 4, i}})).accepted);
+      }
+    }
+    const TaskSpec low = make_spec("L", 100, {{0, 4, kResidents + 3}});
+    const Outcome full_low = full.admit(low);
+    const Outcome incremental_low = incremental.admit(low);
+    ASSERT_TRUE(full_low.accepted) << to_string(policy);
+    ASSERT_TRUE(incremental_low.accepted) << to_string(policy);
+    EXPECT_EQ(incremental_low.path.path, EnginePath::kWarm) << to_string(policy);
+    EXPECT_GT(incremental_low.path.evaluations, 0u) << to_string(policy);
+    EXPECT_LT(incremental_low.path.evaluations, static_cast<std::uint64_t>(kResidents))
+        << to_string(policy);
+    EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
   }
 }
 

@@ -1,14 +1,18 @@
 // Direct unit tests of one Algorithm IEERT pass (Figure 10), with
 // hand-iterated expectations on the paper's Example 2, plus the
-// equivalence of the worklist sweep with a full staleness scan.
+// equivalence of the worklist sweep with a full staleness scan and the
+// trial journal's byte-exact, allocation-free replay.
 #include "core/analysis/ieert.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/math.h"
 #include "common/rng.h"
 #include "task/builder.h"
@@ -138,12 +142,9 @@ std::size_t reference_scan_sweep(const TaskSystem& system,
         }
       }
       if (!stale) continue;
-      if (undo != nullptr && undo->seen[flat] == 0) {
-        undo->seen[flat] = 1;
-        undo->entries.push_back(IeertSweepUndo::Entry{.ref = s.ref,
-                                                      .flat = static_cast<std::uint32_t>(flat),
-                                                      .value = table.at(s.ref),
-                                                      .warm = state.warm[flat]});
+      if (undo != nullptr) {
+        undo->record(s.ref, static_cast<std::uint32_t>(flat), table.at(s.ref),
+                     state.warm[flat]);
       }
       const Duration bound = ieert_bound_entry(system, interference, table, s.ref, options,
                                                &state.warm[flat], hp_jitter);
@@ -226,12 +227,12 @@ std::size_t lockstep_sweeps(const TaskSystem& system, const InterferenceMap& ima
     }
     if (::testing::Test::HasFailure() || changes == 0) break;
   }
-  EXPECT_EQ(worklist_undo.seen, scan_undo.seen);
-  EXPECT_EQ(worklist_undo.entries.size(), scan_undo.entries.size());
-  for (std::size_t k = 0;
-       k < std::min(worklist_undo.entries.size(), scan_undo.entries.size()); ++k) {
-    const IeertSweepUndo::Entry& a = worklist_undo.entries[k];
-    const IeertSweepUndo::Entry& b = scan_undo.entries[k];
+  const std::span<const IeertSweepUndo::Entry> worklist_journal = worklist_undo.entries();
+  const std::span<const IeertSweepUndo::Entry> scan_journal = scan_undo.entries();
+  EXPECT_EQ(worklist_journal.size(), scan_journal.size());
+  for (std::size_t k = 0; k < std::min(worklist_journal.size(), scan_journal.size()); ++k) {
+    const IeertSweepUndo::Entry& a = worklist_journal[k];
+    const IeertSweepUndo::Entry& b = scan_journal[k];
     EXPECT_EQ(a.ref, b.ref) << "journal " << k;
     EXPECT_EQ(a.flat, b.flat) << "journal " << k;
     EXPECT_EQ(a.value, b.value) << "journal " << k;
@@ -298,6 +299,81 @@ TEST(IeertSweep, WorklistMatchesFullScanAtAPassBudgetBlowout) {
     }
   }
   EXPECT_GT(blowouts, 0) << "no system outlived the sweep budget";
+}
+
+// --- Trial journal -----------------------------------------------------
+
+/// A journaled trial on `sys`: the first sweep runs unjournaled, so the
+/// trial starts from a mid-iteration table with non-empty warm seeds and
+/// a non-empty `changed` list -- the shape of an admission trial.
+struct JournalFixture {
+  TaskSystem sys;
+  InterferenceMap imap;
+  IeertOptions options;
+  IeertIncrementalState state;
+  SubtaskTable table;
+
+  explicit JournalFixture(TaskSystem system)
+      : sys(std::move(system)),
+        imap(sys),
+        options(sa_ds_like_options(sys, 300.0)),
+        table(optimistic_init(sys)) {
+    ieert_index_dependencies(sys, imap, state);
+    state.warm.assign(imap.subtask_count(), {});
+    (void)ieert_sweep(sys, imap, table, options, state);
+  }
+
+  /// Arms `undo` and sweeps to the fixpoint under it; returns the sweeps.
+  int trial(IeertSweepUndo& undo) {
+    undo.arm(imap.subtask_count());
+    int sweeps = 1;
+    while (ieert_sweep(sys, imap, table, options, state, &undo) != 0) ++sweeps;
+    return sweeps;
+  }
+};
+
+TEST(IeertSweepUndo, ReplayRestoresTableAndWarmSeedsByteForByte) {
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    Rng rng{seed};
+    JournalFixture fx{random_ds_system(rng, 14)};
+    const SubtaskTable start_table = fx.table;
+    const std::vector<IeertWarmEntry> start_warm = fx.state.warm;
+    IeertSweepUndo undo;
+    (void)fx.trial(undo);
+    ASSERT_NE(fx.table, start_table) << "seed " << seed << ": the trial changed nothing";
+    ASSERT_FALSE(undo.entries().empty());
+    undo.replay(fx.table, fx.state.warm);
+    EXPECT_EQ(fx.table, start_table) << "seed " << seed;
+    EXPECT_EQ(fx.table.content_hash(), start_table.content_hash()) << "seed " << seed;
+    ASSERT_EQ(fx.state.warm.size(), start_warm.size());
+    for (std::size_t f = 0; f < start_warm.size(); ++f) {
+      expect_same_warm(fx.state.warm[f], start_warm[f], "replayed warm seed");
+    }
+  }
+}
+
+TEST(IeertSweepUndo, SecondJournaledTrialAllocatesNothing) {
+  Rng rng{31};
+  JournalFixture fx{random_ds_system(rng, 14)};
+  const SubtaskTable start_table = fx.table;
+  const std::vector<std::uint32_t> start_changed = fx.state.changed;
+  IeertSweepUndo undo;
+  const int first_sweeps = fx.trial(undo);
+  ASSERT_GT(first_sweeps, 1);
+  const SubtaskTable first_result = fx.table;
+  const std::size_t first_entries = undo.entries().size();
+  undo.replay(fx.table, fx.state.warm);
+  fx.state.changed = start_changed;  // the pre-trial sweep state
+
+  const std::uint64_t before = global_allocations();
+  const int second_sweeps = fx.trial(undo);
+  const std::uint64_t after = global_allocations();
+  EXPECT_EQ(after - before, 0u) << "a warm journaled trial touched the global allocator";
+  EXPECT_EQ(second_sweeps, first_sweeps);
+  EXPECT_EQ(fx.table, first_result);
+  EXPECT_EQ(undo.entries().size(), first_entries);
+  undo.replay(fx.table, fx.state.warm);
+  EXPECT_EQ(fx.table, start_table);
 }
 
 }  // namespace

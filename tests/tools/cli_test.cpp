@@ -631,8 +631,9 @@ TEST(Cli, AdmitPrintsResultHashInTheSixteenDigitForm) {
   EXPECT_TRUE(has_hex_hash(table.out, "  hash ", "\n")) << table.out;
 }
 
-// Each outcome names the engine path that decided it; the counts of a
-// component re-solve ride along in JSON, the path alone in CSV.
+// Each outcome names the engine path that decided it; its entry solves
+// and the counts of a component re-solve ride along in JSON, the path
+// alone in CSV.
 TEST(Cli, AdmitReportsTheEnginePath) {
   const std::string stream =
       "admit name=A period=100 sub=0:5:1 sub=1:5:1\n"
@@ -645,9 +646,12 @@ TEST(Cli, AdmitReportsTheEnginePath) {
   EXPECT_EQ(json.exit_code, 0) << json.err;
   EXPECT_NE(json.out.find("\"path\": \"bootstrap\""), std::string::npos);
   EXPECT_NE(json.out.find("\"path\": \"warm\""), std::string::npos);
-  EXPECT_NE(json.out.find("\"path\": \"components\", \"cone\": "), std::string::npos);
+  EXPECT_NE(json.out.find("\"path\": \"components\", \"evaluations\": "),
+            std::string::npos);
+  EXPECT_NE(json.out.find("\"cone\": "), std::string::npos);
   EXPECT_NE(json.out.find("\"components_skipped\": "), std::string::npos);
-  EXPECT_NE(json.out.find("\"path\": \"none\""), std::string::npos);  // the query
+  // The query ran no analysis.
+  EXPECT_NE(json.out.find("\"path\": \"none\", \"evaluations\": 0,"), std::string::npos);
 
   const CliResult csv = run_cli(
       {"admit", "--processors=2", "--policy=ds", "--report=csv", "--full-recompute"},
