@@ -7,8 +7,7 @@
 // phasing, and reports the worst EER observed per task. This gives a
 // lower bound on the true worst case (exact if the grid covers all
 // integer phases and the horizon covers the recurring schedule), which
-// tests and the pessimism ablation compare against the analytic upper
-// bounds.
+// exhaustive_test compares against the analytic upper bounds.
 #pragma once
 
 #include <memory>

@@ -179,18 +179,23 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
     results.push_back(run_configuration(config, options, executor));
   }
 
+  // `ci90` is the 90% confidence half-width of the mean; the failure rate
+  // is a plain proportion and reports 0.
   struct Metric {
     const char* name;
     double mean;
     std::int64_t samples;
+    double ci90;
   };
   const auto metrics = [](const ConfigResult& r) {
-    return std::vector<Metric>{
-        {"SA/DS failure rate", r.failure_rate(), r.systems},
-        {"bound ratio DS/PM", r.bound_ratio.mean(), r.bound_ratio.count()},
-        {"avg-EER ratio PM/DS", r.pm_ds_ratio.mean(), r.pm_ds_ratio.count()},
-        {"avg-EER ratio RG/DS", r.rg_ds_ratio.mean(), r.rg_ds_ratio.count()},
-        {"avg-EER ratio PM/RG", r.pm_rg_ratio.mean(), r.pm_rg_ratio.count()}};
+    const auto ratio = [](const char* name, const RunningStats& stats) {
+      return Metric{name, stats.mean(), stats.count(), stats.ci_half_width(0.90)};
+    };
+    return std::vector<Metric>{{"SA/DS failure rate", r.failure_rate(), r.systems, 0.0},
+                               ratio("bound ratio DS/PM", r.bound_ratio),
+                               ratio("avg-EER ratio PM/DS", r.pm_ds_ratio),
+                               ratio("avg-EER ratio RG/DS", r.rg_ds_ratio),
+                               ratio("avg-EER ratio PM/RG", r.pm_rg_ratio)};
   };
 
   switch (spec.report) {
@@ -202,12 +207,13 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
       break;
     case ReportFormat::kCsv: {
       CsvWriter csv{out};
-      csv.write_row({"subtasks", "utilization", "metric", "mean", "samples"});
+      csv.write_row({"subtasks", "utilization", "metric", "mean", "samples", "ci90"});
       for (std::size_t i = 0; i < results.size(); ++i) {
         for (const Metric& m : metrics(results[i])) {
           csv.write_row({std::to_string(spec.grid[i].subtasks_per_task),
                          std::to_string(spec.grid[i].utilization_percent), m.name,
-                         fmt_shortest(m.mean), std::to_string(m.samples)});
+                         fmt_shortest(m.mean), std::to_string(m.samples),
+                         fmt_shortest(m.ci90)});
         }
       }
       break;
@@ -227,7 +233,8 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
           first = false;
           out << "{\"name\":" << json_str(m.name)
               << ",\"mean\":" << fmt_shortest(m.mean)
-              << ",\"samples\":" << m.samples << "}";
+              << ",\"samples\":" << m.samples
+              << ",\"ci90\":" << fmt_shortest(m.ci90) << "}";
         }
         out << "]}";
       }

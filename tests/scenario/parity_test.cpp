@@ -2,7 +2,8 @@
 // committed goldens in tests/scenario/figure_goldens/ at every thread
 // count -- the retired montecarlo/sweep/faults subcommands' output, the
 // small-size figure/report outputs and the time-service fault specs (the
-// spec layer may not perturb results or formatting).
+// spec layer may not perturb results or formatting) -- and the committed
+// soft real-time result, results/FIG_soft_realtime.txt.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -33,33 +34,46 @@ CliResult run_cli(const std::vector<std::string>& args,
   return CliResult{code, out.str(), err.str()};
 }
 
-std::string read_golden(const std::string& name) {
-  std::ifstream file{std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name};
-  EXPECT_TRUE(file) << "missing golden " << name;
+std::string read_file(const std::string& path) {
+  std::ifstream file{path};
+  EXPECT_TRUE(file) << "missing " << path;
   std::ostringstream text;
   text << file.rdbuf();
   return text.str();
 }
 
-// The legacy goldens are the output of the retired `e2e montecarlo`,
-// `e2e sweep` and `e2e faults` subcommands at --threads=1, captured
-// before they were removed; `e2e run -` with the equivalent spec must
-// keep those bytes. Only the Monte-Carlo header names the thread count.
-void expect_legacy_golden(const std::string& golden, const std::string& spec) {
-  const std::string serial = read_golden(golden);
-  ASSERT_FALSE(serial.empty());
+std::string read_golden(const std::string& name) {
+  return read_file(std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name);
+}
+
+// `e2e run -` with `spec` at threads 1, 2 and 8 must print `recorded`, the
+// output of a run whose Monte-Carlo headers read `threads=<recorded_threads>`.
+// Those headers are the only bytes that name the thread count.
+void expect_at_thread_counts(const std::string& recorded, int recorded_threads,
+                             const std::string& spec, const std::string& label) {
+  ASSERT_FALSE(recorded.empty()) << label;
+  const std::string header =
+      "threads=" + std::to_string(recorded_threads) + " (0 = auto)";
   for (const int threads : {1, 2, 8}) {
-    std::string want = serial;
-    const std::string header = "threads=1 (0 = auto)";
-    if (const std::size_t at = want.find(header); at != std::string::npos) {
-      want.replace(at, header.size(),
-                   "threads=" + std::to_string(threads) + " (0 = auto)");
+    std::string want = recorded;
+    const std::string actual = "threads=" + std::to_string(threads) + " (0 = auto)";
+    for (std::size_t at = want.find(header); at != std::string::npos;
+         at = want.find(header, at + actual.size())) {
+      want.replace(at, header.size(), actual);
     }
     const CliResult got = run_cli({"run", "-", "--threads=" + std::to_string(threads)},
                                   spec);
     ASSERT_EQ(got.exit_code, 0) << got.err;
-    EXPECT_EQ(got.out, want) << golden << " threads=" << threads;
+    EXPECT_EQ(got.out, want) << label << " threads=" << threads;
   }
+}
+
+// The legacy goldens are the output of the retired `e2e montecarlo`,
+// `e2e sweep` and `e2e faults` subcommands at --threads=1, captured
+// before they were removed; `e2e run -` with the equivalent spec must
+// keep those bytes.
+void expect_legacy_golden(const std::string& golden, const std::string& spec) {
+  expect_at_thread_counts(read_golden(golden), 1, spec, golden);
 }
 
 TEST(ScenarioParity, MontecarloMatchesLegacyGolden) {
@@ -115,6 +129,15 @@ TEST(ScenarioParity, FaultsMatchesLegacyGolden) {
                        "systems 1\n"
                        "horizon-periods 30\n"
                        "config 2 40\n");
+}
+
+TEST(ScenarioParity, SoftRealtimeMatchesCommittedResult) {
+  // results/FIG_soft_realtime.txt is what `e2e run` prints for the spec
+  // with no thread count set (threads=0, auto).
+  expect_at_thread_counts(
+      read_file(std::string{E2E_RESULTS_DIR} + "/FIG_soft_realtime.txt"), 0,
+      read_file(std::string{E2E_SCENARIO_DIR} + "/soft_realtime.e2es"),
+      "FIG_soft_realtime.txt");
 }
 
 std::string run_spec_text(const std::string& text, int threads) {

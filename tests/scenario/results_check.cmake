@@ -1,9 +1,10 @@
 # Fails when the committed report files and the scenario specs drift
 # apart: every text report under results/ must be a FIG_<name>.txt with
 # the spec that produces it, examples/scenarios/<name>.e2es, and every
-# `figure` or `breakdown` spec must have its results/FIG_<name>.txt (tools/run_benches.sh --figures
-# writes exactly that set). A hand-captured report with no spec behind it
-# cannot come back unnoticed.
+# `figure` or `breakdown` spec must have its results/FIG_<name>.txt. A
+# spec owns a report when it is such a spec or its FIG file is committed;
+# tools/run_benches.sh --figures regenerates exactly that set. A
+# hand-captured report with no spec behind it cannot come back unnoticed.
 #
 # Usage: cmake -DREPO_DIR=<repo> -P results_check.cmake
 if(NOT IS_DIRECTORY "${REPO_DIR}/results" OR

@@ -43,6 +43,8 @@ TEST(TaskSystem, PeriodExtremes) {
   const TaskSystem sys = two_processor_system();
   EXPECT_EQ(sys.max_period(), 6);
   EXPECT_EQ(sys.min_period(), 4);
+  // The default simulation horizon is 30 max periods: 30 x 6 for Example 2.
+  EXPECT_EQ(paper::example2().default_horizon(), 180);
 }
 
 TEST(TaskSystem, ContainsChecksBothDimensions) {

@@ -358,6 +358,28 @@ TEST(Cli, RunMontecarloReportCsv) {
   EXPECT_NE(r.out.find("RG,"), std::string::npos);
 }
 
+TEST(Cli, RunSweepReportCsvCarriesCi90) {
+  // The legacy_sweep.txt spec of scenario_parity_test, as CSV.
+  const CliResult r = run_cli({"run", "-", "--report=csv", "--threads=1"},
+                              "e2esync-scenario v1\n"
+                              "scenario sweep\n"
+                              "seed 5\n"
+                              "systems 3\n"
+                              "horizon-periods 4\n"
+                              "config 2 40\n");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_TRUE(r.out.starts_with("subtasks,utilization,metric,mean,samples,ci90\n"))
+      << r.out;
+  // The failure rate is a proportion and carries no interval.
+  EXPECT_NE(r.out.find("\n2,40,SA/DS failure rate,0,3,0\n"), std::string::npos);
+  const std::string row = "\n2,40,avg-EER ratio PM/DS,";
+  const std::size_t at = r.out.find(row);
+  ASSERT_NE(at, std::string::npos) << r.out;
+  const std::string line = r.out.substr(at + 1, r.out.find('\n', at + 1) - at - 1);
+  const double ci90 = std::stod(line.substr(line.rfind(',') + 1));
+  EXPECT_NEAR(ci90, 0.158087086, 1e-8) << line;
+}
+
 TEST(Cli, RunMontecarloReportJson) {
   const CliResult r = run_cli({"run", "-", "--threads=1"},
                               "e2esync-scenario v1\n"

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate: configures a build with
 # E2E_SANITIZE=address,undefined,float-cast-overflow, builds, and runs the
-# scenario-, bench-smoke-, timesvc-, admission-, parser-, analysis- and
-# engine-labelled tests under it (the last two cover the analysis kernels
-# and the simulator's hot path).
+# scenario-, bench-smoke-, timesvc-, admission-, parser-, analysis-,
+# engine- and examples-labelled tests under it (analysis and engine cover
+# the analysis kernels and the simulator's hot path; examples runs every
+# example binary against its golden output).
 # Catches the lifetime bugs the executor's engine recycling and
 # cross-cell reuse could introduce, and undefined arithmetic. Every
 # finding is fatal: GCC's `undefined` group leaves out
@@ -34,7 +35,7 @@ cmake -B "${CHECK_BUILD_DIR}" -S . \
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
-  -L "scenario|bench-smoke|timesvc|admission|parser|analysis|engine"
+  -L "scenario|bench-smoke|timesvc|admission|parser|analysis|engine|examples"
 
 # Data-race gate (E2E_TSAN=0 opts out): the tests that drive the thread
 # pool (directly, through the scenario executor, or through sharded
