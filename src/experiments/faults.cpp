@@ -243,9 +243,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
 }
 
 void run_fault_report(std::ostream& out, const FaultSweepOptions& options,
-                      ScenarioExecutor& executor) {
-  const FaultSweepResult result = run_fault_sweep(options, executor);
-
+                      const FaultSweepResult& result) {
   out << "Robustness under injected faults (" << options.systems
       << " systems, N=" << options.config.subtasks_per_task
       << ", U=" << options.config.utilization_percent << "%";

@@ -117,10 +117,10 @@ struct FaultSweepResult {
 [[nodiscard]] FaultSweepResult run_fault_sweep(const FaultSweepOptions& options,
                                                ScenarioExecutor& executor);
 
-/// The faults scenario's table report (`e2e run` on a faults spec): runs
-/// the sweep on `executor` and prints one table per severity plus the
-/// headline comparison (PM vs RG/MPM-R degradation).
+/// The faults scenario's table report (`e2e run` on a faults spec):
+/// prints `result`, the sweep of `options`, as one table per severity
+/// plus the headline comparison (PM vs RG/MPM-R degradation).
 void run_fault_report(std::ostream& out, const FaultSweepOptions& options,
-                      ScenarioExecutor& executor);
+                      const FaultSweepResult& result);
 
 }  // namespace e2e

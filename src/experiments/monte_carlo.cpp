@@ -52,11 +52,7 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
              "execution_min_fraction must be in (0, 1]");
 
   MonteCarloResult result;
-  result.per_task.reserve(system.task_count());
-  for (const Task& t : system.tasks()) {
-    result.per_task.emplace_back(static_cast<double>(t.relative_deadline),
-                                 options.histogram_buckets);
-  }
+  result.per_task.resize(system.task_count());
 
   // PM/MPM bounds are phase-independent: compute once on the input system
   // (memoized -- re-estimating the same system, e.g. one bench rerun per
@@ -130,7 +126,6 @@ MonteCarloResult estimate_latency(const TaskSystem& system, ProtocolKind kind,
           system.task(TaskId{static_cast<std::int32_t>(task)}).relative_deadline;
       for (const Duration sample : outcome.series[task]) {
         latency.eer.add(static_cast<double>(sample));
-        latency.histogram.add(static_cast<double>(sample));
         ++latency.instances;
         if (sample > deadline) ++latency.misses;
       }

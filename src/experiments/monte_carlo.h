@@ -5,13 +5,13 @@
 //
 // Runs K independent simulations of a system under one protocol, each
 // with freshly randomized task phases and (optionally) execution-time
-// variation, and aggregates per-task EER samples into histograms.
+// variation, and aggregates per-task EER statistics and deadline misses.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/protocols/factory.h"
-#include "metrics/histogram.h"
 #include "metrics/stats.h"
 #include "task/system.h"
 
@@ -29,8 +29,6 @@ struct MonteCarloOptions {
   /// Execution-time variation: actual uniform in [fraction, 1] x WCET;
   /// 1.0 = WCET-exact (the paper's model).
   double execution_min_fraction = 1.0;
-  /// Histogram buckets per task (range: [0, 2 x deadline)).
-  std::size_t histogram_buckets = 64;
   /// Worker threads; 0 = E2E_THREADS env var, else hardware concurrency.
   /// Results are identical at every thread count.
   int threads = 0;
@@ -38,12 +36,8 @@ struct MonteCarloOptions {
 
 struct TaskLatency {
   RunningStats eer;
-  Histogram histogram;  ///< range [0, 2 x deadline)
   std::int64_t instances = 0;
   std::int64_t misses = 0;
-
-  explicit TaskLatency(double deadline, std::size_t buckets)
-      : histogram(0.0, 2.0 * deadline, buckets) {}
 
   [[nodiscard]] double miss_probability() const noexcept {
     return instances > 0 ? static_cast<double>(misses) /

@@ -57,9 +57,6 @@ ScenarioDefaults ScenarioDefaults::load() {
   d.mc_seed = env_seed(d.mc_seed);
   d.mc_runs = env_count("E2E_MC_RUNS", d.mc_runs);
   d.mc_horizon_periods = env_double("E2E_HORIZON_PERIODS", d.mc_horizon_periods);
-  d.mc_subtasks = env_count("E2E_MC_SUBTASKS", d.mc_subtasks);
-  d.mc_utilization = env_count("E2E_MC_UTILIZATION", d.mc_utilization);
-  d.bench_mc_runs = env_count("E2E_MC_RUNS", d.bench_mc_runs);
 
   d.sweep_seed = env_seed(d.sweep_seed);
   d.sweep_systems = env_count("E2E_SYSTEMS_PER_CONFIG", d.sweep_systems);

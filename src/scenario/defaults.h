@@ -23,26 +23,23 @@ namespace e2e {
 
 /// One snapshot of every E2E_* variable with its per-context fallback.
 /// Contexts deliberately disagree on fallbacks (a montecarlo spec
-/// defaults to 20 runs, the bench to 200), so each (variable, context)
-/// pair gets its own field.
+/// defaults to seed 1, a sweep spec to 20260706), so each (variable,
+/// context) pair gets its own field.
 struct ScenarioDefaults {
   // --- shared ---------------------------------------------------------
   int threads = 0;  ///< E2E_THREADS (0 = hardware concurrency)
 
-  // --- montecarlo scenarios / bench_montecarlo ------------------------
+  // --- montecarlo scenarios ------------------------------------------
   std::uint64_t mc_seed = 1;            ///< E2E_SEED
   int mc_runs = 20;                     ///< E2E_MC_RUNS
   double mc_horizon_periods = 20.0;     ///< E2E_HORIZON_PERIODS
-  int mc_subtasks = 4;                  ///< E2E_MC_SUBTASKS
-  int mc_utilization = 60;              ///< E2E_MC_UTILIZATION
-  int bench_mc_runs = 200;              ///< E2E_MC_RUNS (bench fallback)
 
   // --- sweep scenarios ------------------------------------------------
   std::uint64_t sweep_seed = 20260706;  ///< E2E_SEED
   int sweep_systems = 20;               ///< E2E_SYSTEMS_PER_CONFIG
   double sweep_horizon_periods = 30.0;  ///< E2E_HORIZON_PERIODS
 
-  // --- fault scenarios / bench_faults ---------------------------------
+  // --- fault scenarios ------------------------------------------------
   std::uint64_t fault_seed = 20260806;  ///< E2E_SEED
   int fault_systems = 10;               ///< E2E_FAULT_SYSTEMS
   double fault_horizon_periods = 30.0;  ///< E2E_HORIZON_PERIODS

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/number.h"
 #include "common/rng.h"
 #include "experiments/breakdown.h"
@@ -23,6 +24,13 @@
 
 namespace e2e {
 namespace {
+
+/// Adds one printed schedule hash (and its events) to `totals`, if any.
+void tally(ScenarioTotals* totals, std::int64_t events, std::uint64_t schedule_hash) {
+  if (totals == nullptr) return;
+  totals->events += events;
+  totals->schedule_hash = hash_combine(totals->schedule_hash, schedule_hash);
+}
 
 TaskSystem resolve_system(const SystemSource& src, std::istream& in) {
   switch (src.kind) {
@@ -59,12 +67,10 @@ TaskSystem resolve_system(const SystemSource& src, std::istream& in) {
 /// The Monte-Carlo table block; its bytes are pinned by the legacy goldens
 /// of scenario_parity_test.
 void montecarlo_table(std::ostream& out, const TaskSystem& system,
-                      ProtocolKind kind, int threads,
-                      const MonteCarloResult& result) {
+                      ProtocolKind kind, const MonteCarloResult& result) {
   out << "protocol " << to_string(kind) << ", " << result.runs
-      << " runs, threads=" << threads << " (0 = auto), schedule hash "
-      << hex_hash(result.schedule_hash) << ", events " << result.events_processed
-      << "\n\n";
+      << " runs, schedule hash " << hex_hash(result.schedule_hash) << ", events "
+      << result.events_processed << "\n\n";
   TextTable table({"task", "instances", "mean EER", "p(miss)"});
   for (const Task& t : system.tasks()) {
     const TaskLatency& latency = result.per_task[t.id.index()];
@@ -75,7 +81,8 @@ void montecarlo_table(std::ostream& out, const TaskSystem& system,
   out << table.to_string();
 }
 
-int run_montecarlo(const ScenarioSpec& spec, std::istream& in, std::ostream& out) {
+int run_montecarlo(const ScenarioSpec& spec, std::istream& in, std::ostream& out,
+                   ScenarioTotals* totals) {
   const TaskSystem system = resolve_system(spec.system, in);
 
   MonteCarloOptions options;
@@ -90,13 +97,14 @@ int run_montecarlo(const ScenarioSpec& spec, std::istream& in, std::ostream& out
   results.reserve(spec.protocols.size());
   for (const ProtocolKind kind : spec.protocols) {
     results.push_back(estimate_latency(system, kind, options, executor));
+    tally(totals, results.back().events_processed, results.back().schedule_hash);
   }
 
   switch (spec.report) {
     case ReportFormat::kTable:
       for (std::size_t i = 0; i < results.size(); ++i) {
         if (i > 0) out << "\n";
-        montecarlo_table(out, system, spec.protocols[i], spec.threads, results[i]);
+        montecarlo_table(out, system, spec.protocols[i], results[i]);
       }
       break;
     case ReportFormat::kCsv: {
@@ -165,7 +173,7 @@ void sweep_table(std::ostream& out, const Configuration& config,
   out << table.to_string();
 }
 
-int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
+int run_sweep(const ScenarioSpec& spec, std::ostream& out, ScenarioTotals* totals) {
   SweepOptions options;
   options.systems_per_config = spec.systems;
   options.seed = spec.seed;
@@ -177,6 +185,7 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
   results.reserve(spec.grid.size());
   for (const Configuration& config : spec.grid) {
     results.push_back(run_configuration(config, options, executor));
+    tally(totals, results.back().events_processed, results.back().schedule_hash);
   }
 
   // `ci90` is the 90% confidence half-width of the mean; the failure rate
@@ -247,7 +256,7 @@ int run_sweep(const ScenarioSpec& spec, std::ostream& out) {
 
 // --- faults -----------------------------------------------------------
 
-int run_faults(const ScenarioSpec& spec, std::ostream& out) {
+int run_faults(const ScenarioSpec& spec, std::ostream& out, ScenarioTotals* totals) {
   FaultSweepOptions options;
   options.systems = spec.systems;
   options.seed = spec.seed;
@@ -259,12 +268,15 @@ int run_faults(const ScenarioSpec& spec, std::ostream& out) {
   options.timesvc = spec.timesvc;
 
   ScenarioExecutor executor{spec.threads};
+  const FaultSweepResult result = run_fault_sweep(options, executor);
+  for (const FaultCell& cell : result.cells) {
+    tally(totals, cell.events_processed, cell.schedule_hash);
+  }
   if (spec.report == ReportFormat::kTable) {
-    run_fault_report(out, options, executor);
+    run_fault_report(out, options, result);
     return 0;
   }
 
-  const FaultSweepResult result = run_fault_sweep(options, executor);
   // Precision columns only exist when the spec enables a time service, so
   // legacy faults scenarios stay byte-identical.
   const bool precision = spec.timesvc.enabled();
@@ -407,12 +419,21 @@ int run_figure_spec(const ScenarioSpec& spec, std::ostream& out) {
 
 }  // namespace
 
-int run_scenario(const ScenarioSpec& spec, std::istream& in, std::ostream& out) {
+int run_scenario(const ScenarioSpec& spec, std::istream& in, std::ostream& out,
+                 ScenarioTotals* totals) {
   validate_scenario(spec);
+  if (totals != nullptr) {
+    if (spec.kind == ScenarioKind::kBreakdown || spec.kind == ScenarioKind::kFigure) {
+      throw InvalidArgument("scenario " + std::string{to_string(spec.kind)} +
+                            ": no schedule hash to time or total (only "
+                            "montecarlo, sweep and faults specs print one)");
+    }
+    *totals = ScenarioTotals{};
+  }
   switch (spec.kind) {
-    case ScenarioKind::kMonteCarlo: return run_montecarlo(spec, in, out);
-    case ScenarioKind::kSweep: return run_sweep(spec, out);
-    case ScenarioKind::kFaults: return run_faults(spec, out);
+    case ScenarioKind::kMonteCarlo: return run_montecarlo(spec, in, out, totals);
+    case ScenarioKind::kSweep: return run_sweep(spec, out, totals);
+    case ScenarioKind::kFaults: return run_faults(spec, out, totals);
     case ScenarioKind::kBreakdown: return run_breakdown(spec, out);
     case ScenarioKind::kFigure: return run_figure_spec(spec, out);
   }

@@ -41,11 +41,12 @@ struct FaultSeverity {
 [[nodiscard]] std::vector<FaultSeverity> default_fault_severities();
 
 /// The sync-degradation ladder (examples/scenarios/timesvc_ladder.e2es,
-/// timed by bench_timesvc): ideal -> skewed clocks -> skew + lossy signals
-/// and sync exchanges -> skew + a network partition (holdover) ->
-/// everything at once. A 150k offset / 15000 ppm drift rung is severe skew
-/// (PM phases are off by more than a short period), and the 2M..4M
-/// partition window covers a mid-run stretch of every default horizon.
+/// which `e2e run --perf-json` times): ideal -> skewed clocks -> skew +
+/// lossy signals and sync exchanges -> skew + a network partition
+/// (holdover) -> everything at once. A 150k offset / 15000 ppm drift
+/// rung is severe skew (PM phases are off by more than a short period),
+/// and the 2M..4M partition window covers a mid-run stretch of every
+/// default horizon.
 [[nodiscard]] std::vector<FaultSeverity> sync_degradation_severities();
 
 enum class ScenarioKind { kMonteCarlo, kSweep, kFaults, kBreakdown, kFigure };

@@ -7,8 +7,6 @@
 
 #include <sstream>
 
-#include "scenario/executor.h"
-
 namespace e2e {
 namespace {
 
@@ -50,8 +48,7 @@ TEST(FaultSweep, LossHitsTheChannelCounters) {
 
 TEST(FaultSweep, ReportRendersEverySeverity) {
   std::ostringstream out;
-  ScenarioExecutor executor{1};
-  run_fault_report(out, tiny_options(), executor);
+  run_fault_report(out, tiny_options(), run_fault_sweep(tiny_options()));
   const std::string text = out.str();
   EXPECT_NE(text.find("severity: ideal"), std::string::npos);
   EXPECT_NE(text.find("severity: loss"), std::string::npos);

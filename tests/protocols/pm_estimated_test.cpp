@@ -56,7 +56,7 @@ TEST(PmEstimated, IdealChannelIsByteIdenticalToPm) {
   EXPECT_EQ(pme, pm);
 }
 
-// The headline property, on the same sweep machinery bench_timesvc uses:
+// The headline property, on the sweep machinery timesvc_ladder.e2es runs:
 // under clock skew plus a lossy sync channel, scheduling on the
 // estimated clock strictly beats scheduling on the raw local clock.
 TEST(PmEstimated, BeatsRawPmUnderClockSkewAndLoss) {

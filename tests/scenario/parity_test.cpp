@@ -3,10 +3,13 @@
 // count -- the retired montecarlo/sweep/faults subcommands' output, the
 // small-size figure/report outputs and the time-service fault specs (the
 // spec layer may not perturb results or formatting) -- and the committed
-// soft real-time result, results/FIG_soft_realtime.txt.
+// soft real-time result, results/FIG_soft_realtime.txt. The bench specs'
+// event counts and folded schedule hashes are pinned here too, so a
+// results/BENCH_*.json is only a timing record.
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,25 +49,15 @@ std::string read_golden(const std::string& name) {
   return read_file(std::string{E2E_FIGURE_GOLDEN_DIR} + "/" + name);
 }
 
-// `e2e run -` with `spec` at threads 1, 2 and 8 must print `recorded`, the
-// output of a run whose Monte-Carlo headers read `threads=<recorded_threads>`.
-// Those headers are the only bytes that name the thread count.
-void expect_at_thread_counts(const std::string& recorded, int recorded_threads,
-                             const std::string& spec, const std::string& label) {
+// `e2e run -` with `spec` at threads 1, 2 and 8 must print `recorded`.
+void expect_at_thread_counts(const std::string& recorded, const std::string& spec,
+                             const std::string& label) {
   ASSERT_FALSE(recorded.empty()) << label;
-  const std::string header =
-      "threads=" + std::to_string(recorded_threads) + " (0 = auto)";
   for (const int threads : {1, 2, 8}) {
-    std::string want = recorded;
-    const std::string actual = "threads=" + std::to_string(threads) + " (0 = auto)";
-    for (std::size_t at = want.find(header); at != std::string::npos;
-         at = want.find(header, at + actual.size())) {
-      want.replace(at, header.size(), actual);
-    }
     const CliResult got = run_cli({"run", "-", "--threads=" + std::to_string(threads)},
                                   spec);
     ASSERT_EQ(got.exit_code, 0) << got.err;
-    EXPECT_EQ(got.out, want) << label << " threads=" << threads;
+    EXPECT_EQ(got.out, recorded) << label << " threads=" << threads;
   }
 }
 
@@ -73,7 +66,7 @@ void expect_at_thread_counts(const std::string& recorded, int recorded_threads,
 // before they were removed; `e2e run -` with the equivalent spec must
 // keep those bytes.
 void expect_legacy_golden(const std::string& golden, const std::string& spec) {
-  expect_at_thread_counts(read_golden(golden), 1, spec, golden);
+  expect_at_thread_counts(read_golden(golden), spec, golden);
 }
 
 TEST(ScenarioParity, MontecarloMatchesLegacyGolden) {
@@ -132,10 +125,8 @@ TEST(ScenarioParity, FaultsMatchesLegacyGolden) {
 }
 
 TEST(ScenarioParity, SoftRealtimeMatchesCommittedResult) {
-  // results/FIG_soft_realtime.txt is what `e2e run` prints for the spec
-  // with no thread count set (threads=0, auto).
   expect_at_thread_counts(
-      read_file(std::string{E2E_RESULTS_DIR} + "/FIG_soft_realtime.txt"), 0,
+      read_file(std::string{E2E_RESULTS_DIR} + "/FIG_soft_realtime.txt"),
       read_file(std::string{E2E_SCENARIO_DIR} + "/soft_realtime.e2es"),
       "FIG_soft_realtime.txt");
 }
@@ -257,6 +248,39 @@ TEST(ScenarioParity, TimesvcLineIgnoresProtocolOrder) {
   const std::vector<std::string> want = timesvc_lines(run_spec_text(pm_first, 1));
   ASSERT_EQ(want.size(), 5u);
   EXPECT_EQ(timesvc_lines(run_spec_text(pm_e_first, 1)), want);
+}
+
+// The workloads `e2e run <spec> --perf-json` times for the committed
+// results/BENCH_<spec>.json: each spec's events and schedule hashes
+// folded in report order (the numbers the JSON records at every thread
+// count), with the table report they total.
+std::pair<ScenarioTotals, std::string> run_committed_spec(const std::string& name) {
+  ScenarioSpec spec = parse_scenario(
+      read_file(std::string{E2E_SCENARIO_DIR} + "/" + name + ".e2es"),
+      ScenarioDefaults{});
+  spec.threads = 1;
+  std::istringstream in;
+  std::ostringstream out;
+  ScenarioTotals totals;
+  EXPECT_EQ(run_scenario(spec, in, out, &totals), 0);
+  return {totals, out.str()};
+}
+
+TEST(ScenarioParity, BenchSpecsKeepTheirCommittedTotals) {
+  // montecarlo.e2es prints one schedule hash, RG's; the fold is
+  // hash_combine(0, 0xac2524c1f5cef191).
+  const auto [montecarlo, report] = run_committed_spec("montecarlo");
+  EXPECT_NE(report.find("schedule hash 0xac2524c1f5cef191, events 1995300\n"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(montecarlo.events, 1'995'300);
+  EXPECT_EQ(montecarlo.schedule_hash, 0x4a5c9e7b75196da6u);
+  const ScenarioTotals faults = run_committed_spec("fault_ladder").first;
+  EXPECT_EQ(faults.events, 7'708'417);
+  EXPECT_EQ(faults.schedule_hash, 0xb7d4fa86d981e9e4u);
+  const ScenarioTotals timesvc = run_committed_spec("timesvc_ladder").first;
+  EXPECT_EQ(timesvc.events, 4'212'781);
+  EXPECT_EQ(timesvc.schedule_hash, 0x79e0b8332bf1d9a4u);
 }
 
 }  // namespace

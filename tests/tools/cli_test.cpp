@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "report/perf_json.h"
 #include "task/paper_examples.h"
 #include "task/serialize.h"
 
@@ -250,19 +254,13 @@ TEST(Cli, RunMontecarloIsDeterministicAcrossThreadCounts) {
       "runs 6\n"
       "horizon-periods 4\n"
       "system example2\n";
-  auto tail_from_hash = [](const std::string& out) {
-    const std::size_t pos = out.find("schedule hash");
-    EXPECT_NE(pos, std::string::npos);
-    return out.substr(pos);
-  };
   const CliResult serial = run_cli({"run", "-", "--threads=1"}, spec);
   ASSERT_EQ(serial.exit_code, 0) << serial.err;
+  EXPECT_NE(serial.out.find("schedule hash 0x"), std::string::npos);
   for (const char* threads : {"--threads=2", "--threads=8"}) {
     const CliResult parallel = run_cli({"run", "-", threads}, spec);
     ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
-    // Everything from the schedule hash on (the header names the thread
-    // count itself) must be byte-identical.
-    EXPECT_EQ(tail_from_hash(parallel.out), tail_from_hash(serial.out));
+    EXPECT_EQ(parallel.out, serial.out);
   }
 }
 
@@ -280,7 +278,7 @@ TEST(Cli, RunSweepIsDeterministicAcrossThreadCounts) {
 
   const CliResult parallel = run_cli({"run", "-", "--threads=8"}, spec);
   ASSERT_EQ(parallel.exit_code, 0) << parallel.err;
-  EXPECT_EQ(parallel.out, serial.out);  // sweep output names no thread count
+  EXPECT_EQ(parallel.out, serial.out);
 }
 
 // Every subcommand -- including the flagless example2/help -- rejects
@@ -343,6 +341,114 @@ TEST(Cli, RunPlanPrintsCellsWithoutRunning) {
   EXPECT_NE(r.out.find("scenario sweep"), std::string::npos);
   EXPECT_NE(r.out.find("2 cells"), std::string::npos);
   EXPECT_EQ(r.out.find("schedule hash"), std::string::npos);  // nothing ran
+}
+
+// `run <spec> --perf-json=PATH` on the 1,2 thread ladder with `in` as
+// stdin: returns the JSON it wrote (empty when it wrote none) and removes
+// the file.
+std::string run_timed(const std::string& spec_path, std::istream& in,
+                      CliResult& result) {
+  const std::string json_path = ::testing::TempDir() + "cli_test_perf.json";
+  std::remove(json_path.c_str());
+  ::setenv("E2E_BENCH_THREADS", "1,2", 1);
+  std::ostringstream out;
+  std::ostringstream err;
+  const int code =
+      cli::run({"run", spec_path, "--perf-json=" + json_path}, in, out, err);
+  result = CliResult{code, out.str(), err.str()};
+  ::unsetenv("E2E_BENCH_THREADS");
+  std::ifstream file{json_path};
+  std::ostringstream json;
+  json << file.rdbuf();
+  std::remove(json_path.c_str());
+  return json.str();
+}
+
+std::string run_timed(const std::string& spec_path, const std::string& stdin_text,
+                      CliResult& result) {
+  std::istringstream in{stdin_text};
+  return run_timed(spec_path, in, result);
+}
+
+TEST(Cli, RunPerfJsonTimesAMontecarloSpec) {
+  CliResult r;
+  const std::string json = run_timed(
+      E2E_REPO_DIR "/examples/scenarios/montecarlo_example2.e2es", "", r);
+  ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
+  EXPECT_NO_THROW(validate_perf_json(json)) << json;
+  // bench is the spec's file name, workload the plan's headline.
+  EXPECT_NE(json.find("\"bench\": \"montecarlo_example2\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"workload\": \"scenario montecarlo: 2 cells, 100 "
+                      "workload units\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"deterministic\": true"), std::string::npos) << json;
+  EXPECT_NE(r.out.find("montecarlo_example2: threads=2 "), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("mean EER"), std::string::npos) << "reports are discarded";
+}
+
+TEST(Cli, RunPerfJsonReadsStdinOnlyForASystemStdinSpec) {
+  // A spec with its own system leaves stdin unread: a terminal's stdin
+  // never reaches end of file.
+  std::istringstream unread{"not a system"};
+  CliResult r;
+  (void)run_timed(E2E_REPO_DIR "/examples/scenarios/montecarlo_example2.e2es",
+                  unread, r);
+  ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
+  EXPECT_EQ(unread.tellg(), 0);
+
+  // A `system stdin` spec times every run on the same input.
+  const std::string spec_path = ::testing::TempDir() + "cli_test_stdin.e2es";
+  {
+    std::ofstream spec{spec_path};
+    spec << "e2esync-scenario v1\nscenario montecarlo\nruns 2\n"
+            "horizon-periods 4\nsystem stdin\n";
+  }
+  const std::string json = run_timed(spec_path, to_text(paper::example2()), r);
+  std::remove(spec_path.c_str());
+  ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
+  EXPECT_NE(json.find("\"deterministic\": true"), std::string::npos) << json;
+}
+
+TEST(Cli, RunPerfJsonTimesASweepSpecFromStdin) {
+  CliResult r;
+  const std::string json = run_timed("-",
+                                     "e2esync-scenario v1\n"
+                                     "scenario sweep\n"
+                                     "seed 5\n"
+                                     "systems 3\n"
+                                     "horizon-periods 4\n"
+                                     "config 2 40\n",
+                                     r);
+  ASSERT_EQ(r.exit_code, 0) << r.err << r.out;
+  EXPECT_NO_THROW(validate_perf_json(json)) << json;
+  EXPECT_NE(json.find("\"bench\": \"stdin\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"deterministic\": true"), std::string::npos) << json;
+}
+
+TEST(Cli, RunPerfJsonRejectsAFigureSpecByKind) {
+  CliResult r;
+  const std::string json = run_timed("-",
+                                     "e2esync-scenario v1\n"
+                                     "scenario figure\n"
+                                     "figure 12\n"
+                                     "systems 1\n",
+                                     r);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("scenario figure"), std::string::npos) << r.err;
+  EXPECT_TRUE(json.empty());
+}
+
+TEST(Cli, RunPerfJsonRejectsPlanAndThreads) {
+  for (const char* flag : {"--plan", "--threads=2"}) {
+    const CliResult r = run_cli({"run", "-", "--perf-json=unused.json", flag},
+                                kMontecarloSpec);
+    EXPECT_EQ(r.exit_code, 1) << flag;
+    EXPECT_NE(r.err.find("--perf-json takes neither --plan nor --threads"),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(Cli, RunMontecarloReportCsv) {

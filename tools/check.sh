@@ -4,7 +4,10 @@
 # scenario-, bench-smoke-, timesvc-, admission-, parser-, analysis-,
 # engine- and examples-labelled tests under it (analysis and engine cover
 # the analysis kernels and the simulator's hot path; examples runs every
-# example binary against its golden output).
+# example binary against its golden output; bench-smoke times
+# montecarlo_example2.e2es and partition.e2es through `e2e run
+# --perf-json`, plus a tiny bench_admission workload; scenario includes
+# the bench specs' hash pins in scenario_parity_test).
 # Catches the lifetime bugs the executor's engine recycling and
 # cross-cell reuse could introduce, and undefined arithmetic. Every
 # finding is fatal: GCC's `undefined` group leaves out
@@ -19,7 +22,8 @@
 #                     E2E_SANITIZE=thread (TSAN_BUILD_DIR, default
 #                     build-tsan) and run the multi-threaded tests under it.
 #   E2E_BENCH_GATE  (default: unset)       -- when set (and not 0), also run
-#                     the perf-labelled thread-scaling gates. The gate
+#                     the perf-labelled thread-scaling gates (montecarlo.e2es,
+#                     fault_ladder.e2es, bench_admission). The gate
 #                     self-skips on hosts with < 4 hardware threads (a
 #                     1-CPU CI box times oversubscription, not scaling).
 set -euo pipefail

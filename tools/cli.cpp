@@ -1,8 +1,10 @@
 #include "tools/cli.h"
 
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 #include "admission/service.h"
@@ -15,6 +17,7 @@
 #include "core/protocols/factory.h"
 #include "metrics/eer_collector.h"
 #include "report/gantt.h"
+#include "report/perf_json.h"
 #include "report/table.h"
 #include "report/trace_log.h"
 #include "scenario/driver.h"
@@ -49,6 +52,8 @@ constexpr const char* kUsage =
     "  run <spec|->         run a declarative scenario spec (see\n"
     "                       docs/scenarios.md); --threads=N --report=FMT\n"
     "                       --plan (print the cell plan, don't run)\n"
+    "                       --perf-json=PATH (time a montecarlo, sweep or\n"
+    "                       faults spec at each E2E_BENCH_THREADS count)\n"
     "  admit [file|-]       answer an admit/remove/query request stream (see\n"
     "                       docs/admission.md); --policy=pm|ds|holistic\n"
     "                       --processors=N --report=FMT --full-recompute\n"
@@ -209,8 +214,45 @@ int cmd_simulate(const ArgParser& args, std::istream& in, std::ostream& out,
   return 0;
 }
 
+/// `run --perf-json=PATH`: times `spec` once per E2E_BENCH_THREADS count
+/// through the perf harness, discarding each report; the JSON's `bench`
+/// is the spec's file name without extension and its `workload` the
+/// plan's headline. Returns the harness's exit code. A figure or
+/// breakdown spec has no schedule hash to check, so run_scenario
+/// rejects it.
+int time_scenario(ScenarioSpec spec, const std::string& spec_path,
+                  const std::string& json_path, std::istream& in, std::ostream& out) {
+  const std::string bench =
+      spec_path == "-" ? "stdin" : std::filesystem::path{spec_path}.stem().string();
+  const std::string plan = expand_scenario(spec).describe();
+  // Every timed run of a `system stdin` spec reads the same input; any
+  // other spec leaves stdin alone (it may never reach end of file).
+  std::string input;
+  if (spec.kind == ScenarioKind::kMonteCarlo &&
+      spec.system.kind == SystemSource::Kind::kStdin) {
+    input.assign(std::istreambuf_iterator<char>{in}, {});
+  }
+  return write_perf_report(
+      bench, plan.substr(0, plan.find('\n')), json_path, bench_thread_counts(),
+      [&](int threads) {
+        spec.threads = threads;
+        std::istringstream run_in{input};
+        std::ostream discard{nullptr};
+        ScenarioTotals totals;
+        (void)run_scenario(spec, run_in, discard, &totals);
+        return PerfRunOutcome{.events = totals.events,
+                              .schedule_hash = totals.schedule_hash};
+      },
+      PerfWriteOptions{}, out);
+}
+
 int cmd_run(const ArgParser& args, std::istream& in, std::ostream& out) {
-  args.expect_known({"threads", "report", "plan"});
+  args.expect_known({"threads", "report", "plan", "perf-json"});
+  if (args.has("perf-json") && (args.has("plan") || args.has("threads"))) {
+    throw InvalidArgument(
+        "--perf-json takes neither --plan nor --threads (E2E_BENCH_THREADS "
+        "sets the thread counts it times)");
+  }
   const std::string path = args.positional(1);
   if (path.empty()) {
     throw InvalidArgument("run expects a scenario spec file (or '-' for stdin)");
@@ -230,6 +272,11 @@ int cmd_run(const ArgParser& args, std::istream& in, std::ostream& out) {
     spec.report = parse_report_format(args.value_string("report", "table"));
   }
 
+  if (args.has("perf-json")) {
+    const std::optional<std::string> json_path = args.value("perf-json");
+    if (!json_path.has_value()) throw InvalidArgument("--perf-json expects a path");
+    return time_scenario(spec, path, *json_path, in, out);
+  }
   if (args.has("plan")) {
     out << expand_scenario(spec).describe();
     return 0;
