@@ -110,6 +110,9 @@ int main(int argc, char** argv) {
 
     const ArgParser args{argc, argv};
     args.expect_known({"json"});
+    const std::string path = args.value_string("json", "BENCH_admission.json");
+    // The variant replays below are timed work: check the output first.
+    if (args.has("json") && !perf_output_writable(path, std::cout)) return 2;
 
     Rng master{defaults.admission_seed};
     const std::vector<Request> stream = generate_churn(master, shape);
@@ -209,7 +212,6 @@ int main(int argc, char** argv) {
       shard_streams.push_back(generate_churn(rng, shard_shape));
     }
 
-    const std::string path = args.value_string("json", "BENCH_admission.json");
     std::ostringstream workload;
     workload << shape.requests << " churn requests (" << shape.initial_admits
              << " initial tasks, " << processors << " processors), "

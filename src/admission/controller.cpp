@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,7 @@ std::string validate(const TaskSpec& spec, std::size_t processors) {
 /// The decisive subtask of a failing task: the first unbounded entry, or
 /// (all finite, the EER simply exceeds the deadline) the largest bound.
 /// Pure function of the bound vector, so both engine families agree.
-std::size_t decisive_subtask(const std::vector<Duration>& bounds) {
+std::size_t decisive_subtask(std::span<const Duration> bounds) {
   for (std::size_t j = 0; j < bounds.size(); ++j) {
     if (is_infinite(bounds[j])) return j;
   }

@@ -47,8 +47,9 @@ struct TrialFailure {
   Duration eer = kTimeInfinity;
   Duration deadline = 0;
   /// Per-subtask bounds of the failing task (response bounds under PM,
-  /// cumulative IEER bounds under DS/holistic).
-  std::vector<Duration> subtask_bounds;
+  /// cumulative IEER bounds under DS/holistic). Engine-owned: valid until
+  /// the engine's next request, so a rejection allocates nothing.
+  std::span<const Duration> subtask_bounds;
 };
 
 struct TrialVerdict {

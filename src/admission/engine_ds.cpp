@@ -9,7 +9,9 @@
 // analysis structures -- nothing is rebuilt per request:
 //
 //  * one TaskSystem, grown/shrunk in place through the sanctioned
-//    append_task/remove_task mutators (builder-identical layout);
+//    append_task/pop_last_tasks/remove_task mutators (builder-identical
+//    layout; a rejected trial's candidates leave through pop_last_tasks,
+//    which restores the aggregates saved before their appends);
 //  * one InterferenceMap, delta-patched via apply_admit/apply_remove
 //    with revert_admit tokens for rejected trials (bit-identical to
 //    fresh construction -- the property tests pin content_hash());
@@ -55,7 +57,10 @@
 // Commit semantics: an accepted admit and every remove commit the
 // table; a rejected admit restores the sweep journal, pops the
 // candidate rows, and reverts the interference/dependency deltas,
-// leaving the engine bit-identical to before the request.
+// leaving the engine bit-identical to before the request. A warm trial
+// re-reads the per-task EERs only of the candidates and of the tasks
+// whose last entry the journal lists, and keeps a count of failing
+// tasks, so its bookkeeping is proportional to what it recomputed.
 #include <algorithm>
 #include <optional>
 #include <span>
@@ -119,6 +124,7 @@ class IncrementalDsEngine final : public Engine {
 
     const std::size_t old_tasks = system_->task_count();
     const std::size_t old_count = imap_.subtask_count();
+    const TaskSystem::Aggregates old_aggregates = system_->aggregates();
 
     // -- Grow every persistent structure by the whole batch. --
     std::vector<InterferenceMap::AdmitDelta> imap_deltas;
@@ -224,8 +230,19 @@ class IncrementalDsEngine final : public Engine {
     }
 
     path.evaluations = state_.evaluations;
-    refresh_outcomes(trial_converged);
-    if (all_schedulable()) {
+    if (cold) {
+      refresh_outcomes(trial_converged);
+    } else {
+      // A warm trial converged from a converged committed table: only
+      // the candidates and the tasks whose last entry it recomputed can
+      // have moved.
+      refresh_journaled_outcomes(old_tasks);
+      for (std::size_t i = old_tasks; i < system_->task_count(); ++i) {
+        eers_.push_back(table_.at(system_->tasks()[i].last_subtask().ref));
+        if (!schedulable(i)) ++failing_count_;
+      }
+    }
+    if (failing_count_ == 0) {
       cap_ = new_cap;
       converged_ = trial_converged;
       return {true, std::nullopt, path};
@@ -238,11 +255,14 @@ class IncrementalDsEngine final : public Engine {
       state_.warm = std::move(pre_warm);
     } else {
       undo_.replay(table_, state_.warm);
+      refresh_journaled_outcomes(old_tasks);
+      for (std::size_t i = old_tasks; i < system_->task_count(); ++i) {
+        if (!schedulable(i)) --failing_count_;
+      }
+      eers_.resize(old_tasks);
     }
-    for (std::size_t k = specs.size(); k-- > 0;) {
-      table_.remove_row(old_tasks + k);
-      system_->remove_task(old_tasks + k);
-    }
+    for (std::size_t k = specs.size(); k-- > 0;) table_.remove_row(old_tasks + k);
+    system_->pop_last_tasks(specs.size(), old_aggregates);
     for (std::size_t f = old_count; f < count; ++f) {
       for (const std::uint32_t d : state_.deps[f]) {
         if (d >= old_count) continue;
@@ -260,7 +280,7 @@ class IncrementalDsEngine final : public Engine {
       imap_.revert_admit(*it);
     }
     slots_.resize(old_tasks);
-    refresh_outcomes(converged_);
+    if (cold) refresh_outcomes(converged_);
     return {false, std::move(failure), path};
   }
 
@@ -318,7 +338,7 @@ class IncrementalDsEngine final : public Engine {
     cap_ = new_cap;
     path.evaluations = state_.evaluations;
     refresh_outcomes(converged_);
-    if (all_schedulable()) return {true, std::nullopt, path};
+    if (failing_count_ == 0) return {true, std::nullopt, path};
     return {false, failure_of(std::nullopt), path};
   }
 
@@ -379,7 +399,7 @@ class IncrementalDsEngine final : public Engine {
     refresh_outcomes(trial_converged);
     const PathRecord path{.path = EnginePath::kBootstrap,
                           .evaluations = state_.evaluations};
-    if (all_schedulable()) {
+    if (failing_count_ == 0) {
       cap_ = cap_of(*system_);
       converged_ = trial_converged;
       return {true, std::nullopt, path};
@@ -558,20 +578,18 @@ class IncrementalDsEngine final : public Engine {
     state_ = IeertIncrementalState{};
     slots_.clear();
     eers_.clear();
+    failing_count_ = 0;
     cap_ = -1;
     converged_ = true;
   }
 
-  /// Same expression as analyze_sa_ds's divergence cap, so the seeded
-  /// sweeps and the offline analysis cap identically.
+  /// Same value as analyze_sa_ds's divergence cap (twice the largest
+  /// per-task failure cutoff), so the seeded sweeps and the offline
+  /// analysis cap identically. sat_scale is monotone in its argument,
+  /// so the largest cutoff is the max period's: O(1), not O(tasks).
   [[nodiscard]] Time cap_of(const TaskSystem& system) const {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    Duration max_cutoff = 0;
-    for (const Task& t : system.tasks()) {
-      max_cutoff =
-          std::max(max_cutoff, sat_scale(options.failure_period_multiplier, t.period));
-    }
-    return sat_mul(max_cutoff, 2);
+    return sat_mul(
+        sat_scale(SaDsOptions{}.failure_period_multiplier, system.max_period()), 2);
   }
 
   [[nodiscard]] IeertOptions pass_options(Time cap) const {
@@ -639,15 +657,38 @@ class IncrementalDsEngine final : public Engine {
     }
   }
 
-  /// Per-task EERs from the committed table: the last subtask's IEER
-  /// bound when converged, infinity otherwise (matching analyze_sa_ds's
-  /// non-convergence semantics).
+  /// Per-task EERs from the table: the last subtask's IEER bound when
+  /// converged, infinity otherwise (matching analyze_sa_ds's
+  /// non-convergence semantics), and the count of unschedulable tasks.
   void refresh_outcomes(bool converged) {
     const std::size_t n = system_.has_value() ? system_->task_count() : 0;
     eers_.assign(n, kTimeInfinity);
-    if (!converged) return;
-    for (const Task& t : system_->tasks()) {
-      eers_[t.id.index()] = table_.at(t.last_subtask().ref);
+    if (converged) {
+      for (const Task& t : system_->tasks()) {
+        eers_[t.id.index()] = table_.at(t.last_subtask().ref);
+      }
+    }
+    failing_count_ = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!schedulable(i)) ++failing_count_;
+    }
+  }
+
+  /// Re-reads from the table the EER of every task below `task_end`
+  /// whose last entry the warm trial journaled -- the only residents a
+  /// sweep from a converged table can have moved -- keeping the failing
+  /// count in step. After a trial it reads the trial's values, after
+  /// the journal's replay the pre-trial ones.
+  void refresh_journaled_outcomes(std::size_t task_end) {
+    for (const IeertSweepUndo::Entry& e : undo_.entries()) {
+      const std::size_t i = e.ref.task.index();
+      if (i >= task_end ||
+          static_cast<std::size_t>(e.ref.index) + 1 != system_->tasks()[i].subtasks.size()) {
+        continue;
+      }
+      if (!schedulable(i)) --failing_count_;
+      eers_[i] = table_.at(e.ref);
+      if (!schedulable(i)) ++failing_count_;
     }
   }
 
@@ -656,18 +697,11 @@ class IncrementalDsEngine final : public Engine {
            eers_[i] <= system_->tasks()[i].relative_deadline;
   }
 
-  [[nodiscard]] bool all_schedulable() const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!schedulable(i)) return false;
-    }
-    return true;
-  }
-
   /// Rejection detail from the first unschedulable task in build
   /// (ascending slot) order. `first_candidate_slot`: slots at or above
   /// it are trial candidates.
   [[nodiscard]] TrialFailure failure_of(
-      std::optional<std::uint32_t> first_candidate_slot) const {
+      std::optional<std::uint32_t> first_candidate_slot) {
     TrialFailure failure;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (schedulable(i)) continue;
@@ -677,7 +711,8 @@ class IncrementalDsEngine final : public Engine {
       failure.eer = eers_[i];
       failure.deadline = system_->tasks()[i].relative_deadline;
       const std::span<const Duration> row = table_.row(i);
-      failure.subtask_bounds.assign(row.begin(), row.end());
+      failure_bounds_.assign(row.begin(), row.end());
+      failure.subtask_bounds = failure_bounds_;
       break;
     }
     return failure;
@@ -691,9 +726,11 @@ class IncrementalDsEngine final : public Engine {
   SubtaskTable table_;           ///< committed (converged) IEER bounds
   IeertIncrementalState state_;  ///< persistent deps + warm seeds
   std::vector<Duration> eers_;   ///< per task index
+  std::size_t failing_count_ = 0;  ///< tasks whose EER misses the deadline
   Time cap_ = -1;        ///< divergence cap of the committed analysis; -1 = none
   bool converged_ = true;  ///< committed table reached a fixpoint
   IeertSweepUndo undo_;    ///< reusable trial journal
+  std::vector<Duration> failure_bounds_;  ///< backs the last TrialFailure
 
   // Remove scratch, reused across requests (resolve_components).
   static constexpr std::uint32_t kNoComponent = 0xFFFFFFFFu;

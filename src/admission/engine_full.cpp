@@ -104,10 +104,11 @@ class FullEngine final : public Engine {
   /// Rejection detail from the first unschedulable task in build order.
   /// `first_candidate_slot`: any slot at or above it is a trial
   /// candidate (candidates always take the top slots of a build).
-  [[nodiscard]] static TrialFailure failure_of(
+  [[nodiscard]] TrialFailure failure_of(
       const SystemState::Built& built, const AnalysisResult& result,
       std::optional<std::uint32_t> first_candidate_slot) {
     TrialFailure failure;
+    failure_bounds_.clear();
     for (const Task& t : built.system.tasks()) {
       if (result.task_schedulable[t.id.index()]) continue;
       failure.slot = built.slots[t.id.index()];
@@ -116,8 +117,9 @@ class FullEngine final : public Engine {
       failure.eer = result.eer_bounds[t.id.index()];
       failure.deadline = t.relative_deadline;
       for (const Subtask& s : t.subtasks) {
-        failure.subtask_bounds.push_back(result.subtask_bounds.at(s.ref));
+        failure_bounds_.push_back(result.subtask_bounds.at(s.ref));
       }
+      failure.subtask_bounds = failure_bounds_;
       break;
     }
     return failure;
@@ -129,6 +131,7 @@ class FullEngine final : public Engine {
   std::vector<Duration> eers_;
   std::vector<Duration> deadlines_;
   std::vector<std::vector<Duration>> bounds_;
+  std::vector<Duration> failure_bounds_;  ///< backs the last TrialFailure
 };
 
 }  // namespace

@@ -5,35 +5,44 @@
 // higher-or-equal-priority interferer parameters. The engine therefore
 // keeps, per processor, the resident subtask entries plus each entry's
 // equation signature, converged bound, and SubtaskScratch fixpoints, and
-// on every request re-solves exactly the entries whose *fresh* signature
+// on every request re-solves exactly the entries whose *fresh* equation
 // differs from the stored one:
 //
 //  * admit touches the candidate's processors only (every other entry's
-//    equation -- interferer set, blocking, cap -- is bit-identical, so
+//    equation -- interferer set, blocking -- is bit-identical, so
 //    signature-exact reuse applies with no monotonicity argument). On a
-//    touched processor, under an unchanged cap, a resident is skipped
-//    without even assembling its equation when no candidate there has a
-//    level <= its own (none joins its H set) and no non-preemptible
-//    candidate there has a level above it (none can raise its blocking
-//    term): its equation, hence its stored signature, is unchanged;
+//    touched processor a resident is skipped without even assembling its
+//    equation when no candidate there has a level <= its own (none joins
+//    its H set) and no non-preemptible candidate there has a level above
+//    it (none can raise its blocking term): its equation, hence its
+//    stored signature, is unchanged;
 //  * admits never shrink demand or the cap, so re-solves warm-start from
 //    the stored fixpoints (monotone warm start; entries whose previous
 //    bound was infinite restart cold, since a larger cap can turn
 //    "unbounded" into a finite bound);
-//  * removes shrink demand, so touched entries restart cold;
-//  * the divergence cap is 300 x the maximum live period; when the
-//    maximum period changes, every signature in the system changes and
-//    the sweep widens to all processors -- rare under steady churn.
+//  * the divergence cap is 300 x the maximum live period, and stored
+//    signatures leave it out. An admit that raises the maximum period
+//    grows the cap; a finite stored bound stays exact under it (every
+//    fixpoint iterate that produced it stayed <= its busy period, which
+//    the old cap already admitted), so only entries whose stored bound is
+//    infinite are reopened -- and those sit in failing tasks, so a
+//    schedulable committed system reopens none;
+//  * removes shrink demand, so touched entries restart cold; a remove
+//    that moves the cap re-solves every entry.
 //
-// A rejected admit rolls back by restoring the snapshotted entries, so
+// Storage is flat and reused across requests: tasks live in a pool whose
+// slots a later request reuses (with their subtask scratch capacity), a
+// plane entry names its task's pool index, and the trial's dirty list,
+// candidate levels and snapshot journal are members. A rejected warm
+// admit that the engine has seen before therefore allocates nothing.
+// A rejected admit rolls back by restoring the journaled entries, so
 // trial state never leaks. No TaskSystem or InterferenceMap is ever
 // built: per-request cost is proportional to the touched processors'
 // residents, not to the system -- which is where the order-of-magnitude
 // win over full recompute comes from (bench_admission).
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "admission/engine_internal.h"
@@ -47,23 +56,28 @@ namespace {
 struct PmSub {
   int processor = -1;
   Duration bound = 0;
-  std::uint64_t signature = 0;
+  std::uint64_t signature = 0;  ///< of the equation without its cap
   SubtaskScratch scratch;
 };
 
 struct PmTask {
+  std::uint32_t slot = 0;
+  Duration period = 0;
   Duration deadline = 0;
   Duration eer = 0;
+  std::uint64_t dirty_stamp = 0;  ///< request that last listed it dirty
   std::vector<PmSub> subs;
 };
 
 /// One resident subtask of a processor plane, ordered by (slot, sub) so
 /// hp signatures are stable for unchanged interference sets. Carries
 /// every parameter a co-located subtask's demand equation reads, so
-/// assembling an equation is one contiguous scan of the plane.
+/// assembling an equation is one contiguous scan of the plane, and the
+/// pool index of its task, so reaching its bound needs no lookup.
 struct PlaneEntry {
   std::uint32_t slot = 0;
   std::uint32_t sub = 0;
+  std::uint32_t task = 0;  ///< index into the task pool
   int level = 0;
   bool preemptible = true;
   Duration period = 0;
@@ -84,7 +98,7 @@ class IncrementalPmEngine final : public Engine {
   TrialVerdict admit_batch(const SystemState& state, std::uint32_t first_slot,
                            std::span<const TaskSpec> specs) override {
     planes_.resize(state.processor_count());
-    const bool was_empty = live_.empty();
+    const bool was_empty = order_.empty();
     for (std::size_t i = 0; i < specs.size(); ++i) {
       insert_task(first_slot + static_cast<std::uint32_t>(i), specs[i]);
     }
@@ -96,68 +110,62 @@ class IncrementalPmEngine final : public Engine {
 
     // Per plane, the candidates' lowest level and the highest level of a
     // non-preemptible candidate: a plane no candidate occupies keeps every
-    // equation unless the cap moved.
-    struct CandidateLevels {
-      int min_level = std::numeric_limits<int>::max();
-      int max_np_level = std::numeric_limits<int>::min();
-    };
-    std::vector<CandidateLevels> levels(planes_.size());
+    // equation (bar the cap).
+    levels_.assign(planes_.size(), CandidateLevels{});
     for (const TaskSpec& spec : specs) {
       for (const SubtaskSpec& sub : spec.subtasks) {
-        CandidateLevels& l = levels[static_cast<std::size_t>(sub.processor)];
+        CandidateLevels& l = levels_[static_cast<std::size_t>(sub.processor)];
         l.min_level = std::min(l.min_level, sub.priority_level);
         if (!sub.preemptible) l.max_np_level = std::max(l.max_np_level, sub.priority_level);
       }
     }
 
-    // Snapshot everything the trial may overwrite; the candidates' own
+    // Journal everything the trial may overwrite; the candidates' own
     // entries need none (a reject erases the whole batch).
-    struct EntrySnap {
-      PlaneEntry ref;
-      Duration bound;
-      std::uint64_t signature;
-      SubtaskScratch scratch;
-    };
-    std::vector<EntrySnap> snap_entries;
-    std::vector<std::pair<std::uint32_t, Duration>> snap_eers;
-    const std::set<std::uint32_t> snap_failing = failing_;
+    ++stamp_;
+    dirty_.clear();
+    snap_count_ = 0;
+    snap_eers_.clear();
+    snap_failing_ = failing_;
+    // A grown cap can only bound an entry that was unbounded, and every
+    // unbounded entry belongs to a failing task.
+    const bool reopen_unbounded = cap_changed && !failing_.empty();
 
-    std::set<std::uint32_t> dirty;
     for (std::size_t p = 0; p < planes_.size(); ++p) {
-      const CandidateLevels& l = levels[p];
-      if (!cap_changed && l.min_level == std::numeric_limits<int>::max()) continue;
-      for (std::size_t k = 0; k < planes_[p].size(); ++k) {
-        const PlaneEntry& ref = planes_[p][k];
-        PmSub& entry = sub_of(ref);
-        // Under an unchanged cap, a resident that no candidate joins in
-        // its H set (none has a level <= its own) and whose blocking term
-        // no non-preemptible candidate below it can raise keeps its
-        // equation, so its stored signature is current: skip assembling
-        // it.
-        if (!cap_changed && ref.slot < first_slot && entry.scratch.has &&
-            l.min_level > ref.level && l.max_np_level <= ref.level) {
+      const CandidateLevels& l = levels_[p];
+      if (l.min_level == std::numeric_limits<int>::max() && !reopen_unbounded) continue;
+      const std::vector<PlaneEntry>& plane = planes_[p];
+      for (std::size_t k = 0; k < plane.size(); ++k) {
+        const PlaneEntry& ref = plane[k];
+        PmSub& entry = pool_[ref.task].subs[ref.sub];
+        const bool resident = ref.slot < first_slot;
+        const bool reopen = cap_changed && is_infinite(entry.bound);
+        // A resident that no candidate joins in its H set (none has a
+        // level <= its own) and whose blocking term no non-preemptible
+        // candidate below it can raise keeps its equation, so its stored
+        // signature is current: skip assembling it.
+        if (resident && entry.scratch.has && !reopen && l.min_level > ref.level &&
+            l.max_np_level <= ref.level) {
           continue;
         }
-        const ResponseEquation eq = equation_of(planes_[p], k, new_cap);
+        ResponseEquation eq = equation_of(plane, k);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
-        if (sig == entry.signature && entry.scratch.has) continue;
-        if (ref.slot < first_slot) {
-          snap_entries.push_back({ref, entry.bound, entry.signature, entry.scratch});
-        }
+        if (sig == entry.signature && entry.scratch.has && !reopen) continue;
+        if (resident) journal(ref, entry);
+        eq.cap = new_cap;
         // Admits only grow demand and the cap, so finite fixpoints
         // warm-start; a previously unbounded entry must restart cold.
         const bool warm = entry.scratch.has && !is_infinite(entry.bound);
         entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, warm);
         ++path.evaluations;
         entry.signature = sig;
-        dirty.insert(ref.slot);
+        mark_dirty(ref.task);
       }
     }
 
-    for (const std::uint32_t s : dirty) {
-      PmTask& task = live_.at(s);
-      if (s < first_slot) snap_eers.emplace_back(s, task.eer);
-      refresh_task(s, task);
+    for (const std::uint32_t t : dirty_) {
+      if (pool_[t].slot < first_slot) snap_eers_.emplace_back(t, pool_[t].eer);
+      refresh_task(t);
     }
 
     if (failing_.empty()) {
@@ -165,66 +173,70 @@ class IncrementalPmEngine final : public Engine {
       return {true, std::nullopt, path};
     }
 
-    TrialFailure failure = failure_of(*failing_.begin(), first_slot);
+    TrialFailure failure = failure_of(failing_.front(), first_slot);
     // Roll back: the engine must be bit-identical to before the trial.
-    for (const EntrySnap& snap : snap_entries) {
-      PmSub& entry = sub_of(snap.ref);
+    for (std::size_t i = 0; i < snap_count_; ++i) {
+      const EntrySnap& snap = snaps_[i];
+      PmSub& entry = pool_[snap.task].subs[snap.sub];
       entry.bound = snap.bound;
       entry.signature = snap.signature;
       entry.scratch = snap.scratch;
     }
-    for (const auto& [s, eer] : snap_eers) live_.at(s).eer = eer;
-    failing_ = snap_failing;
-    for (std::size_t i = specs.size(); i-- > 0;) {
-      erase_task(first_slot + static_cast<std::uint32_t>(i), specs[i].period);
-    }
+    for (const auto& [t, eer] : snap_eers_) pool_[t].eer = eer;
+    failing_ = snap_failing_;
+    for (std::size_t i = specs.size(); i-- > 0;) erase_task(order_.size() - 1);
     return {false, std::move(failure), path};
   }
 
-  TrialVerdict remove(const SystemState& state, std::uint32_t slot) override {
-    const TaskSpec& spec = state.spec(slot);
-    erase_task(slot, spec.period);
-    failing_.erase(slot);
-    if (live_.empty()) return {true, std::nullopt};
+  TrialVerdict remove(const SystemState& /*state*/, std::uint32_t slot) override {
+    const auto pos = std::lower_bound(
+        order_.begin(), order_.end(), slot,
+        [this](std::uint32_t t, std::uint32_t s) { return pool_[t].slot < s; });
+    const std::uint32_t departing = *pos;
+    const auto failing_pos = std::find(failing_.begin(), failing_.end(), departing);
+    if (failing_pos != failing_.end()) failing_.erase(failing_pos);
+    touched_.assign(planes_.size(), 0);
+    for (const PmSub& sub : pool_[departing].subs) {
+      touched_[static_cast<std::size_t>(sub.processor)] = 1;
+    }
+    erase_task(static_cast<std::size_t>(pos - order_.begin()));
+    if (order_.empty()) return {true, std::nullopt};
 
     const Time new_cap = cap_from_periods();
     const bool cap_changed = new_cap != cap_;
     PathRecord path{.path = cap_changed ? EnginePath::kColdCap : EnginePath::kWarm};
-    std::vector<std::uint8_t> touched(planes_.size(), 0);
-    if (cap_changed) {
-      std::fill(touched.begin(), touched.end(), 1);
-    } else {
-      for (const SubtaskSpec& sub : spec.subtasks) {
-        touched[static_cast<std::size_t>(sub.processor)] = 1;
-      }
-    }
+    if (cap_changed) std::fill(touched_.begin(), touched_.end(), 1);
 
-    std::set<std::uint32_t> dirty;
+    ++stamp_;
+    dirty_.clear();
     for (std::size_t p = 0; p < planes_.size(); ++p) {
-      if (touched[p] == 0) continue;
-      for (std::size_t k = 0; k < planes_[p].size(); ++k) {
-        const PlaneEntry& ref = planes_[p][k];
-        PmSub& entry = sub_of(ref);
-        const ResponseEquation eq = equation_of(planes_[p], k, new_cap);
+      if (touched_[p] == 0) continue;
+      const std::vector<PlaneEntry>& plane = planes_[p];
+      for (std::size_t k = 0; k < plane.size(); ++k) {
+        const PlaneEntry& ref = plane[k];
+        PmSub& entry = pool_[ref.task].subs[ref.sub];
+        ResponseEquation eq = equation_of(plane, k);
         const std::uint64_t sig = response_equation_signature(eq, hp_view());
-        if (sig == entry.signature && entry.scratch.has) continue;
-        // Demand shrank: the old fixpoint over-approximates, so restart
-        // cold (signature-exact reuse above needs no such care).
-        entry.scratch = SubtaskScratch{};
+        if (!cap_changed && sig == entry.signature && entry.scratch.has) continue;
+        // Demand (and perhaps the cap) shrank: the old fixpoint
+        // over-approximates, so restart cold (signature-exact reuse
+        // above needs no such care).
+        eq.cap = new_cap;
         entry.bound = solve_response_bound(eq, hp_view(), &entry.scratch, false);
         ++path.evaluations;
         entry.signature = sig;
-        dirty.insert(ref.slot);
+        mark_dirty(ref.task);
       }
     }
-    for (const std::uint32_t s : dirty) refresh_task(s, live_.at(s));
+    for (const std::uint32_t t : dirty_) refresh_task(t);
     cap_ = new_cap;
     if (failing_.empty()) return {true, std::nullopt, path};
-    return {false, failure_of(*failing_.begin(), std::nullopt), path};
+    return {false, failure_of(failing_.front(), std::nullopt), path};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
-    for (const auto& [slot, task] : live_) {
+    for (const std::uint32_t t : order_) {
+      const PmTask& task = pool_[t];
       acc = hash_combine(acc, static_cast<std::uint64_t>(task.eer));
       for (const PmSub& sub : task.subs) {
         acc = hash_combine(acc, static_cast<std::uint64_t>(sub.bound));
@@ -235,8 +247,8 @@ class IncrementalPmEngine final : public Engine {
 
   double margin() const override {
     double worst = 0.0;
-    for (const auto& [slot, task] : live_) {
-      worst = std::max(worst, detail::margin_ratio(task.eer, task.deadline));
+    for (const std::uint32_t t : order_) {
+      worst = std::max(worst, detail::margin_ratio(pool_[t].eer, pool_[t].deadline));
     }
     return worst;
   }
@@ -244,21 +256,32 @@ class IncrementalPmEngine final : public Engine {
   const char* name() const noexcept override { return "incremental"; }
 
  private:
-  [[nodiscard]] PmSub& sub_of(const PlaneEntry& ref) {
-    return live_.at(ref.slot).subs[ref.sub];
-  }
+  struct CandidateLevels {
+    int min_level = std::numeric_limits<int>::max();
+    int max_np_level = std::numeric_limits<int>::min();
+  };
 
-  /// Same expression as analyze_sa_pm's cap so signatures agree with the
+  /// A resident entry's pre-trial state.
+  struct EntrySnap {
+    std::uint32_t task = 0;
+    std::uint32_t sub = 0;
+    Duration bound = 0;
+    std::uint64_t signature = 0;
+    SubtaskScratch scratch;
+  };
+
+  /// Same expression as analyze_sa_pm's cap so bounds agree with the
   /// offline analysis of the identical system.
   [[nodiscard]] Time cap_from_periods() const {
-    const Duration max_period = period_counts_.rbegin()->first;
-    return sat_scale(SaPmOptions{}.cap_period_multiplier, max_period);
+    return sat_scale(SaPmOptions{}.cap_period_multiplier, period_counts_.back().first);
   }
 
   /// Assembles the demand equation of `plane[k]` against the *current*
-  /// plane into the reusable hp buffers (valid until the next call).
+  /// plane into the reusable hp buffers (valid until the next call). The
+  /// cap is left at its default, so the equation's signature leaves it
+  /// out; the caller sets it before solving.
   [[nodiscard]] ResponseEquation equation_of(const std::vector<PlaneEntry>& plane,
-                                             std::size_t k, Time cap) {
+                                             std::size_t k) {
     hp_periods_.clear();
     hp_execs_.clear();
     hp_jitters_.clear();
@@ -278,39 +301,76 @@ class IncrementalPmEngine final : public Engine {
     return ResponseEquation{.period = self.period,
                             .exec = self.exec,
                             .jitter = self.jitter,
-                            .blocking = blocking,
-                            .cap = cap};
+                            .blocking = blocking};
   }
 
   [[nodiscard]] HpView hp_view() const noexcept {
     return HpView{hp_periods_, hp_execs_, hp_jitters_};
   }
 
+  /// Records a resident entry's pre-trial state (copy-assigned into the
+  /// journal's retained capacity).
+  void journal(const PlaneEntry& ref, const PmSub& entry) {
+    if (snap_count_ == snaps_.size()) snaps_.emplace_back();
+    EntrySnap& snap = snaps_[snap_count_++];
+    snap.task = ref.task;
+    snap.sub = ref.sub;
+    snap.bound = entry.bound;
+    snap.signature = entry.signature;
+    snap.scratch = entry.scratch;
+  }
+
+  void mark_dirty(std::uint32_t t) {
+    if (pool_[t].dirty_stamp == stamp_) return;
+    pool_[t].dirty_stamp = stamp_;
+    dirty_.push_back(t);
+  }
+
   /// Recomputes a task's EER (SA/PM step 5: the sum of its subtask
-  /// bounds) and its membership in the failing set.
-  void refresh_task(std::uint32_t slot, PmTask& task) {
+  /// bounds) and its membership in the failing list.
+  void refresh_task(std::uint32_t t) {
+    PmTask& task = pool_[t];
     Duration eer = 0;
     for (const PmSub& sub : task.subs) eer = sat_add(eer, sub.bound);
     task.eer = eer;
-    if (!is_infinite(eer) && eer <= task.deadline) {
-      failing_.erase(slot);
-    } else {
-      failing_.insert(slot);
-    }
+    const auto pos = std::lower_bound(
+        failing_.begin(), failing_.end(), task.slot,
+        [this](std::uint32_t f, std::uint32_t s) { return pool_[f].slot < s; });
+    const bool listed = pos != failing_.end() && *pos == t;
+    const bool fails = is_infinite(eer) || eer > task.deadline;
+    if (fails && !listed) failing_.insert(pos, t);
+    if (!fails && listed) failing_.erase(pos);
   }
 
+  /// Adds a task with a slot above every live one: a pool slot (reused
+  /// when one is free, keeping its subtasks' scratch capacity), its plane
+  /// entries, and its period.
   void insert_task(std::uint32_t slot, const TaskSpec& spec) {
-    PmTask task{.deadline = spec.deadline};
-    task.subs.reserve(spec.subtasks.size());
-    for (const SubtaskSpec& sub : spec.subtasks) {
-      task.subs.push_back({.processor = sub.processor});
+    std::uint32_t t = 0;
+    if (free_.empty()) {
+      t = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      t = free_.back();
+      free_.pop_back();
     }
-    live_.emplace(slot, std::move(task));
+    PmTask& task = pool_[t];
+    task.slot = slot;
+    task.period = spec.period;
+    task.deadline = spec.deadline;
+    task.eer = 0;
+    task.subs.resize(spec.subtasks.size());
     for (std::uint32_t j = 0; j < spec.subtasks.size(); ++j) {
       const SubtaskSpec& sub = spec.subtasks[j];
+      PmSub& entry = task.subs[j];
+      entry.processor = sub.processor;
+      entry.bound = 0;
+      entry.signature = 0;
+      entry.scratch.has = false;
       auto& plane = planes_[static_cast<std::size_t>(sub.processor)];
       const PlaneEntry ref{.slot = slot,
                            .sub = j,
+                           .task = t,
                            .level = sub.priority_level,
                            .preemptible = sub.preemptible,
                            .period = spec.period,
@@ -318,42 +378,69 @@ class IncrementalPmEngine final : public Engine {
                            .exec = sub.execution_time};
       plane.insert(std::lower_bound(plane.begin(), plane.end(), ref), ref);
     }
-    ++period_counts_[spec.period];
+    order_.push_back(t);
+    const auto it = std::lower_bound(
+        period_counts_.begin(), period_counts_.end(), spec.period,
+        [](const auto& entry, Duration period) { return entry.first < period; });
+    if (it != period_counts_.end() && it->first == spec.period) {
+      ++it->second;
+    } else {
+      period_counts_.insert(it, {spec.period, 1});
+    }
   }
 
-  void erase_task(std::uint32_t slot, Duration period) {
-    const auto it = live_.find(slot);
-    for (std::uint32_t j = 0; j < it->second.subs.size(); ++j) {
-      auto& plane =
-          planes_[static_cast<std::size_t>(it->second.subs[j].processor)];
-      const auto pos =
-          std::lower_bound(plane.begin(), plane.end(), PlaneEntry{.slot = slot, .sub = j});
-      plane.erase(pos);
+  /// Erases the task at position `at` of order_, returning its pool slot
+  /// to the free list.
+  void erase_task(std::size_t at) {
+    const std::uint32_t t = order_[at];
+    const PmTask& task = pool_[t];
+    for (std::uint32_t j = 0; j < task.subs.size(); ++j) {
+      auto& plane = planes_[static_cast<std::size_t>(task.subs[j].processor)];
+      plane.erase(std::lower_bound(plane.begin(), plane.end(),
+                                   PlaneEntry{.slot = task.slot, .sub = j}));
     }
-    live_.erase(it);
-    const auto period_it = period_counts_.find(period);
-    if (--period_it->second == 0) period_counts_.erase(period_it);
+    const auto it = std::lower_bound(
+        period_counts_.begin(), period_counts_.end(), task.period,
+        [](const auto& entry, Duration p) { return entry.first < p; });
+    if (--it->second == 0) period_counts_.erase(it);
+    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(at));
+    free_.push_back(t);
   }
 
   [[nodiscard]] TrialFailure failure_of(
-      std::uint32_t slot, std::optional<std::uint32_t> first_candidate_slot) const {
-    const PmTask& task = live_.at(slot);
-    TrialFailure failure{
-        .slot = slot,
+      std::uint32_t t, std::optional<std::uint32_t> first_candidate_slot) {
+    const PmTask& task = pool_[t];
+    failure_bounds_.clear();
+    for (const PmSub& sub : task.subs) failure_bounds_.push_back(sub.bound);
+    return TrialFailure{
+        .slot = task.slot,
         .is_candidate =
-            first_candidate_slot.has_value() && slot >= *first_candidate_slot,
+            first_candidate_slot.has_value() && task.slot >= *first_candidate_slot,
         .eer = task.eer,
-        .deadline = task.deadline};
-    for (const PmSub& sub : task.subs) failure.subtask_bounds.push_back(sub.bound);
-    return failure;
+        .deadline = task.deadline,
+        .subtask_bounds = failure_bounds_};
   }
 
-  std::map<std::uint32_t, PmTask> live_;
+  std::vector<PmTask> pool_;          ///< live tasks plus reusable free slots
+  std::vector<std::uint32_t> free_;   ///< pool slots not in use
+  std::vector<std::uint32_t> order_;  ///< live pool slots, ascending task slot
   std::vector<std::vector<PlaneEntry>> planes_;  // per processor, sorted
-  std::map<Duration, std::size_t> period_counts_;
-  std::set<std::uint32_t> failing_;  // slots whose task is unschedulable
-  Time cap_ = 0;                     // valid only while live_ is non-empty
-  // Reusable hp-assembly buffers (never shared across threads).
+  /// (period, live tasks with it), ascending: the back is the max period.
+  std::vector<std::pair<Duration, std::uint32_t>> period_counts_;
+  /// Pool slots of the unschedulable tasks, ascending task slot.
+  std::vector<std::uint32_t> failing_;
+  Time cap_ = 0;  ///< valid only while tasks are live
+
+  // Per-request scratch, reused (never shared across threads).
+  std::uint64_t stamp_ = 0;
+  std::vector<std::uint32_t> dirty_;  ///< pool slots whose bounds moved
+  std::vector<CandidateLevels> levels_;
+  std::vector<std::uint8_t> touched_;
+  std::vector<EntrySnap> snaps_;  ///< [0, snap_count_) live; the rest keep capacity
+  std::size_t snap_count_ = 0;
+  std::vector<std::pair<std::uint32_t, Duration>> snap_eers_;
+  std::vector<std::uint32_t> snap_failing_;
+  std::vector<Duration> failure_bounds_;  ///< backs the last TrialFailure
   std::vector<Duration> hp_periods_;
   std::vector<Duration> hp_execs_;
   std::vector<Duration> hp_jitters_;

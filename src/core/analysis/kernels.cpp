@@ -82,10 +82,13 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
   // grows by at least `exec` per instance, so each fixpoint warm-starts
   // from the previous completion (and, when warm, from the previous
   // run's C(m) -- also <= the new least fixpoint).
+  // The completions are written over the scratch's own vector in place:
+  // instance m reads its warm seed C(m) before overwriting it, and the
+  // vector is truncated to the instances solved, so a warm scratch
+  // allocates nothing once it has held as many instances.
   Duration worst = 0;
   Time previous_completion = 0;
-  std::vector<Time> completions;
-  if (sc != nullptr) completions.reserve(static_cast<std::size_t>(instances));
+  std::size_t solved = 0;
   for (std::int64_t m = 1; m <= instances; ++m) {
     Time start = std::max(sat_mul(m, exec), sat_add(previous_completion, exec));
     if (warm && static_cast<std::size_t>(m) <= sc->completions.size()) {
@@ -100,7 +103,14 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);
     if (!completion) return record_unbounded();
     previous_completion = *completion;
-    if (sc != nullptr) completions.push_back(*completion);
+    if (sc != nullptr) {
+      if (solved < sc->completions.size()) {
+        sc->completions[solved] = *completion;
+      } else {
+        sc->completions.push_back(*completion);
+      }
+      ++solved;
+    }
     worst = std::max(worst, sat_add(*completion, jitter) - (m - 1) * period);
     // C(m') <= busy for every later instance, so none can beat `worst`.
     if (sat_add(*busy, jitter) - m * period <= worst) break;
@@ -109,7 +119,7 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     sc->has = true;
     sc->busy = *busy;
     sc->bound = worst;
-    sc->completions = std::move(completions);
+    sc->completions.resize(solved);
   }
   return worst;
 }

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -436,11 +437,25 @@ std::optional<std::string> scaling_gate_failure(const PerfReport& report,
   return message.str();
 }
 
+bool perf_output_writable(const std::string& path, std::ostream& out) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream{path, std::ios::app}) {
+    out << "cannot write '" << path << "'\n";
+    return false;
+  }
+  // The probe leaves no file behind: a run that fails later writes none.
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
 int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,
                       const std::function<PerfRunOutcome(int threads)>& run,
                       const PerfWriteOptions& options, std::ostream& out) {
+  // A bad path fails before the ladder runs, not after.
+  if (!perf_output_writable(path, out)) return 2;
   PerfReport report = run_perf_harness(bench, workload, thread_counts, run);
   report.variants = options.variants;
   const std::string json = to_json(report);

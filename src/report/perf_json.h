@@ -119,12 +119,18 @@ struct PerfWriteOptions {
   std::vector<PerfVariant> variants;
 };
 
-/// Bench driver: runs the harness, validates its own JSON, writes it to
-/// `path`, prints a one-line summary per variant and thread count to
-/// `out`, and returns the process exit code: 2 when `path` cannot be
-/// written, 4 when the workload was not deterministic across thread
-/// counts, 5 when the variants disagree, 6 when the opt-in scaling gate
-/// (E2E_BENCH_GATE) fails.
+/// True when `path` can be opened for writing; otherwise prints "cannot
+/// write '<path>'" to `out`. Leaves the file system as it found it.
+/// Benches that do timed work of their own before write_perf_report
+/// call it first, so a bad path fails fast.
+[[nodiscard]] bool perf_output_writable(const std::string& path, std::ostream& out);
+
+/// Bench entry point: opens `path`, runs the harness, validates its own JSON,
+/// writes it to `path`, prints a one-line summary per variant and thread
+/// count to `out`, and returns the process exit code: 2 when `path`
+/// cannot be written (checked before any timed run), 4 when the workload
+/// was not deterministic across thread counts, 5 when the variants
+/// disagree, 6 when the opt-in scaling gate (E2E_BENCH_GATE) fails.
 int write_perf_report(const std::string& bench, const std::string& workload,
                       const std::string& path,
                       const std::vector<int>& thread_counts,

@@ -69,6 +69,25 @@ void TaskSystem::append_task(Task task) {
   tasks_.push_back(std::move(task));
 }
 
+void TaskSystem::pop_last_tasks(std::size_t count, const Aggregates& before) {
+  E2E_ASSERT(count <= tasks_.size(), "pop_last_tasks: more tasks than the system has");
+  for (std::size_t k = 0; k < count; ++k) {
+    const Task& t = tasks_.back();
+    for (auto s = t.subtasks.rbegin(); s != t.subtasks.rend(); ++s) {
+      std::vector<SubtaskRef>& plane = per_processor_[s->processor.index()];
+      E2E_ASSERT(!plane.empty() && plane.back() == s->ref,
+                 "pop_last_tasks: resident list tail is not the popped task");
+      plane.pop_back();
+    }
+    tasks_.pop_back();
+  }
+  subtask_count_ = before.subtask_count;
+  hyperperiod_ = before.hyperperiod;
+  max_period_ = before.max_period;
+  min_period_ = before.min_period;
+  max_phase_ = before.max_phase;
+}
+
 void TaskSystem::remove_task(std::size_t index) {
   E2E_ASSERT(index < tasks_.size(), "remove_task: index out of range");
   E2E_ASSERT(tasks_.size() > 1, "remove_task: cannot remove the last task");

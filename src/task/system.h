@@ -106,6 +106,28 @@ class TaskSystem {
   /// period, matching the builder.
   void append_task(Task task);
 
+  /// The cached aggregates append_task folds a task into. Saving them
+  /// before appends is what lets pop_last_tasks undo those appends
+  /// without rescanning the system (an lcm cannot be un-folded).
+  struct Aggregates {
+    std::size_t subtask_count = 0;
+    Duration hyperperiod = 0;
+    Duration max_period = 0;
+    Duration min_period = 0;
+    Time max_phase = 0;
+    friend bool operator==(const Aggregates&, const Aggregates&) = default;
+  };
+  [[nodiscard]] Aggregates aggregates() const noexcept {
+    return {subtask_count_, hyperperiod_, max_period_, min_period_, max_phase_};
+  }
+
+  /// Undoes the last `count` append_task calls: pops those tasks and
+  /// their refs off the tails of their processors' resident lists (where
+  /// append_task put them) and restores `before`, the aggregates() taken
+  /// just before the first of those appends. O(subtasks popped) -- the
+  /// admission engines' exit for rejected candidates.
+  void pop_last_tasks(std::size_t count, const Aggregates& before);
+
   /// Removes the task at `index`, renumbering later tasks (and their
   /// subtasks' refs) down by one. The per-processor resident lists are
   /// compacted preserving relative order, which again matches a fresh

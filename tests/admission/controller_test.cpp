@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "admission/engine.h"
+#include "alloc_counter.h"
 #include "core/analysis/ieert.h"
 #include "core/analysis/interference.h"
 #include "core/analysis/sa_ds.h"
@@ -524,6 +526,90 @@ TEST(Controller, WarmAdmitBelowEveryResidentSolvesFewerEntriesThanResidents) {
         << to_string(policy);
     EXPECT_EQ(full.result_hash(), incremental.result_hash()) << to_string(policy);
   }
+}
+
+// An admit that raises the maximum period grows the SA/PM divergence
+// cap. H and R load processor 0 to 99.98%, so R's busy period (400 800)
+// exceeds 300 x R's own period but not 300 x A's: R is bounded while A
+// is live, and removing A shrinks the cap and leaves R unbounded (the
+// remaining system fails). Admitting B, with A's period on the other processor,
+// grows the cap back. R is on no processor B occupies and its equation
+// is unchanged bar the cap, yet its stored bound is infinite, so the
+// admit must reopen it: accepted, with R bounded, as the full recompute
+// finds, on the cold-cap path.
+TEST(Controller, PmCapGrowthReopensAnUnboundedResident) {
+  constexpr Duration kLongDeadline = 10'000'000;
+  ControllerOptions options = pm_options();
+  options.full_recompute = true;
+  AdmissionController full{options};
+  options.full_recompute = false;
+  AdmissionController incremental{options};
+  for (AdmissionController* controller : {&full, &incremental}) {
+    ASSERT_TRUE(controller->admit(make_spec("A", 100'000, {{1, 10, 0}})).accepted);
+    ASSERT_TRUE(
+        controller->admit(make_spec("H", 1000, {{0, 400, 0}}, kLongDeadline)).accepted);
+    ASSERT_TRUE(
+        controller->admit(make_spec("R", 1002, {{0, 601, 1}}, kLongDeadline)).accepted);
+    const Outcome removed = controller->remove("A");
+    ASSERT_TRUE(removed.accepted);
+    EXPECT_FALSE(removed.remaining_schedulable);
+    EXPECT_EQ(removed.culprit_task, "R");
+    EXPECT_GE(controller->query().margin, 1e9);  // R unbounded
+  }
+  EXPECT_EQ(full.result_hash(), incremental.result_hash());
+
+  const TaskSpec b = make_spec("B", 100'000, {{1, 10, 0}});
+  const Outcome full_b = full.admit(b);
+  const Outcome incremental_b = incremental.admit(b);
+  EXPECT_TRUE(full_b.accepted) << full_b.message;
+  EXPECT_EQ(incremental_b.accepted, full_b.accepted) << incremental_b.message;
+  EXPECT_EQ(incremental_b.path.path, EnginePath::kColdCap);
+  const double margin = incremental.query().margin;
+  EXPECT_LT(margin, 1.0);  // R bounded again
+  EXPECT_EQ(full.query().margin, margin);
+  EXPECT_EQ(full.result_hash(), incremental.result_hash());
+}
+
+// The SA/PM engine's trial state is flat and reused: once a warm admit
+// has been rejected, rejecting the same candidate again (same pool slot,
+// same journal, same scratch sizes) calls the global allocator zero
+// times, rejection detail included.
+TEST(Controller, RepeatedRejectedPmWarmAdmitAllocatesNothing) {
+  const std::unique_ptr<Engine> engine = make_engine(Policy::kPm, false);
+  SystemState state{2};
+  for (const TaskSpec& resident :
+       {make_spec("R", 100, {{0, 10, 1}}, 25), make_spec("S", 200, {{1, 10, 1}}, 200)}) {
+    ASSERT_TRUE(engine->admit(state, state.next_slot(), resident).schedulable);
+    (void)state.commit_admit(resident);
+  }
+  // Non-preemptible below R: blocks R past its deadline, cap unchanged.
+  const TaskSpec candidate = make_spec(
+      "C", 100,
+      {{.processor = 0, .execution_time = 20, .priority_level = 5, .preemptible = false}},
+      100);
+  const TrialVerdict first = engine->admit(state, state.next_slot(), candidate);
+  ASSERT_FALSE(first.schedulable);
+  ASSERT_EQ(first.path.path, EnginePath::kWarm);
+  const Duration first_bound = first.failure->subtask_bounds.front();
+
+  const std::uint64_t before = global_allocations();
+  const TrialVerdict second = engine->admit(state, state.next_slot(), candidate);
+  const std::uint64_t after = global_allocations();
+  EXPECT_EQ(after - before, 0u) << "a repeated rejected warm admit allocated";
+  ASSERT_FALSE(second.schedulable);
+  EXPECT_EQ(second.path.path, EnginePath::kWarm);
+  EXPECT_EQ(second.path.evaluations, first.path.evaluations);
+  EXPECT_EQ(second.failure->slot, first.failure->slot);
+  EXPECT_EQ(second.failure->subtask_bounds.front(), first_bound);
+  EXPECT_EQ(engine->fold_bounds(0), [&] {
+    const std::unique_ptr<Engine> fresh = make_engine(Policy::kPm, false);
+    SystemState fresh_state{2};
+    for (const auto& [slot, spec] : state.live()) {
+      (void)fresh->admit(fresh_state, slot, spec);
+      (void)fresh_state.commit_admit(spec);
+    }
+    return fresh->fold_bounds(0);
+  }());
 }
 
 }  // namespace

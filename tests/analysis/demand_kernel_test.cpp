@@ -12,11 +12,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/math.h"
+#include "common/rng.h"
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/ieert.h"
+#include "core/analysis/kernels.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "workload/generator.h"
@@ -97,6 +100,75 @@ TEST(DemandKernel, SaPmMonotoneWarmStartMatchesColdStart) {
     const AnalysisResult warm = analyze_sa_pm(scaled, interference, {}, &scratch);
     expect_identical(scaled, cold, warm, "monotone warm start", i);
   }
+}
+
+// solve_response_bound writes the scratch's completions in place. A
+// scratch that already holds more, or fewer, completions than the new
+// equation solves -- reused cold, or warm from a dominated equation --
+// must end with exactly the bound, busy period and completions a fresh
+// scratch gets from a cold solve.
+TEST(DemandKernel, ResponseBoundReusesScratchCompletionsExactly) {
+  struct Equation {
+    std::vector<Duration> periods, execs, jitters;
+    ResponseEquation eq;
+    [[nodiscard]] HpView hp() const { return HpView{periods, execs, jitters}; }
+  };
+  const auto draw = [](Rng& rng) {
+    Equation e;
+    const auto interferers = rng.uniform_int(0, 4);
+    for (std::int64_t k = 0; k < interferers; ++k) {
+      e.periods.push_back(rng.uniform_int(8, 120));
+      e.execs.push_back(rng.uniform_int(1, 6));
+      e.jitters.push_back(rng.uniform_int(0, 10));
+    }
+    e.eq = ResponseEquation{.period = rng.uniform_int(6, 90),
+                            .exec = rng.uniform_int(1, 8),
+                            .jitter = rng.uniform_int(0, 40),
+                            .blocking = rng.uniform_int(0, 4),
+                            .cap = 3000};
+    return e;
+  };
+  const auto expect_same = [](const SubtaskScratch& want, const SubtaskScratch& got,
+                              Duration want_bound, Duration got_bound, const char* what,
+                              int i) {
+    EXPECT_EQ(got_bound, want_bound) << what << ", draw " << i;
+    EXPECT_EQ(got.bound, want.bound) << what << ", draw " << i;
+    EXPECT_EQ(got.busy, want.busy) << what << ", draw " << i;
+    EXPECT_EQ(got.completions, want.completions) << what << ", draw " << i;
+  };
+  int cold_more = 0, cold_fewer = 0, warm_more = 0, warm_fewer = 0;
+  Rng rng{20261020};
+  for (int i = 0; i < 3000; ++i) {
+    const Equation target = draw(rng);
+    SubtaskScratch fresh;
+    const Duration want = solve_response_bound(target.eq, target.hp(), &fresh, false);
+
+    // Cold, over a scratch an unrelated equation filled.
+    const Equation other = draw(rng);
+    SubtaskScratch reused;
+    (void)solve_response_bound(other.eq, other.hp(), &reused, false);
+    cold_more += reused.completions.size() > fresh.completions.size() ? 1 : 0;
+    cold_fewer += reused.completions.size() < fresh.completions.size() ? 1 : 0;
+    const Duration cold = solve_response_bound(target.eq, target.hp(), &reused, false);
+    expect_same(fresh, reused, want, cold, "cold reuse", i);
+
+    // Warm, from the same equation with a smaller execution time and
+    // blocking term: pointwise less demand under the same cap.
+    Equation dominated = target;
+    dominated.eq.exec = rng.uniform_int(1, target.eq.exec);
+    dominated.eq.blocking = rng.uniform_int(0, target.eq.blocking);
+    SubtaskScratch seeded;
+    (void)solve_response_bound(dominated.eq, dominated.hp(), &seeded, false);
+    warm_more += seeded.completions.size() > fresh.completions.size() ? 1 : 0;
+    warm_fewer += seeded.completions.size() < fresh.completions.size() ? 1 : 0;
+    const Duration warm = solve_response_bound(target.eq, target.hp(), &seeded, true);
+    expect_same(fresh, seeded, want, warm, "warm reuse", i);
+  }
+  // Both directions of the size mismatch were exercised, both ways.
+  EXPECT_GT(cold_more, 0);
+  EXPECT_GT(cold_fewer, 0);
+  EXPECT_GT(warm_more, 0);
+  EXPECT_GT(warm_fewer, 0);
 }
 
 TEST(DemandKernel, SaDsMatchesGoldenHash) {

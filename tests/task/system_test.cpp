@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "task/builder.h"
 #include "task/paper_examples.h"
 
@@ -75,6 +77,107 @@ TEST(TaskSystem, SetPhasesUpdatesTasksAndMaxPhase) {
 TEST(TaskSystem, SetPhasesRejectsNegativePhases) {
   TaskSystem sys = two_processor_system();
   EXPECT_THROW(sys.set_phases(std::vector<Time>{0, -1}), InvalidArgument);
+}
+
+// A random task over `processors` processors. Periods come from a
+// small co-prime-rich pool, or (`huge`) near 2^62 so an lcm saturates.
+Task random_task(Rng& rng, std::size_t processors, bool huge) {
+  Task t;
+  t.period = huge ? (std::int64_t{1} << 62) - rng.uniform_int(1, 1000)
+                  : rng.uniform_int(5, 400);
+  t.phase = rng.uniform_int(0, 50);
+  t.relative_deadline = rng.uniform_int(0, 1) == 0 ? 0 : t.period;
+  t.release_jitter = rng.uniform_int(0, 3);
+  t.name = "R" + std::to_string(rng.next_u64() % 100000);
+  const auto chain = rng.uniform_int(1, 4);
+  for (std::int64_t j = 0; j < chain; ++j) {
+    Subtask s;
+    s.processor = ProcessorId{static_cast<std::int32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(processors) - 1))};
+    s.execution_time = rng.uniform_int(1, 5);
+    s.priority = Priority{static_cast<std::int32_t>(rng.uniform_int(0, 9))};
+    s.preemptible = rng.uniform_int(0, 3) != 0;
+    s.name = t.name + "," + std::to_string(j + 1);
+    t.subtasks.push_back(std::move(s));
+  }
+  return t;
+}
+
+void expect_same_system(const TaskSystem& a, const TaskSystem& b) {
+  EXPECT_EQ(a.aggregates(), b.aggregates());
+  EXPECT_EQ(a.hyperperiod(), b.hyperperiod());
+  EXPECT_EQ(a.max_period(), b.max_period());
+  EXPECT_EQ(a.min_period(), b.min_period());
+  EXPECT_EQ(a.max_phase(), b.max_phase());
+  EXPECT_EQ(a.subtask_count(), b.subtask_count());
+  ASSERT_EQ(a.task_count(), b.task_count());
+  for (std::size_t i = 0; i < a.task_count(); ++i) {
+    const Task& x = a.tasks()[i];
+    const Task& y = b.tasks()[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.period, y.period);
+    EXPECT_EQ(x.phase, y.phase);
+    EXPECT_EQ(x.relative_deadline, y.relative_deadline);
+    EXPECT_EQ(x.release_jitter, y.release_jitter);
+    EXPECT_EQ(x.name, y.name);
+    ASSERT_EQ(x.subtasks.size(), y.subtasks.size());
+    for (std::size_t j = 0; j < x.subtasks.size(); ++j) {
+      EXPECT_EQ(x.subtasks[j].ref, y.subtasks[j].ref);
+      EXPECT_EQ(x.subtasks[j].processor, y.subtasks[j].processor);
+      EXPECT_EQ(x.subtasks[j].execution_time, y.subtasks[j].execution_time);
+      EXPECT_EQ(x.subtasks[j].priority, y.subtasks[j].priority);
+      EXPECT_EQ(x.subtasks[j].preemptible, y.subtasks[j].preemptible);
+      EXPECT_EQ(x.subtasks[j].name, y.subtasks[j].name);
+    }
+  }
+  ASSERT_EQ(a.processor_count(), b.processor_count());
+  for (std::size_t p = 0; p < a.processor_count(); ++p) {
+    const ProcessorId id{static_cast<std::int32_t>(p)};
+    const auto x = a.subtasks_on(id);
+    const auto y = b.subtasks_on(id);
+    EXPECT_EQ(std::vector<SubtaskRef>(x.begin(), x.end()),
+              std::vector<SubtaskRef>(y.begin(), y.end()))
+        << "processor " << p;
+  }
+}
+
+// Appending tasks and popping them again restores the system exactly:
+// tasks, every processor's resident list, the subtask count, and the
+// aggregates -- including a hyperperiod that the appends saturated.
+TEST(TaskSystem, PopLastTasksUndoesAppends) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng{seed};
+    const auto processors = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto residents = rng.uniform_int(1, 12);
+    TaskSystemBuilder builder{processors};
+    for (std::int64_t i = 0; i < residents; ++i) {
+      const Task t = random_task(rng, processors, seed % 7 == 0 && i == 0);
+      auto handle = builder.add_task({.period = t.period,
+                                      .phase = t.phase,
+                                      .deadline = t.relative_deadline,
+                                      .release_jitter = t.release_jitter,
+                                      .name = t.name});
+      for (const Subtask& s : t.subtasks) {
+        handle.subtask(s.processor, s.execution_time, s.priority, s.name);
+        if (!s.preemptible) handle.non_preemptible();
+      }
+    }
+    const TaskSystem before = std::move(builder).build();
+    TaskSystem system = before;
+    const TaskSystem::Aggregates saved = system.aggregates();
+    const auto appended = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    for (std::size_t k = 0; k < appended; ++k) {
+      // Every third seed appends a huge period, saturating the lcm.
+      system.append_task(random_task(rng, processors, seed % 3 == 0 && k == 0));
+    }
+    ASSERT_EQ(system.task_count(), before.task_count() + appended);
+    if (seed % 3 == 0) {
+      EXPECT_TRUE(is_infinite(system.hyperperiod())) << "seed " << seed;
+    }
+    system.pop_last_tasks(appended, saved);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_system(system, before);
+  }
 }
 
 TEST(PaperExample2, MatchesFigure2Parameters) {

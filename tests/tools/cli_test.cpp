@@ -440,6 +440,17 @@ TEST(Cli, RunPerfJsonRejectsAFigureSpecByKind) {
   EXPECT_TRUE(json.empty());
 }
 
+// An unwritable output fails before the thread ladder runs: exit 2 and
+// no per-thread summary line.
+TEST(Cli, RunPerfJsonChecksTheOutputPathBeforeTiming) {
+  const CliResult r =
+      run_cli({"run", E2E_REPO_DIR "/examples/scenarios/sweep_cell.e2es",
+               "--perf-json=/nonexistent/x.json"});
+  EXPECT_EQ(r.exit_code, 2) << r.err << r.out;
+  EXPECT_NE(r.out.find("cannot write '/nonexistent/x.json'"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("threads="), std::string::npos) << r.out;
+}
+
 TEST(Cli, RunPerfJsonRejectsPlanAndThreads) {
   for (const char* flag : {"--plan", "--threads=2"}) {
     const CliResult r = run_cli({"run", "-", "--perf-json=unused.json", flag},
