@@ -46,6 +46,35 @@ std::string format_bound(Duration bound) {
   return is_infinite(bound) ? "unbounded" : std::to_string(bound);
 }
 
+/// Copies a failed trial's detail into `outcome`: the failing task
+/// `culprit`, its decisive subtask with that subtask's processor and
+/// bound, and the task's EER and deadline.
+void fill_culprit(Outcome& outcome, const TrialFailure& failure, const TaskSpec& culprit) {
+  const std::size_t j = decisive_subtask(failure.subtask_bounds);
+  outcome.culprit_task = culprit.name;
+  outcome.culprit_is_candidate = failure.is_candidate;
+  outcome.culprit_subtask = static_cast<int>(j);
+  outcome.culprit_processor =
+      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
+  outcome.culprit_bound =
+      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
+  outcome.culprit_eer = failure.eer;
+  outcome.culprit_deadline = failure.deadline;
+}
+
+/// "task 'X' eer E > deadline D", from fill_culprit's fields.
+std::string culprit_summary(const Outcome& outcome) {
+  return "task '" + outcome.culprit_task + "' eer " + format_bound(outcome.culprit_eer) +
+         " > deadline " + std::to_string(outcome.culprit_deadline);
+}
+
+/// " (subtask J on processor P, bound B)", from fill_culprit's fields.
+std::string culprit_location(const Outcome& outcome) {
+  return " (subtask " + std::to_string(outcome.culprit_subtask) + " on processor " +
+         std::to_string(outcome.culprit_processor) + ", bound " +
+         format_bound(outcome.culprit_bound) + ")";
+}
+
 }  // namespace
 
 const char* to_string(ReasonCode reason) noexcept {
@@ -220,27 +249,12 @@ Outcome AdmissionController::batch_commit() {
   }
 
   const TrialFailure& failure = *verdict.failure;
-  const TaskSpec& culprit =
-      failure.is_candidate ? batch[failure.slot - first_slot]
-                           : state_.spec(failure.slot);
-  const std::size_t j = decisive_subtask(failure.subtask_bounds);
+  fill_culprit(outcome, failure,
+               failure.is_candidate ? batch[failure.slot - first_slot]
+                                    : state_.spec(failure.slot));
   outcome.reason = ReasonCode::kBoundFailure;
-  outcome.culprit_task = culprit.name;
-  outcome.culprit_is_candidate = failure.is_candidate;
-  outcome.culprit_subtask = static_cast<int>(j);
-  outcome.culprit_processor =
-      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-  outcome.culprit_bound =
-      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-  outcome.culprit_eer = failure.eer;
-  outcome.culprit_deadline = failure.deadline;
-  outcome.message = "rejected batch of " + std::to_string(batch.size()) +
-                    ": task '" + culprit.name + "' eer " +
-                    format_bound(failure.eer) + " > deadline " +
-                    std::to_string(failure.deadline) + " (subtask " +
-                    std::to_string(j) + " on processor " +
-                    std::to_string(outcome.culprit_processor) + ", bound " +
-                    format_bound(outcome.culprit_bound) + ")";
+  outcome.message = "rejected batch of " + std::to_string(batch.size()) + ": " +
+                    culprit_summary(outcome) + culprit_location(outcome);
   fold_outcome(outcome);
   return outcome;
 }
@@ -264,7 +278,8 @@ Outcome AdmissionController::admit_checked(TaskSpec&& spec) {
   Outcome outcome;
   outcome.verb = Verb::kAdmit;
   outcome.task_name = spec.name;
-  const TrialVerdict verdict = engine_->admit(state_, state_.next_slot(), spec);
+  const TrialVerdict verdict =
+      engine_->admit_batch(state_, state_.next_slot(), std::span<const TaskSpec>{&spec, 1});
   outcome.path = verdict.path;
   if (verdict.schedulable) {
     outcome.accepted = true;
@@ -276,26 +291,11 @@ Outcome AdmissionController::admit_checked(TaskSpec&& spec) {
   }
 
   const TrialFailure& failure = *verdict.failure;
-  const TaskSpec& culprit =
-      failure.is_candidate ? spec : state_.spec(failure.slot);
-  const std::size_t j = decisive_subtask(failure.subtask_bounds);
+  fill_culprit(outcome, failure, failure.is_candidate ? spec : state_.spec(failure.slot));
   outcome.reason = ReasonCode::kBoundFailure;
-  outcome.culprit_task = culprit.name;
-  outcome.culprit_is_candidate = failure.is_candidate;
-  outcome.culprit_subtask = static_cast<int>(j);
-  outcome.culprit_processor =
-      j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-  outcome.culprit_bound =
-      j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-  outcome.culprit_eer = failure.eer;
-  outcome.culprit_deadline = failure.deadline;
   outcome.live_tasks = state_.task_count();
-  outcome.message = "rejected '" + spec.name + "': task '" + culprit.name +
-                    "' eer " + format_bound(failure.eer) + " > deadline " +
-                    std::to_string(failure.deadline) + " (subtask " +
-                    std::to_string(j) + " on processor " +
-                    std::to_string(outcome.culprit_processor) + ", bound " +
-                    format_bound(outcome.culprit_bound) + ")";
+  outcome.message = "rejected '" + spec.name + "': " + culprit_summary(outcome) +
+                    culprit_location(outcome);
   (void)decision_cache_.insert(key, std::make_shared<const Outcome>(outcome));
   fold_outcome(outcome);
   return outcome;
@@ -334,20 +334,9 @@ Outcome AdmissionController::remove(const std::string& name) {
     // Shrinking the set can still break bounds: SA/PM's divergence cap
     // is 300 x the max live period, so removing the longest-period task
     // tightens every fixpoint cap.
-    const TrialFailure& failure = *verdict.failure;
-    const TaskSpec& culprit = state_.spec(failure.slot);
-    const std::size_t j = decisive_subtask(failure.subtask_bounds);
-    outcome.culprit_task = culprit.name;
-    outcome.culprit_subtask = static_cast<int>(j);
-    outcome.culprit_processor =
-        j < culprit.subtasks.size() ? culprit.subtasks[j].processor : -1;
-    outcome.culprit_bound =
-        j < failure.subtask_bounds.size() ? failure.subtask_bounds[j] : kTimeInfinity;
-    outcome.culprit_eer = failure.eer;
-    outcome.culprit_deadline = failure.deadline;
-    outcome.message = "removed '" + name + "'; remaining system unschedulable: task '" +
-                      culprit.name + "' eer " + format_bound(failure.eer) +
-                      " > deadline " + std::to_string(failure.deadline);
+    fill_culprit(outcome, *verdict.failure, state_.spec(verdict.failure->slot));
+    outcome.message =
+        "removed '" + name + "'; remaining system unschedulable: " + culprit_summary(outcome);
   }
   fold_outcome(outcome);
   return outcome;

@@ -21,7 +21,7 @@
 // with cross-folded result hashes and the admission property test
 // re-checks it after every single request. The incremental engines'
 // soundness rests on the least-fixpoint facts documented in
-// core/analysis/scratch.h and ieert.h; where a perturbation breaks the
+// core/analysis/fixpoint.h and ieert.h; where a perturbation breaks the
 // monotone-warm-start precondition they restart exactly the affected
 // entries cold: SA/PM the touched equations, SA/DS the dependency
 // components a removal reaches (docs/admission.md), and both the whole
@@ -62,20 +62,16 @@ class Engine {
  public:
   virtual ~Engine() = default;
 
-  /// Trial-admits `spec` as slot `slot` against `state` (which does not
-  /// contain it yet). On a schedulable verdict the engine has committed
-  /// its internal tables to the post-admit system (the caller then
-  /// commits `state`); on rejection the engine is unchanged.
-  virtual TrialVerdict admit(const SystemState& state, std::uint32_t slot,
-                             const TaskSpec& spec) = 0;
-
   /// Trial-admits `specs` as the consecutive slots `first_slot`,
-  /// `first_slot + 1`, ... through ONE analysis trajectory, with a single
-  /// commit-or-rollback: on a schedulable verdict all of them are
-  /// committed (the caller then commits `state` in the same order); on
-  /// rejection the engine is unchanged and none are. A failure names the
-  /// first unschedulable task; `is_candidate` is true for any batch
-  /// member (slot >= first_slot). `specs` must be non-empty.
+  /// `first_slot + 1`, ... against `state` (which does not contain them
+  /// yet) through ONE analysis trajectory, with a single
+  /// commit-or-rollback: on a schedulable verdict the engine has
+  /// committed its internal tables to the post-admit system (the caller
+  /// then commits `state` in the same order); on rejection the engine is
+  /// unchanged and none are. A single admit is a one-element batch. A
+  /// failure names the first unschedulable task; `is_candidate` is true
+  /// for any batch member (slot >= first_slot). `specs` must be
+  /// non-empty.
   virtual TrialVerdict admit_batch(const SystemState& state,
                                    std::uint32_t first_slot,
                                    std::span<const TaskSpec> specs) = 0;

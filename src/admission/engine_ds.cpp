@@ -17,7 +17,8 @@
 //    fresh construction -- the property tests pin content_hash());
 //  * the committed converged SubtaskTable plus per-subtask fixpoint
 //    warm seeds and the IEERT dependency lists, all delta-maintained
-//    and swept IN PLACE by ieert_sweep (no per-pass table copy).
+//    and swept in place by sa_ds_iterate -- the same loop, pass options
+//    and divergence cap (sa_ds_pass_options) analyze_sa_ds runs.
 //
 // Per-request seeding:
 //
@@ -30,7 +31,7 @@
 //    resident's equation reads only its interference set, its blocking
 //    term, the cap and its table inputs, so no other resident's equation
 //    moved; the dependency tracking propagates any growth of the inputs
-//    transitively. The sweep journals pre-trial values first-touch
+//    transitively. The sweeps journal pre-trial values first-touch
 //    (IeertSweepUndo, allocation-free once warm), so a rejected trial
 //    rolls back byte-for-byte.
 //
@@ -72,7 +73,6 @@
 #include "common/math.h"
 #include "core/analysis/ieert.h"
 #include "core/analysis/sa_ds.h"
-#include "task/builder.h"
 
 namespace e2e::admission {
 namespace {
@@ -109,12 +109,8 @@ void add_unique(std::vector<int>& processors, int p) {
 
 class IncrementalDsEngine final : public Engine {
  public:
-  explicit IncrementalDsEngine(bool refine) : refine_(refine) {}
-
-  TrialVerdict admit(const SystemState& state, std::uint32_t slot,
-                     const TaskSpec& spec) override {
-    return admit_batch(state, slot, std::span<const TaskSpec>{&spec, 1});
-  }
+  explicit IncrementalDsEngine(bool refine)
+      : options_{.refine_jitter_with_best_case = refine} {}
 
   TrialVerdict admit_batch(const SystemState& state, std::uint32_t first_slot,
                            std::span<const TaskSpec> specs) override {
@@ -202,8 +198,8 @@ class IncrementalDsEngine final : public Engine {
     }
 
     // -- One analysis trajectory over the grown structures. --
-    const Time new_cap = cap_of(*system_);
-    PathRecord path{.path = cold_path(new_cap)};
+    const IeertOptions pass_options = sa_ds_pass_options(*system_, options_);
+    PathRecord path{.path = cold_path(pass_options.cap)};
     bool cold = path.path != EnginePath::kWarm;
     SubtaskTable pre_table;              // wholesale snapshot, cold trials only
     std::vector<IeertWarmEntry> pre_warm;
@@ -215,7 +211,8 @@ class IncrementalDsEngine final : public Engine {
     } else {
       arm_sweep(imap_deltas, old_count, count);
       undo_.arm(count);
-      trial_converged = sweep_to_fixpoint(&undo_);
+      trial_converged =
+          sa_ds_iterate(*system_, imap_, table_, pass_options, state_, &undo_).converged;
       if (!trial_converged) {
         // Pass-budget blowout: reconstruct the pre-trial snapshot from
         // the journal, then run the cold trajectory (the only one whose
@@ -243,7 +240,7 @@ class IncrementalDsEngine final : public Engine {
       }
     }
     if (failing_count_ == 0) {
-      cap_ = new_cap;
+      cap_ = pass_options.cap;
       converged_ = trial_converged;
       return {true, std::nullopt, path};
     }
@@ -323,19 +320,19 @@ class IncrementalDsEngine final : public Engine {
       }
     }
 
-    const Time new_cap = cap_of(*system_);
-    PathRecord path{.path = cold_path(new_cap)};
+    const IeertOptions pass_options = sa_ds_pass_options(*system_, options_);
+    PathRecord path{.path = cold_path(pass_options.cap)};
     if (path.path != EnginePath::kWarm) {
       converged_ = run_cold();
     } else {
       path.path = EnginePath::kComponents;
-      converged_ = resolve_components(touched, pass_options(new_cap), path);
+      converged_ = resolve_components(touched, pass_options, path);
       if (!converged_) {
         path.path = EnginePath::kColdBudget;
         converged_ = run_cold();
       }
     }
-    cap_ = new_cap;
+    cap_ = pass_options.cap;
     path.evaluations = state_.evaluations;
     refresh_outcomes(converged_);
     if (failing_count_ == 0) return {true, std::nullopt, path};
@@ -368,39 +365,26 @@ class IncrementalDsEngine final : public Engine {
   }
 
  private:
-  /// First admit(s) into an empty engine: build the candidate-only
-  /// system through the builder (build_with's path) and analyze cold.
+  /// First admit(s) into an empty engine: the state is empty too, so the
+  /// trial system is the state's own build of the candidates; analyze it
+  /// cold.
   TrialVerdict bootstrap(const SystemState& state, std::uint32_t first_slot,
                          std::span<const TaskSpec> specs) {
-    TaskSystemBuilder builder{state.processor_count()};
-    for (const TaskSpec& spec : specs) {
-      auto handle = builder.add_task({.period = spec.period,
-                                      .phase = spec.phase,
-                                      .deadline = spec.deadline,
-                                      .release_jitter = spec.release_jitter,
-                                      .name = spec.name});
-      for (const SubtaskSpec& sub : spec.subtasks) {
-        handle.subtask(ProcessorId{sub.processor}, sub.execution_time,
-                       Priority{sub.priority_level});
-        if (!sub.preemptible) handle.non_preemptible();
-      }
-    }
-    system_.emplace(std::move(builder).build());
+    E2E_ASSERT(state.task_count() == 0, "bootstrap: engine empty, state not");
+    SystemState::Built built = state.build_with_batch(specs, first_slot, std::nullopt);
+    system_.emplace(std::move(built.system));
+    slots_ = std::move(built.slots);
     imap_ = InterferenceMap{*system_};
-    const std::size_t count = imap_.subtask_count();
     table_ = SubtaskTable{*system_, 0};
     state_ = IeertIncrementalState{};
     ieert_index_dependencies(*system_, imap_, state_);
-    state_.warm.assign(count, {});
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      slots_.push_back(first_slot + static_cast<std::uint32_t>(i));
-    }
+    state_.warm.assign(imap_.subtask_count(), {});
     const bool trial_converged = run_cold();
     refresh_outcomes(trial_converged);
     const PathRecord path{.path = EnginePath::kBootstrap,
                           .evaluations = state_.evaluations};
     if (failing_count_ == 0) {
-      cap_ = cap_of(*system_);
+      cap_ = sa_ds_pass_options(*system_, options_).cap;
       converged_ = trial_converged;
       return {true, std::nullopt, path};
     }
@@ -522,7 +506,7 @@ class IncrementalDsEngine final : public Engine {
   /// Kleene iteration from the optimistic init with cold seeds (the old
   /// values over-approximate), re-evaluating a member only after one of
   /// its in-component inputs moved. Each pass visits the stale members in
-  /// member order; needing more than max_passes passes is a blowout.
+  /// member order; needing more than kSaDsMaxPasses passes is a blowout.
   [[nodiscard]] bool solve_component(std::span<const std::uint32_t> component,
                                      std::uint32_t id, const IeertOptions& options) {
     old_values_.clear();
@@ -536,7 +520,7 @@ class IncrementalDsEngine final : public Engine {
     }
     std::size_t stale = component.size();
     for (int pass = 0; stale > 0; ++pass) {
-      if (pass == SaDsOptions{}.max_passes) return false;
+      if (pass == kSaDsMaxPasses) return false;
       for (const std::uint32_t flat : component) {
         if (nodes_[flat].stale == 0) continue;
         nodes_[flat].stale = 0;
@@ -583,48 +567,13 @@ class IncrementalDsEngine final : public Engine {
     converged_ = true;
   }
 
-  /// Same value as analyze_sa_ds's divergence cap (twice the largest
-  /// per-task failure cutoff), so the seeded sweeps and the offline
-  /// analysis cap identically. sat_scale is monotone in its argument,
-  /// so the largest cutoff is the max period's: O(1), not O(tasks).
-  [[nodiscard]] Time cap_of(const TaskSystem& system) const {
-    return sat_mul(
-        sat_scale(SaDsOptions{}.failure_period_multiplier, system.max_period()), 2);
-  }
-
-  [[nodiscard]] IeertOptions pass_options(Time cap) const {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    return IeertOptions{.cap = cap,
-                        .refine_jitter_with_best_case =
-                            options.refine_jitter_with_best_case,
-                        .failure_period_multiplier =
-                            options.failure_period_multiplier};
-  }
-
-  /// In-place sweeps until fixpoint or pass budget. In-sweep cutoff
-  /// capping (bound_subtask_ieer declares a bound infinite past 300x the
-  /// period) makes each sweep equal to cap o IEERT for every recomputed
-  /// entry, so "zero changes" detects exactly the full loop's
-  /// next == current fixpoint.
-  [[nodiscard]] bool sweep_to_fixpoint(IeertSweepUndo* undo) {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    const IeertOptions popts = pass_options(cap_of(*system_));
-    for (int passes = 0; passes < options.max_passes; ++passes) {
-      if (ieert_sweep(*system_, imap_, table_, popts, state_, undo) == 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// The cold-trajectory fallback: the exact offline analysis over the
   /// persistent system and interference map -- byte-identical to what
   /// the full-recompute engine runs (including the mid-iteration table
   /// of a non-converged run). Warm seeds and dirty flags no longer
   /// describe the table afterwards, so they reset cold.
   [[nodiscard]] bool run_cold() {
-    const SaDsOptions options{.refine_jitter_with_best_case = refine_};
-    SaDsResult result = analyze_sa_ds(*system_, imap_, options);
+    SaDsResult result = analyze_sa_ds(*system_, imap_, options_);
     table_ = std::move(result.analysis.subtask_bounds);
     state_.warm.assign(imap_.subtask_count(), {});
     state_.evaluations += result.evaluations;
@@ -718,7 +667,7 @@ class IncrementalDsEngine final : public Engine {
     return failure;
   }
 
-  bool refine_;
+  const SaDsOptions options_;
   // Persistent committed structures; all empty iff system_ is empty.
   std::optional<TaskSystem> system_;
   std::vector<std::uint32_t> slots_;  ///< per task index, ascending

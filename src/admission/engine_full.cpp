@@ -17,11 +17,6 @@ class FullEngine final : public Engine {
  public:
   explicit FullEngine(Policy policy) : policy_(policy) {}
 
-  TrialVerdict admit(const SystemState& state, std::uint32_t slot,
-                     const TaskSpec& spec) override {
-    return admit_batch(state, slot, std::span<const TaskSpec>{&spec, 1});
-  }
-
   TrialVerdict admit_batch(const SystemState& state, std::uint32_t first_slot,
                            std::span<const TaskSpec> specs) override {
     const SystemState::Built built =

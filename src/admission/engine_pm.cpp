@@ -90,11 +90,6 @@ struct PlaneEntry {
 
 class IncrementalPmEngine final : public Engine {
  public:
-  TrialVerdict admit(const SystemState& state, std::uint32_t slot,
-                     const TaskSpec& spec) override {
-    return admit_batch(state, slot, std::span<const TaskSpec>{&spec, 1});
-  }
-
   TrialVerdict admit_batch(const SystemState& state, std::uint32_t first_slot,
                            std::span<const TaskSpec> specs) override {
     planes_.resize(state.processor_count());

@@ -10,10 +10,10 @@ SaDsResult analyze_holistic_ds(const TaskSystem& system, const SaDsOptions& opti
 
 SaDsResult analyze_holistic_ds(const TaskSystem& system,
                                const InterferenceMap& interference,
-                               const SaDsOptions& options, AnalysisScratch* scratch) {
+                               const SaDsOptions& options) {
   SaDsOptions refined = options;
   refined.refine_jitter_with_best_case = true;
-  return analyze_sa_ds(system, interference, refined, scratch);
+  return analyze_sa_ds(system, interference, refined);
 }
 
 }  // namespace e2e

@@ -195,39 +195,15 @@ std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interfe
 }
 
 SubtaskTable ieert_pass(const TaskSystem& system, const InterferenceMap& interference,
-                        const SubtaskTable& current, const IeertOptions& options,
-                        IeertIncrementalState* state) {
-  if (state == nullptr) {
-    // Jacobi sweep, exactly the paper's R' = IEERT(T, R): every entry is
-    // recomputed against the immutable input table.
-    std::vector<Duration> hp_jitter;  // reused by every subtask in the pass
-    SubtaskTable next{system, 0};
-    for (const Task& t : system.tasks()) {
-      for (const Subtask& s : t.subtasks) {
-        next.set(s.ref, ieert_bound_entry(system, interference, current, s.ref, options,
-                                          nullptr, hp_jitter));
-      }
+                        const SubtaskTable& current, const IeertOptions& options) {
+  std::vector<Duration> hp_jitter;  // reused by every subtask in the pass
+  SubtaskTable next{system, 0};
+  for (const Task& t : system.tasks()) {
+    for (const Subtask& s : t.subtasks) {
+      next.set(s.ref, ieert_bound_entry(system, interference, current, s.ref, options,
+                                        nullptr, hp_jitter));
     }
-    return next;
   }
-
-  // Fast path: one in-place Gauss-Seidel sweep over a copy. Entries
-  // updated earlier in the sweep feed later entries immediately, so a
-  // whole chain's growth propagates in one sweep instead of one link per
-  // sweep. Chaotic iteration of a monotone operator from an
-  // under-approximation converges to the same least fixpoint as the
-  // Jacobi sweeps (every intermediate table stays sandwiched between the
-  // start and the fixpoint), so the converged table -- the analysis
-  // result -- is bit-identical; only the number of sweeps to reach it
-  // shrinks.
-  const std::size_t count = interference.subtask_count();
-  if (state->deps.size() != count) {
-    ieert_index_dependencies(system, interference, *state);
-    // Preserve caller-seeded warm entries; only (re)shape on mismatch.
-    if (state->warm.size() != count) state->warm.assign(count, {});
-  }
-  SubtaskTable next = current;
-  ieert_sweep(system, interference, next, options, *state);
   return next;
 }
 

@@ -40,12 +40,12 @@ struct IeertOptions {
   /// Used by analyze_holistic_ds for the bound-tightness ablation.
   bool refine_jitter_with_best_case = false;
   /// When > 0, a subtask whose IEER bound exceeds this multiple of its
-  /// task's period is reported as kTimeInfinity immediately (instead of a
-  /// large finite value that the caller would cap anyway). This is the
-  /// per-pass form of SA/DS's failure cutoff; it prunes the instance loop
-  /// of divergent subtasks and lets infinity propagate in one pass rather
-  /// than letting bounds crawl up by small increments over thousands of
-  /// passes. 0 disables the cutoff.
+  /// task's period is reported as kTimeInfinity immediately. This is
+  /// SA/DS's failure cutoff: no finite bound an entry solve returns
+  /// exceeds it, so the SA/DS loop needs no separate capping step. It
+  /// prunes the instance loop of divergent subtasks and lets infinity
+  /// propagate in one pass rather than letting bounds crawl up by small
+  /// increments over thousands of passes. 0 disables the cutoff.
   double failure_period_multiplier = 0.0;
 };
 
@@ -95,9 +95,9 @@ struct IeertIncrementalState {
   /// while the dependency tracking handles the transitive jitter
   /// propagation from there. Cleared by the sweep that consumes it.
   std::vector<std::uint32_t> force;
-  /// Per flat subtask index: fixpoint seeds from the last recomputation.
-  /// Pre-seeded entries (sized to the table before the first pass) are
-  /// honored; they must under-approximate the fixpoints being solved.
+  /// Per flat subtask index: fixpoint seeds from the last recomputation,
+  /// sized to the system by the caller. Non-empty seeds must
+  /// under-approximate the fixpoints being solved.
   std::vector<IeertWarmEntry> warm;
   /// Sweep scratch: the worklist bitset over flat indices (all zero
   /// between sweeps) and the per-interferer jitter buffer of
@@ -130,31 +130,18 @@ void ieert_index_dependencies(const TaskSystem& system,
                                          IeertWarmEntry* warm,
                                          std::vector<Duration>& hp_jitter);
 
-/// One application R' = IEERT(T, R). `current` holds IEER bounds
-/// (cumulative along each chain); entries may be kTimeInfinity, in which
-/// case dependent bounds become infinite as well. Returns the refined
-/// table; never returns less than `current` entry-wise when `current` is
-/// a genuine under-approximation (monotone operator). Without `state`
-/// this is the paper-literal Jacobi pass, the reference the tests check
-/// the sweep against; analyze_sa_ds always passes a state.
-///
-/// With a non-null `state`, runs the fast-path sweep instead: in-place
-/// Gauss-Seidel (entries updated earlier in the sweep feed later ones
-/// immediately), entries whose inputs did not change are skipped, and
-/// each recomputed fixpoint warm-starts from its previous value. Chaotic
-/// iteration of the monotone IEERT operator from an under-approximation
-/// reaches the same least fixpoint as the Jacobi sweeps, so the
-/// *converged* table is bit-identical; intermediate tables and the sweep
-/// count needed to converge differ (fewer sweeps). Callers must feed
-/// passes in sequence (each pass's `current` being the previous result).
-/// The fast path is ieert_sweep over a copy of `current`; it indexes the
-/// dependencies on first use (when `state->deps` is not sized to the
-/// system).
+/// One application R' = IEERT(T, R), the paper-literal Jacobi pass:
+/// every entry is recomputed against the immutable `current` table.
+/// `current` holds IEER bounds (cumulative along each chain); entries may
+/// be kTimeInfinity, in which case dependent bounds become infinite as
+/// well. Returns the refined table; never returns less than `current`
+/// entry-wise when `current` is a genuine under-approximation (monotone
+/// operator). The analyses iterate with ieert_sweep instead; this pass is
+/// the reference the tests check the sweeps against.
 [[nodiscard]] SubtaskTable ieert_pass(const TaskSystem& system,
                                       const InterferenceMap& interference,
                                       const SubtaskTable& current,
-                                      const IeertOptions& options = {},
-                                      IeertIncrementalState* state = nullptr);
+                                      const IeertOptions& options = {});
 
 /// Flat indices of the `current` entries an IEERT recomputation of `ref`
 /// reads: its own predecessor plus each interferer's predecessor (the
@@ -230,19 +217,26 @@ class IeertSweepUndo {
   std::size_t size_ = 0;
 };
 
-/// One in-place Gauss-Seidel sweep of `table` -- the no-copy form of
-/// ieert_pass's fast path for engines that persist the converged table
-/// across requests. Returns the number of entries whose value changed;
-/// 0 means `table` is the (least) fixpoint. Unlike ieert_pass, `state`
-/// is required and its deps/rdeps/warm must already be sized to the
-/// system (the caller delta-maintains them).
+/// One in-place Gauss-Seidel sweep of `table`: entries updated earlier
+/// in the sweep feed later ones immediately, so a chain's growth
+/// propagates in one sweep instead of one link per sweep. Chaotic
+/// iteration of the monotone IEERT operator from an under-approximation
+/// reaches the same least fixpoint as the Jacobi passes (every
+/// intermediate table stays between the start and the fixpoint), so the
+/// converged table is bit-identical; only the number of sweeps differs.
+/// Returns the number of entries whose value changed; 0 means `table` is
+/// a fixpoint. `state.deps`, `state.rdeps` and `state.warm` must already
+/// be sized to the system (ieert_index_dependencies, or the admission
+/// engine's delta maintenance); sa_ds_iterate (sa_ds.h) is the loop
+/// around it.
 ///
 /// Recomputes, in ascending flat order, exactly the entries that are
 /// forced, read an entry the previous sweep changed, or read an entry
 /// this sweep changed earlier (lower flat index) -- the staleness rule
 /// of a full scan, found through `state.rdeps` instead of by scanning.
-/// With `undo`, pre-recomputation values and warm seeds are journaled
-/// (first touch only) for trial rollback.
+/// Each recomputed fixpoint warm-starts from its previous value. With
+/// `undo`, pre-recomputation values and warm seeds are journaled (first
+/// touch only) for trial rollback.
 std::size_t ieert_sweep(const TaskSystem& system, const InterferenceMap& interference,
                         SubtaskTable& table, const IeertOptions& options,
                         IeertIncrementalState& state, IeertSweepUndo* undo = nullptr);

@@ -34,10 +34,8 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
 
   const Time cap = sat_scale(options.cap_period_multiplier, system.max_period());
 
-  // Consume the one-shot monotonicity promise and make sure the scratch
-  // is shaped for this system; a mismatched scratch is wiped, not trusted.
-  const bool monotone = scratch != nullptr && scratch->monotone;
-  if (scratch != nullptr) scratch->monotone = false;
+  // Make sure the scratch is shaped for this system; a mismatched
+  // scratch is wiped, not trusted.
   bool reuse_allowed = false;
   if (scratch != nullptr) {
     reuse_allowed = scratch->pm_valid && pm_shape_matches(scratch->pm, system);
@@ -75,7 +73,7 @@ AnalysisResult analyze_sa_pm(const TaskSystem& system,
         }
       }
       if (!reused) {
-        r = solve_response_bound(eq, hp, sc, reuse_allowed && monotone);
+        r = solve_response_bound(eq, hp, sc, false);
         if (sc != nullptr) sc->signature = sig;
       }
       result.subtask_bounds.set(s.ref, r);

@@ -36,10 +36,7 @@ struct BreakdownOptions {
 /// Largest max-per-processor utilization (within tolerance) such that the
 /// uniformly scaled `system` is schedulable under `analysis`. Returns 0.0
 /// if even the minimum scale (1 tick per subtask) is unschedulable. Each
-/// probe seeds its fixpoints from the converged state of the highest
-/// scale already known schedulable: sound, since execution times are
-/// monotone in the scale factor while periods (hence caps and cutoffs)
-/// never change, and bit-identical to a cold search.
+/// binary-search probe analyzes its scaled system cold.
 [[nodiscard]] double breakdown_utilization(const TaskSystem& system,
                                            AnalysisKind analysis,
                                            const BreakdownOptions& options = {});

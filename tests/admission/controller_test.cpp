@@ -579,7 +579,7 @@ TEST(Controller, RepeatedRejectedPmWarmAdmitAllocatesNothing) {
   SystemState state{2};
   for (const TaskSpec& resident :
        {make_spec("R", 100, {{0, 10, 1}}, 25), make_spec("S", 200, {{1, 10, 1}}, 200)}) {
-    ASSERT_TRUE(engine->admit(state, state.next_slot(), resident).schedulable);
+    ASSERT_TRUE(engine->admit_batch(state, state.next_slot(), {&resident, 1}).schedulable);
     (void)state.commit_admit(resident);
   }
   // Non-preemptible below R: blocks R past its deadline, cap unchanged.
@@ -587,13 +587,13 @@ TEST(Controller, RepeatedRejectedPmWarmAdmitAllocatesNothing) {
       "C", 100,
       {{.processor = 0, .execution_time = 20, .priority_level = 5, .preemptible = false}},
       100);
-  const TrialVerdict first = engine->admit(state, state.next_slot(), candidate);
+  const TrialVerdict first = engine->admit_batch(state, state.next_slot(), {&candidate, 1});
   ASSERT_FALSE(first.schedulable);
   ASSERT_EQ(first.path.path, EnginePath::kWarm);
   const Duration first_bound = first.failure->subtask_bounds.front();
 
   const std::uint64_t before = global_allocations();
-  const TrialVerdict second = engine->admit(state, state.next_slot(), candidate);
+  const TrialVerdict second = engine->admit_batch(state, state.next_slot(), {&candidate, 1});
   const std::uint64_t after = global_allocations();
   EXPECT_EQ(after - before, 0u) << "a repeated rejected warm admit allocated";
   ASSERT_FALSE(second.schedulable);
@@ -605,7 +605,7 @@ TEST(Controller, RepeatedRejectedPmWarmAdmitAllocatesNothing) {
     const std::unique_ptr<Engine> fresh = make_engine(Policy::kPm, false);
     SystemState fresh_state{2};
     for (const auto& [slot, spec] : state.live()) {
-      (void)fresh->admit(fresh_state, slot, spec);
+      (void)fresh->admit_batch(fresh_state, slot, {&spec, 1});
       (void)fresh_state.commit_admit(spec);
     }
     return fresh->fold_bounds(0);

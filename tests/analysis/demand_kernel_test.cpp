@@ -1,11 +1,11 @@
 // Property tests for the analysis fast path: across 200 generated
 // systems (N cycling 2..6, U cycling 50..80%), the inlined
-// structure-of-arrays demand kernels, signature-exact scratch reuse and
-// monotone warm starts must reproduce the committed result hashes --
-// exact Time equality, bound for bound and verdict for verdict. The
-// hashes were captured from the std::function cold-start path these
-// kernels replaced, which produced them bit for bit before it was
-// retired.
+// structure-of-arrays demand kernels and signature-exact scratch reuse
+// must reproduce the committed result hashes -- exact Time equality,
+// bound for bound and verdict for verdict. The hashes were captured from
+// the std::function cold-start path these kernels replaced, which
+// produced them bit for bit before it was retired. A third hash pins the
+// SA/DS iteration's trajectory (sweeps, entry solves, convergence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +18,12 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "core/analysis/fixpoint.h"
+#include "core/analysis/holistic.h"
 #include "core/analysis/ieert.h"
 #include "core/analysis/kernels.h"
 #include "core/analysis/sa_ds.h"
 #include "core/analysis/sa_pm.h"
 #include "workload/generator.h"
-#include "workload/scaling.h"
 
 namespace e2e {
 namespace {
@@ -34,6 +34,9 @@ constexpr int kSystems = 200;
 /// (plus its convergence flag) over every fourth one; see fold_result.
 constexpr std::uint64_t kSaPmGolden = 0x0b990921cd21be55;
 constexpr std::uint64_t kSaDsGolden = 0x0bd83249db40c40c;
+/// SaDsResult::passes, evaluations and converged of analyze_sa_ds and
+/// analyze_holistic_ds over the kSaDsGolden systems, in that order.
+constexpr std::uint64_t kSaDsTrajectoryGolden = 0x123e3dd71607be60;
 
 TaskSystem system_for(int i) {
   constexpr int kSubtasks[] = {2, 3, 4, 5, 6};
@@ -84,22 +87,6 @@ TEST(DemandKernel, SaPmAndSignatureReuseMatchGoldenHash) {
     expect_identical(system, fresh, reused, "signature reuse", i);
   }
   EXPECT_EQ(h, kSaPmGolden);
-}
-
-TEST(DemandKernel, SaPmMonotoneWarmStartMatchesColdStart) {
-  for (int i = 0; i < kSystems; ++i) {
-    const TaskSystem base = system_for(i);
-    AnalysisScratch scratch;
-    (void)analyze_sa_pm(base, InterferenceMap{base}, {}, &scratch);
-    // Uniformly inflating execution times grows demand pointwise while
-    // periods (hence caps) stay put -- the monotone warm-start contract.
-    const TaskSystem scaled = scale_execution_times(base, 1.15);
-    const InterferenceMap interference{scaled};
-    const AnalysisResult cold = analyze_sa_pm(scaled, interference, {});
-    scratch.monotone = true;
-    const AnalysisResult warm = analyze_sa_pm(scaled, interference, {}, &scratch);
-    expect_identical(scaled, cold, warm, "monotone warm start", i);
-  }
 }
 
 // solve_response_bound writes the scratch's completions in place. A
@@ -181,11 +168,28 @@ TEST(DemandKernel, SaDsMatchesGoldenHash) {
   EXPECT_EQ(h, kSaDsGolden);
 }
 
+// The bounds alone cannot see a loop rewrite that changes how many sweeps
+// or entry solves the iteration takes to reach the same fixpoint.
+TEST(DemandKernel, SaDsTrajectoryMatchesGoldenHash) {
+  std::uint64_t h = 0;
+  for (int i = 0; i < kSystems; i += 4) {
+    const TaskSystem system = system_for(i);
+    const InterferenceMap interference{system};
+    for (const SaDsResult& r : {analyze_sa_ds(system, interference),
+                                analyze_holistic_ds(system, interference)}) {
+      h = hash_combine(h, static_cast<std::uint64_t>(r.passes));
+      h = hash_combine(h, r.evaluations);
+      h = hash_combine(h, r.converged ? 1 : 0);
+    }
+  }
+  EXPECT_EQ(h, kSaDsTrajectoryGolden);
+}
+
 /// Algorithm SA/DS spelled out as Figure 11 reads: Jacobi IEERT passes
-/// (ieert_pass without incremental state) from the optimistic init, each
-/// followed by the failure cap, until the table stops changing. Uses the
-/// pass options analyze_sa_ds derives from its defaults; nullopt when the
-/// pass budget runs out first.
+/// (ieert_pass) from the optimistic init, each followed by the failure
+/// cap, until the table stops changing. Derives the cap from the
+/// per-task cutoffs as the paper states it; nullopt when the pass budget
+/// runs out first.
 std::optional<SubtaskTable> jacobi_sa_ds(const TaskSystem& system,
                                          const InterferenceMap& interference) {
   const SaDsOptions defaults;
@@ -203,7 +207,7 @@ std::optional<SubtaskTable> jacobi_sa_ds(const TaskSystem& system,
   const IeertOptions pass_options{
       .cap = sat_mul(max_cutoff, 2),
       .failure_period_multiplier = defaults.failure_period_multiplier};
-  for (int pass = 0; pass < defaults.max_passes; ++pass) {
+  for (int pass = 0; pass < kSaDsMaxPasses; ++pass) {
     SubtaskTable next = ieert_pass(system, interference, current, pass_options);
     for (const Task& t : system.tasks()) {
       const Duration cutoff = sat_scale(defaults.failure_period_multiplier, t.period);
@@ -219,8 +223,8 @@ std::optional<SubtaskTable> jacobi_sa_ds(const TaskSystem& system,
   return std::nullopt;
 }
 
-// The incremental Gauss-Seidel sweep analyze_sa_ds runs must land on the
-// same least fixpoint as the paper-literal Jacobi iteration.
+// The in-place Gauss-Seidel loop analyze_sa_ds runs (sa_ds_iterate) must
+// land on the same least fixpoint as the paper-literal Jacobi iteration.
 TEST(DemandKernel, SaDsIncrementalMatchesJacobiFixpoint) {
   for (int i = 0; i < kSystems; i += 4) {
     const TaskSystem system = system_for(i);
@@ -230,22 +234,6 @@ TEST(DemandKernel, SaDsIncrementalMatchesJacobiFixpoint) {
     ASSERT_TRUE(jacobi.has_value()) << "system " << i;
     ASSERT_TRUE(incremental.converged) << "system " << i;
     ASSERT_EQ(*jacobi, incremental.analysis.subtask_bounds) << "system " << i;
-  }
-}
-
-TEST(DemandKernel, SaDsMonotoneWarmStartMatchesColdStart) {
-  for (int i = 0; i < kSystems; i += 4) {
-    const TaskSystem base = system_for(i);
-    AnalysisScratch scratch;
-    (void)analyze_sa_ds(base, InterferenceMap{base}, {}, &scratch);
-    const TaskSystem scaled = scale_execution_times(base, 1.15);
-    const InterferenceMap interference{scaled};
-    const SaDsResult cold = analyze_sa_ds(scaled, interference, {});
-    scratch.monotone = true;
-    const SaDsResult warm = analyze_sa_ds(scaled, interference, {}, &scratch);
-    expect_identical(scaled, cold.analysis, warm.analysis, "SA/DS warm start", i);
-    // Starting above the optimistic init can only shorten the iteration.
-    EXPECT_LE(warm.passes, cold.passes) << "system " << i;
   }
 }
 

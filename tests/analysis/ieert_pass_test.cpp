@@ -1,7 +1,8 @@
 // Direct unit tests of one Algorithm IEERT pass (Figure 10), with
 // hand-iterated expectations on the paper's Example 2, plus the
-// equivalence of the worklist sweep with a full staleness scan and the
-// trial journal's byte-exact, allocation-free replay.
+// equivalence of the worklist sweep with a full staleness scan, the
+// failure cutoff every sweep enforces, and the trial journal's
+// byte-exact, allocation-free replay.
 #include "core/analysis/ieert.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "alloc_counter.h"
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/analysis/sa_ds.h"
 #include "task/builder.h"
 #include "task/paper_examples.h"
 
@@ -245,10 +247,7 @@ std::size_t lockstep_sweeps(const TaskSystem& system, const InterferenceMap& ima
 SubtaskTable optimistic_init(const TaskSystem& sys) { return example2_init(sys); }
 
 IeertOptions sa_ds_like_options(const TaskSystem& sys, double multiplier) {
-  return IeertOptions{.cap = sat_mul(static_cast<Duration>(multiplier *
-                                                           static_cast<double>(sys.max_period())),
-                                     2),
-                      .failure_period_multiplier = multiplier};
+  return sa_ds_pass_options(sys, {.failure_period_multiplier = multiplier});
 }
 
 TEST(IeertSweep, WorklistMatchesFullScanFromScratch) {
@@ -299,6 +298,51 @@ TEST(IeertSweep, WorklistMatchesFullScanAtAPassBudgetBlowout) {
     }
   }
   EXPECT_GT(blowouts, 0) << "no system outlived the sweep budget";
+}
+
+// --- Failure cutoff ------------------------------------------------------
+
+// The SA/DS loop caps nothing after a sweep: each entry solve declares a
+// bound past its task's cutoff infinite, and the first sweep recomputes
+// every entry. So after every sweep from the optimistic init, no finite
+// entry may exceed sat_scale(multiplier, period) -- including in systems
+// whose iteration fails.
+TEST(IeertSweep, NoFiniteEntryExceedsItsCutoffAfterAnySweep) {
+  int failing = 0;
+  for (const double multiplier : {300.0, 2.0}) {
+    for (std::uint64_t seed = 200; seed < 230; ++seed) {
+      Rng rng{seed};
+      const TaskSystem sys = random_ds_system(rng, 8 + static_cast<int>(seed % 16));
+      const InterferenceMap imap{sys};
+      for (const bool refine : {false, true}) {
+        IeertIncrementalState state;
+        ieert_index_dependencies(sys, imap, state);
+        state.warm.assign(imap.subtask_count(), {});
+        const IeertOptions options = sa_ds_pass_options(
+            sys, {.failure_period_multiplier = multiplier,
+                  .refine_jitter_with_best_case = refine});
+        SubtaskTable table = optimistic_init(sys);
+        bool any_infinite = false;
+        for (int sweep = 0; sweep < kSaDsMaxPasses; ++sweep) {
+          const std::size_t changes = ieert_sweep(sys, imap, table, options, state);
+          for (const Task& t : sys.tasks()) {
+            const Duration cutoff = sat_scale(multiplier, t.period);
+            for (const Subtask& s : t.subtasks) {
+              const Duration bound = table.at(s.ref);
+              any_infinite = any_infinite || is_infinite(bound);
+              ASSERT_TRUE(is_infinite(bound) || bound <= cutoff)
+                  << "seed " << seed << ", multiplier " << multiplier << ", sweep "
+                  << sweep << ": " << t.name << " entry " << s.ref.index << " = "
+                  << bound << " > cutoff " << cutoff;
+            }
+          }
+          if (changes == 0) break;
+        }
+        if (any_infinite) ++failing;
+      }
+    }
+  }
+  EXPECT_GT(failing, 0) << "no system crossed its cutoff";
 }
 
 // --- Trial journal -----------------------------------------------------

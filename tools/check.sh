@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer gate: configures a build with
-# E2E_SANITIZE=address,undefined,float-cast-overflow, builds, and runs the
+# E2E_SANITIZE=address,undefined,float-cast-overflow and warnings as
+# errors (E2E_WARNINGS_AS_ERRORS, so a helper left unused by a deletion
+# fails here), builds, and runs the
 # scenario-, bench-smoke-, timesvc-, admission-, parser-, analysis-,
 # engine- and examples-labelled tests under it (analysis and engine cover
 # the analysis kernels and the simulator's hot path; examples runs every
@@ -35,6 +37,7 @@ JOBS="${JOBS:-$(nproc)}"
 
 cmake -B "${CHECK_BUILD_DIR}" -S . \
   -DE2E_SANITIZE=address,undefined,float-cast-overflow \
+  -DE2E_WARNINGS_AS_ERRORS=ON \
   -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -48,7 +51,7 @@ if [[ "${E2E_TSAN:-1}" != "0" ]]; then
   TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
   TSAN_TESTS=(thread_pool_test analysis_cache_test scenario_executor_test
               determinism_test admission_property_test monte_carlo_test)
-  cmake -B "${TSAN_BUILD_DIR}" -S . -DE2E_SANITIZE=thread
+  cmake -B "${TSAN_BUILD_DIR}" -S . -DE2E_SANITIZE=thread -DE2E_WARNINGS_AS_ERRORS=ON
   cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" --target "${TSAN_TESTS[@]}"
   ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure \
     -R "^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
