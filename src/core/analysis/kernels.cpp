@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.h"
 #include "common/hash.h"
 #include "common/math.h"
 #include "core/analysis/demand.h"
@@ -14,6 +15,33 @@ namespace {
 
 [[nodiscard]] constexpr std::uint64_t mix(std::uint64_t acc, std::int64_t v) noexcept {
   return hash_combine(acc, static_cast<std::uint64_t>(v));
+}
+
+/// C(m), the completion of instance m of the `instances` in the busy
+/// period `busy`: the least t with
+///     t = blocking + m * exec + sum_k ceil((t + J_k)/p_k) * e_k,
+/// solved from `start` (<= C(m)). The last instance needs no solve:
+/// C(instances) == busy, because on (0, busy] the busy-period equation's
+/// self ceiling is at most `instances`, so instance M's demand exceeds t
+/// wherever the busy-period demand does and meets it at busy
+/// (docs/analysis.md).
+[[nodiscard]] std::optional<Time> completion_time(std::int64_t m, std::int64_t instances,
+                                                  Time start, Time busy, Duration blocking,
+                                                  Duration exec, const HpView& hp,
+                                                  const FixpointOptions& fp) {
+#ifndef NDEBUG
+  // Every seed is <= C(m) <= busy; a larger one means a warm seed broke
+  // its monotonicity promise, and the shortcut would hide it.
+  E2E_ASSERT(start <= busy, "completion seed must not exceed the busy period");
+#endif
+  if (m == instances) return busy;
+  const DemandEvaluator completion_eval{
+      .periods = hp.periods,
+      .execs = hp.execs,
+      .jitters = hp.jitters,
+      .constant = sat_add(blocking, sat_mul(m, exec)),
+  };
+  return solve_fixpoint_from(start, completion_eval, fp);
 }
 
 }  // namespace
@@ -81,7 +109,8 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
   // Steps 3-4: bound each instance's response time, take the max. C(m)
   // grows by at least `exec` per instance, so each fixpoint warm-starts
   // from the previous completion (and, when warm, from the previous
-  // run's C(m) -- also <= the new least fixpoint).
+  // run's C(m) -- also <= the new least fixpoint); the last, C(M), is
+  // the busy period itself (completion_time).
   // The completions are written over the scratch's own vector in place:
   // instance m reads its warm seed C(m) before overwriting it, and the
   // vector is truncated to the instances solved, so a warm scratch
@@ -94,13 +123,8 @@ Duration solve_response_bound(const ResponseEquation& eq, const HpView& hp,
     if (warm && static_cast<std::size_t>(m) <= sc->completions.size()) {
       start = std::max(start, sc->completions[static_cast<std::size_t>(m - 1)]);
     }
-    const DemandEvaluator completion_eval{
-        .periods = hp.periods,
-        .execs = hp.execs,
-        .jitters = hp.jitters,
-        .constant = sat_add(blocking, sat_mul(m, exec)),
-    };
-    const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);
+    const std::optional<Time> completion =
+        completion_time(m, instances, start, *busy, blocking, exec, hp, fp);
     if (!completion) return record_unbounded();
     previous_completion = *completion;
     if (sc != nullptr) {
@@ -163,7 +187,8 @@ Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
 
   // Steps 3-4. C(m) is monotone in m with C(m+1) >= C(m) + exec, so each
   // fixpoint warm-starts from the previous completion (amortizes the
-  // iteration cost over the whole busy period).
+  // iteration cost over the whole busy period), and C(M) is the busy
+  // period itself (completion_time).
   Duration worst = 0;
   Time previous_completion = 0;
   if (warm != nullptr) {
@@ -177,13 +202,8 @@ Duration solve_ieer_bound(const IeerEquation& eq, const HpView& hp,
       // jitters, so last pass's completion is a valid warm seed.
       start = std::max(start, warm->completions[static_cast<std::size_t>(m - 1)]);
     }
-    const DemandEvaluator completion_eval{
-        .periods = hp.periods,
-        .execs = hp.execs,
-        .jitters = hp.jitters,
-        .constant = sat_add(blocking, sat_mul(m, exec)),
-    };
-    const std::optional<Time> completion = solve_fixpoint_from(start, completion_eval, fp);
+    const std::optional<Time> completion =
+        completion_time(m, instances, start, *busy, blocking, exec, hp, fp);
     if (!completion) return kTimeInfinity;
     previous_completion = *completion;
     if (warm != nullptr) {

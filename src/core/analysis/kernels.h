@@ -13,6 +13,12 @@
 // Both solvers accept the warm-start state from core/analysis/scratch.h /
 // ieert.h; warm seeds are only ever accelerators (see those headers for
 // the monotonicity arguments) and never change the returned bound.
+//
+// Both solve the busy period D, then one completion fixpoint C(m) per
+// instance m = 1..M, M = ceil((D + J)/p) -- except the last: C(M) == D
+// exactly (docs/analysis.md), so instance M costs no demand evaluation.
+// Debug builds assert that every completion seed is <= D, the property
+// that makes the shortcut equal to the solve it replaces.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +54,11 @@ struct ResponseEquation {
                                                         const HpView& hp);
 
 /// Upper bound R_{i,j} on the response time of one strictly periodic
-/// subtask (SA/PM steps 1-4), or kTimeInfinity.
+/// subtask (SA/PM steps 1-4), or kTimeInfinity. Solves D and C(1..M-1);
+/// C(M) is D.
 ///
-/// `sc` (optional) receives the converged fixpoints; with `warm` the
+/// `sc` (optional) receives the converged fixpoints (C(M) included when
+/// the loop reaches it); with `warm` the
 /// previous contents seed the iterations (sound because every recorded
 /// value is <= the new least fixpoint under the caller's monotonicity
 /// promise, so the iteration still converges to exactly the new least
@@ -78,7 +86,8 @@ struct IeerEquation {
 };
 
 /// One application of the IEERT per-subtask equation (steps 1-4 of
-/// Figure 10) under the current jitter terms, or kTimeInfinity. `warm`
+/// Figure 10) under the current jitter terms, or kTimeInfinity. Solves D
+/// and C(1..M-1); C(M) is D. `warm`
 /// (optional) carries last pass's fixpoints; sound as a seed because the
 /// IEERT iteration is a Kleene sequence (jitters only grow pass over
 /// pass, see IeertWarmEntry).

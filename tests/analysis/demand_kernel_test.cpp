@@ -17,6 +17,7 @@
 #include "common/hash.h"
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/analysis/demand.h"
 #include "core/analysis/fixpoint.h"
 #include "core/analysis/holistic.h"
 #include "core/analysis/ieert.h"
@@ -156,6 +157,220 @@ TEST(DemandKernel, ResponseBoundReusesScratchCompletionsExactly) {
   EXPECT_GT(cold_fewer, 0);
   EXPECT_GT(warm_more, 0);
   EXPECT_GT(warm_fewer, 0);
+}
+
+/// The least t >= start with W(t) <= t, by plain iteration from `start`
+/// (<= the least fixpoint), or nullopt once the iterate passes `cap`.
+template <typename Demand>
+std::optional<Time> reference_fixpoint(Time start, const Demand& demand, Time cap) {
+  for (Time t = start;; t = demand(t)) {
+    if (t > cap) return std::nullopt;
+    if (demand(t) <= t) return t;
+  }
+}
+
+/// How far a reference solve's instance loop went: M, and whether it got
+/// to m = M before the prune stopped it.
+struct Reach {
+  std::int64_t instances = 0;
+  bool last = false;
+};
+
+/// SA/PM steps 1-4 as the paper states them: D from t = 1, then every
+/// C(m) solved from m * exec -- no warm seed and no last-instance
+/// shortcut. Fills `sc` as a cold solve_response_bound does.
+Duration reference_response_bound(const ResponseEquation& eq, const HpView& hp,
+                                  SubtaskScratch& sc, Reach& reach) {
+  reach = {};
+  const DemandEvaluator busy_eval{.periods = hp.periods,
+                                  .execs = hp.execs,
+                                  .jitters = hp.jitters,
+                                  .constant = eq.blocking,
+                                  .self_period = eq.period,
+                                  .self_exec = eq.exec,
+                                  .self_jitter = eq.jitter};
+  const std::optional<Time> busy = reference_fixpoint(1, busy_eval, eq.cap);
+  sc = SubtaskScratch{.has = true, .busy = 0, .bound = kTimeInfinity};
+  if (!busy) return kTimeInfinity;
+  sc.busy = *busy;
+  const std::int64_t instances = ceil_div(*busy + eq.jitter, eq.period);
+  reach.instances = instances;
+  Duration worst = 0;
+  for (std::int64_t m = 1; m <= instances; ++m) {
+    const DemandEvaluator completion_eval{.periods = hp.periods,
+                                         .execs = hp.execs,
+                                         .jitters = hp.jitters,
+                                         .constant = eq.blocking + m * eq.exec};
+    const std::optional<Time> c = reference_fixpoint(m * eq.exec, completion_eval, eq.cap);
+    EXPECT_TRUE(c.has_value()) << "C(m) <= D <= cap";
+    sc.completions.push_back(*c);
+    worst = std::max(worst, *c + eq.jitter - (m - 1) * eq.period);
+    reach.last = m == instances;
+    if (*busy + eq.jitter - m * eq.period <= worst) break;
+  }
+  sc.bound = worst;
+  return worst;
+}
+
+/// IEERT steps 1-4 likewise, with solve_ieer_bound's warm-entry
+/// bookkeeping: `warm` (optional) gets the new D and the solved C(m) over
+/// its old seeds, resized to M.
+Duration reference_ieer_bound(const IeerEquation& eq, const HpView& hp,
+                              IeertWarmEntry* warm, Reach& reach) {
+  reach = {};
+  if (eq.own_accum > eq.cutoff) return kTimeInfinity;
+  const DemandEvaluator busy_eval{.periods = hp.periods,
+                                  .execs = hp.execs,
+                                  .jitters = hp.jitters,
+                                  .constant = eq.blocking,
+                                  .self_period = eq.period,
+                                  .self_exec = eq.exec,
+                                  .self_jitter = eq.own_jitter};
+  const std::optional<Time> busy = reference_fixpoint(1, busy_eval, eq.cap);
+  if (!busy) return kTimeInfinity;
+  const std::int64_t instances = ceil_div(*busy + eq.own_jitter, eq.period);
+  reach.instances = instances;
+  if (warm != nullptr) {
+    warm->busy = *busy;
+    warm->completions.resize(static_cast<std::size_t>(instances), 0);
+  }
+  Duration worst = 0;
+  for (std::int64_t m = 1; m <= instances; ++m) {
+    const DemandEvaluator completion_eval{.periods = hp.periods,
+                                         .execs = hp.execs,
+                                         .jitters = hp.jitters,
+                                         .constant = eq.blocking + m * eq.exec};
+    const std::optional<Time> c = reference_fixpoint(m * eq.exec, completion_eval, eq.cap);
+    EXPECT_TRUE(c.has_value()) << "C(m) <= D <= cap";
+    if (warm != nullptr) warm->completions[static_cast<std::size_t>(m - 1)] = *c;
+    worst = std::max(worst, *c + eq.own_accum - (m - 1) * eq.period);
+    reach.last = m == instances;
+    if (worst > eq.cutoff) return kTimeInfinity;
+    if (*busy + eq.own_accum - m * eq.period <= worst) break;
+  }
+  return worst;
+}
+
+// Both kernels take C(M) to be the busy period D instead of solving it.
+// Against the reference above, over equations whose jitter and blocking
+// make most busy periods span several instances, with caps and cutoffs
+// that bind, the bound and every stored fixpoint must be the same, cold
+// and warm (seeded from a pointwise-dominated equation).
+//
+// The loop gets to m = M only when M == 1. The prune lets it reach M
+// only if R(M) > R(1), i.e. C(1) < D - (M-1)p; and D - (M-1)p <= p - J
+// (J the jitter in M = ceil((D + J)/p)). So C(1) + J < p, which makes
+// C(1) a busy-period fixpoint: D == C(1) and M == 1 (docs/analysis.md).
+// The multi-instance draws run the instances before M, which a shortcut
+// taken too early would break.
+TEST(DemandKernel, LastInstanceCompletionIsTheBusyPeriod) {
+  struct Equation {
+    std::vector<Duration> periods, execs, jitters;
+    Duration period = 0, exec = 0, jitter = 0, blocking = 0, accum = 0, cutoff = 0;
+    Time cap = 0;
+    [[nodiscard]] HpView hp() const { return HpView{periods, execs, jitters}; }
+    [[nodiscard]] ResponseEquation pm() const {
+      return {.period = period, .exec = exec, .jitter = jitter, .blocking = blocking,
+              .cap = cap};
+    }
+    [[nodiscard]] IeerEquation ieer() const {
+      return {.period = period, .exec = exec, .own_jitter = jitter, .own_accum = accum,
+              .blocking = blocking, .cutoff = cutoff, .cap = cap};
+    }
+  };
+  const auto draw = [](Rng& rng) {
+    Equation e;
+    const auto interferers = rng.uniform_int(0, 4);
+    for (std::int64_t k = 0; k < interferers; ++k) {
+      e.periods.push_back(rng.uniform_int(8, 120));
+      e.execs.push_back(rng.uniform_int(1, 8));
+      e.jitters.push_back(rng.uniform_int(0, 60));
+    }
+    e.period = rng.uniform_int(6, 60);
+    e.exec = rng.uniform_int(1, std::max<Duration>(1, e.period / 2));
+    e.jitter = rng.uniform_int(0, e.period);
+    e.blocking = rng.uniform_int(0, 30);
+    e.accum = e.exec + rng.uniform_int(0, 60);
+    e.cutoff = rng.uniform_int(0, 2) == 0 ? rng.uniform_int(e.period, 6 * e.period)
+                                          : kTimeInfinity;
+    e.cap = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(20, 200) : 5000;
+    return e;
+  };
+  // Same cap and period; no more exec, blocking or jitter anywhere, so
+  // its D and every C(m) are <= the target's.
+  const auto dominated = [](Rng& rng, Equation e) {
+    e.exec = rng.uniform_int(1, e.exec);
+    e.blocking = rng.uniform_int(0, e.blocking);
+    e.jitter = rng.uniform_int(0, e.jitter);
+    for (Duration& j : e.jitters) j = rng.uniform_int(0, j);
+    return e;
+  };
+  struct Counts {
+    int single = 0;      // M == 1: C(1) is D
+    int multi = 0;       // M >= 2
+    int multi_last = 0;  // M >= 2 and the loop got to m = M
+    int infinite = 0;    // a cap or cutoff bound
+    void add(const Reach& r, Duration bound) {
+      single += r.instances == 1 && r.last ? 1 : 0;
+      multi += r.instances >= 2 ? 1 : 0;
+      multi_last += r.instances >= 2 && r.last ? 1 : 0;
+      infinite += is_infinite(bound) ? 1 : 0;
+    }
+  };
+  Counts pm, ieer;
+  Rng rng{20261021};
+  for (int i = 0; i < 4000; ++i) {
+    const Equation target = draw(rng);
+    const Equation below = dominated(rng, target);
+    Reach reach;
+
+    // SA/PM, cold and warm.
+    SubtaskScratch want_sc;
+    const Duration want_pm =
+        reference_response_bound(target.pm(), target.hp(), want_sc, reach);
+    pm.add(reach, want_pm);
+    SubtaskScratch cold;
+    EXPECT_EQ(solve_response_bound(target.pm(), target.hp(), &cold, false), want_pm)
+        << "SA/PM cold, draw " << i;
+    SubtaskScratch seeded;
+    (void)solve_response_bound(below.pm(), below.hp(), &seeded, false);
+    EXPECT_EQ(solve_response_bound(target.pm(), target.hp(), &seeded, true), want_pm)
+        << "SA/PM warm, draw " << i;
+    for (const SubtaskScratch* got : {&cold, &seeded}) {
+      EXPECT_EQ(got->has, want_sc.has) << "draw " << i;
+      EXPECT_EQ(got->busy, want_sc.busy) << "draw " << i;
+      EXPECT_EQ(got->bound, want_sc.bound) << "draw " << i;
+      EXPECT_EQ(got->completions, want_sc.completions) << "draw " << i;
+    }
+
+    // IEERT: no entry, a fresh entry, and one seeded by the dominated
+    // equation (whose stale seeds past a break or cutoff must survive).
+    IeertWarmEntry want_fresh;
+    const Duration want_ieer =
+        reference_ieer_bound(target.ieer(), target.hp(), &want_fresh, reach);
+    ieer.add(reach, want_ieer);
+    EXPECT_EQ(solve_ieer_bound(target.ieer(), target.hp(), nullptr), want_ieer)
+        << "IEERT without entry, draw " << i;
+    IeertWarmEntry fresh;
+    EXPECT_EQ(solve_ieer_bound(target.ieer(), target.hp(), &fresh), want_ieer)
+        << "IEERT fresh entry, draw " << i;
+    EXPECT_EQ(fresh.busy, want_fresh.busy) << "draw " << i;
+    EXPECT_EQ(fresh.completions, want_fresh.completions) << "draw " << i;
+    IeertWarmEntry warm;
+    (void)solve_ieer_bound(below.ieer(), below.hp(), &warm);
+    IeertWarmEntry want_warm = warm;
+    (void)reference_ieer_bound(target.ieer(), target.hp(), &want_warm, reach);
+    EXPECT_EQ(solve_ieer_bound(target.ieer(), target.hp(), &warm), want_ieer)
+        << "IEERT warm, draw " << i;
+    EXPECT_EQ(warm.busy, want_warm.busy) << "draw " << i;
+    EXPECT_EQ(warm.completions, want_warm.completions) << "draw " << i;
+  }
+  for (const Counts* c : {&pm, &ieer}) {
+    EXPECT_GT(c->single, 100);
+    EXPECT_GT(c->multi, 100);
+    EXPECT_EQ(c->multi_last, 0);
+    EXPECT_GT(c->infinite, 100);
+  }
 }
 
 TEST(DemandKernel, SaDsMatchesGoldenHash) {

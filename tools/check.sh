@@ -15,6 +15,11 @@
 # finding is fatal: GCC's `undefined` group leaves out
 # float-cast-overflow, and UBSan reports and carries on by default, so
 # without -fno-sanitize-recover a "runtime error" never fails a test.
+# The sanitizer tree also drops NDEBUG (RelWithDebInfo's flags without
+# -DNDEBUG), so the analysis kernels' `#ifndef NDEBUG` invariant checks
+# (monotone demand iterates, completion seeds <= the busy period) run
+# under the analysis and admission labels; every other tree compiles
+# them out.
 #
 # Usage: tools/check.sh
 #   CHECK_BUILD_DIR (default: build-check) -- sanitizer build tree
@@ -38,7 +43,8 @@ JOBS="${JOBS:-$(nproc)}"
 cmake -B "${CHECK_BUILD_DIR}" -S . \
   -DE2E_SANITIZE=address,undefined,float-cast-overflow \
   -DE2E_WARNINGS_AS_ERRORS=ON \
-  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
