@@ -8,17 +8,29 @@
 // to exactly that fixpoint. The engine exploits it with fully persistent
 // analysis structures -- nothing is rebuilt per request:
 //
-//  * one TaskSystem, grown/shrunk in place through the sanctioned
-//    append_task/pop_last_tasks/remove_task mutators (builder-identical
-//    layout; a rejected trial's candidates leave through pop_last_tasks,
-//    which restores the aggregates saved before their appends);
-//  * one InterferenceMap, delta-patched via apply_admit/apply_remove
-//    with revert_admit tokens for rejected trials (bit-identical to
-//    fresh construction -- the property tests pin content_hash());
+//  * one TaskSystem, grown in place through the sanctioned append_task
+//    mutator (builder-identical layout; a rejected trial's candidates
+//    leave through pop_last_tasks, which restores the aggregates saved
+//    before their appends) and shrunk by retire_task;
+//  * one InterferenceMap, delta-patched via apply_admit/retire with
+//    revert_admit tokens for rejected trials (bit-identical to fresh
+//    construction once compacted -- the property tests pin
+//    content_hash());
 //  * the committed converged SubtaskTable plus per-subtask fixpoint
 //    warm seeds and the IEERT dependency lists, all delta-maintained
 //    and swept in place by sa_ds_iterate -- the same loop, pass options
 //    and divergence cap (sa_ds_pass_options) analyze_sa_ds runs.
+//
+// A removed task is retired in place, not renumbered away: its refs
+// leave the resident lists of its own processors, its interferers the
+// rows on those processors, and its flats the dependency lists its own
+// entries' lists name. Its rows stay behind as inert holes that no sweep
+// enqueues, no walk reaches and no outcome reads. New tasks still append
+// at the end, so the live entries keep their ascending flat order and
+// every sweep visits them exactly as over a compacted table. One O(n)
+// compaction drops the holes once they are a quarter of the rows, and
+// before every cold path (so run_cold is the offline analysis over the
+// slot-ordered build).
 //
 // Per-request seeding:
 //
@@ -37,20 +49,22 @@
 //
 //  * remove: demand shrinks, so old values OVER-approximate and must
 //    not seed the affected entries. The dirty cone is the closure, under
-//    reverse IEERT dependencies, of the entries on the departed task's
-//    processors; entries outside it provably keep their exact old
-//    fixpoint values (no input of theirs changes). Inside it the engine
-//    splits the cone into strongly connected components and solves them
-//    inputs first (Bekic): a component none of whose members is forced
-//    and none of whose inputs changed keeps its old values; any other
-//    restarts from the optimistic init and is iterated alone, against
-//    inputs that are already final (docs/admission.md).
+//    reverse IEERT dependencies, of the entries whose equation changed --
+//    those InterferenceMap::RemoveDelta lists as having lost an
+//    interferer or blocking term; entries outside it provably keep their
+//    exact old fixpoint values (no input of theirs changes). Inside it
+//    the engine splits the cone into strongly connected components and
+//    solves them inputs first (Bekic): a component none of whose members
+//    is forced and none of whose inputs changed keeps its old values;
+//    any other restarts from the optimistic init and is iterated alone,
+//    against inputs that are already final (docs/admission.md).
 //
 //  * a divergence-cap change (2 x 300 x the max live period, so it
 //    moves only when the maximum period changes) invalidates even
 //    infinite entries in both directions; the engine falls back to a
-//    cold analyze_sa_ds run over the SAME persistent structures, which
-//    is byte-identical to the offline analysis the full engine runs --
+//    cold analyze_sa_ds run over the SAME persistent structures,
+//    compacted first, which is byte-identical to the offline analysis
+//    the full engine runs --
 //    including the trajectory-dependent table of a pass-budget blowout.
 //    A non-converged committed state also forces the next request cold
 //    (its mid-iteration bytes are not a valid monotone seed).
@@ -101,10 +115,15 @@ Task task_from_spec(const TaskSpec& spec) {
   return t;
 }
 
-void add_unique(std::vector<int>& processors, int p) {
-  if (std::find(processors.begin(), processors.end(), p) == processors.end()) {
-    processors.push_back(p);
-  }
+/// Drops every retired task's rows from one set of persistent
+/// structures, renumbering the survivors in order: afterwards each equals
+/// its fresh construction over the live tasks.
+void compact_structures(TaskSystem& system, InterferenceMap& imap, SubtaskTable& table,
+                        IeertIncrementalState& index) {
+  const std::vector<std::uint32_t> new_flat = imap.compact(system);
+  table.compact(system);
+  system.compact();
+  ieert_compact_index(index, new_flat);
 }
 
 class IncrementalDsEngine final : public Engine {
@@ -118,113 +137,43 @@ class IncrementalDsEngine final : public Engine {
     if (!system_.has_value()) return bootstrap(state, first_slot, specs);
     state_.evaluations = 0;
 
-    const std::size_t old_tasks = system_->task_count();
-    const std::size_t old_count = imap_.subtask_count();
-    const TaskSystem::Aggregates old_aggregates = system_->aggregates();
-
-    // -- Grow every persistent structure by the whole batch. --
-    std::vector<InterferenceMap::AdmitDelta> imap_deltas;
-    std::vector<std::pair<std::size_t, std::uint32_t>> dep_pushes;
-    imap_deltas.reserve(specs.size());
-    for (const TaskSpec& spec : specs) {
-      system_->append_task(task_from_spec(spec));
-      imap_deltas.push_back(imap_.apply_admit(*system_));
-      // Residents that gained interferers gain their predecessors as
-      // dependencies. The new dep flats all index candidate subtasks
-      // (>= the resident's old dep entries), so plain push_back keeps
-      // the lists deduplicated and in fresh-construction order. Earlier
-      // batch members count as residents for later ones (flat >=
-      // old_count); skip them -- every candidate row gets a freshly
-      // built dep list below, after the whole batch is mapped.
-      for (const auto& [flat, appended] : imap_deltas.back().appended) {
-        if (flat >= old_count) continue;
-        const std::span<const Interferer> hp = imap_.of(imap_.ref_of(flat));
-        std::uint32_t pushed = 0;
-        for (std::size_t k = hp.size() - appended; k < hp.size(); ++k) {
-          if (hp[k].ref.index <= 0) continue;
-          state_.deps[flat].push_back(static_cast<std::uint32_t>(
-              imap_.flat_index(SubtaskRef{hp[k].ref.task, hp[k].ref.index - 1})));
-          ++pushed;
-        }
-        if (pushed > 0) dep_pushes.emplace_back(flat, pushed);
-      }
-    }
-    const std::size_t count = imap_.subtask_count();
-    state_.deps.resize(count);
-    state_.rdeps.resize(count);
-    state_.warm.resize(count);
-    for (std::size_t ti = old_tasks; ti < system_->task_count(); ++ti) {
-      const Task& t = system_->tasks()[ti];
-      table_.append_row(t.subtasks.size(), 0);
-      Duration cumulative = 0;  // Figure 11 step 1: optimistic init
-      for (const Subtask& s : t.subtasks) {
-        cumulative += s.execution_time;
-        table_.set(s.ref, cumulative);
-        const std::size_t flat = imap_.flat_index(s.ref);
-        state_.deps[flat] = ieert_table_inputs(imap_, s.ref, imap_.of(s.ref));
-        state_.warm[flat] = IeertWarmEntry{};
-      }
-      slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - old_tasks));
-    }
-    // A resident that gained interferers from several batch members has
-    // one entry per member, all pushed onto the same tail: merge them so
-    // the loop below walks each resident's whole tail exactly once.
-    std::sort(dep_pushes.begin(), dep_pushes.end());
-    std::size_t merged = 0;
-    for (std::size_t i = 0; i < dep_pushes.size(); ++i) {
-      if (merged > 0 && dep_pushes[merged - 1].first == dep_pushes[i].first) {
-        dep_pushes[merged - 1].second += dep_pushes[i].second;
-      } else {
-        dep_pushes[merged++] = dep_pushes[i];
-      }
-    }
-    dep_pushes.resize(merged);
-    // Reverse index, kept ascending (what ieert_index_dependencies
-    // builds): resident lists gain candidate readers at the tail in flat
-    // order; the candidates' own lists are new and sorted once.
-    for (const auto& [flat, pushed] : dep_pushes) {
-      const std::vector<std::uint32_t>& list = state_.deps[flat];
-      for (std::size_t k = list.size() - pushed; k < list.size(); ++k) {
-        state_.rdeps[list[k]].push_back(static_cast<std::uint32_t>(flat));
-      }
-    }
-    for (std::size_t f = old_count; f < count; ++f) {
-      for (const std::uint32_t d : state_.deps[f]) {
-        state_.rdeps[d].push_back(static_cast<std::uint32_t>(f));
-      }
-    }
-    for (std::size_t f = old_count; f < count; ++f) {
-      std::sort(state_.rdeps[f].begin(), state_.rdeps[f].end());
-    }
+    Growth growth = grow(first_slot, specs);
 
     // -- One analysis trajectory over the grown structures. --
     const IeertOptions pass_options = sa_ds_pass_options(*system_, options_);
     PathRecord path{.path = cold_path(pass_options.cap)};
     bool cold = path.path != EnginePath::kWarm;
-    SubtaskTable pre_table;              // wholesale snapshot, cold trials only
-    std::vector<IeertWarmEntry> pre_warm;
-    bool trial_converged;
-    if (cold) {
-      pre_table = table_;
-      pre_warm = state_.warm;
-      trial_converged = run_cold();
-    } else {
-      arm_sweep(imap_deltas, old_count, count);
+    bool trial_converged = false;
+    if (!cold) {
+      const std::size_t count = imap_.subtask_count();
+      arm_sweep(growth.imap_deltas, growth.old_count, count);
       undo_.arm(count);
       trial_converged =
           sa_ds_iterate(*system_, imap_, table_, pass_options, state_, &undo_).converged;
       if (!trial_converged) {
-        // Pass-budget blowout: reconstruct the pre-trial snapshot from
-        // the journal, then run the cold trajectory (the only one whose
-        // mid-iteration bytes match the offline analyze_sa_ds).
+        // Pass-budget blowout: back to the pre-trial table, then the cold
+        // trajectory (the only one whose mid-iteration bytes match the
+        // offline analyze_sa_ds).
         path.path = EnginePath::kColdBudget;
-        pre_table = table_;
-        pre_warm = state_.warm;
-        undo_.replay(pre_table, pre_warm);
+        undo_.replay(table_, state_.warm);
         cold = true;
-        trial_converged = run_cold();
       }
     }
+    SubtaskTable pre_table;  // wholesale snapshot, cold trials only
+    std::vector<IeertWarmEntry> pre_warm;
+    if (cold) {
+      if (retired_rows_ > 0) {
+        // The cold trajectory runs over compacted structures: take the
+        // candidates out, compact, and grow them back at the new end.
+        shrink(growth);
+        compact(path);
+        growth = grow(first_slot, specs);
+      }
+      pre_table = table_;
+      pre_warm = state_.warm;
+      trial_converged = run_cold();
+    }
+    const std::size_t old_tasks = growth.old_tasks;
 
     path.evaluations = state_.evaluations;
     if (cold) {
@@ -258,25 +207,7 @@ class IncrementalDsEngine final : public Engine {
       }
       eers_.resize(old_tasks);
     }
-    for (std::size_t k = specs.size(); k-- > 0;) table_.remove_row(old_tasks + k);
-    system_->pop_last_tasks(specs.size(), old_aggregates);
-    for (std::size_t f = old_count; f < count; ++f) {
-      for (const std::uint32_t d : state_.deps[f]) {
-        if (d >= old_count) continue;
-        std::vector<std::uint32_t>& readers = state_.rdeps[d];
-        while (!readers.empty() && readers.back() >= old_count) readers.pop_back();
-      }
-    }
-    state_.warm.resize(old_count);
-    state_.deps.resize(old_count);
-    state_.rdeps.resize(old_count);
-    for (const auto& [flat, pushed] : dep_pushes) {
-      state_.deps[flat].resize(state_.deps[flat].size() - pushed);
-    }
-    for (auto it = imap_deltas.rbegin(); it != imap_deltas.rend(); ++it) {
-      imap_.revert_admit(*it);
-    }
-    slots_.resize(old_tasks);
+    shrink(growth);
     if (cold) refresh_outcomes(converged_);
     return {false, std::move(failure), path};
   }
@@ -286,61 +217,50 @@ class IncrementalDsEngine final : public Engine {
       reset_empty();
       return {true, std::nullopt};
     }
-    const auto it = std::find(slots_.begin(), slots_.end(), slot);
-    E2E_ASSERT(it != slots_.end(), "remove: slot not tracked");
+    const auto it = std::lower_bound(slots_.begin(), slots_.end(), slot);
+    E2E_ASSERT(it != slots_.end() && *it == slot, "remove: slot not tracked");
     const auto idx = static_cast<std::size_t>(it - slots_.begin());
-    const Task& departing = system_->tasks()[idx];
-    std::vector<int> touched;
-    for (const Subtask& s : departing.subtasks) add_unique(touched, s.processor.value());
-    const std::size_t base =
-        imap_.flat_index(SubtaskRef{TaskId{static_cast<std::int32_t>(idx)}, 0});
-    const std::size_t len = departing.subtasks.size();
+    const TaskId id{static_cast<std::int32_t>(idx)};
+    E2E_ASSERT(!system_->retired(id), "remove: slot already removed");
+    const auto base = static_cast<std::uint32_t>(imap_.flat_index(SubtaskRef{id, 0}));
+    const auto len = static_cast<std::uint32_t>(system_->task(id).subtasks.size());
     state_.evaluations = 0;
 
-    // -- Shrink every persistent structure (removal always commits). --
-    system_->remove_task(idx);
-    imap_.apply_remove(*system_, idx);
-    table_.remove_row(idx);
-    slots_.erase(it);
-    const auto first = static_cast<std::ptrdiff_t>(base);
-    const auto last = static_cast<std::ptrdiff_t>(base + len);
-    state_.warm.erase(state_.warm.begin() + first, state_.warm.begin() + last);
-    for (auto* index : {&state_.deps, &state_.rdeps}) {
-      index->erase(index->begin() + first, index->begin() + last);
-      for (auto& list : *index) {
-        // Drop the departed flats, shift the rest -- exactly the lists a
-        // fresh index over the shrunk system yields (value-level dedup
-        // and order are preserved).
-        std::size_t write = 0;
-        for (const std::uint32_t d : list) {
-          if (d >= base && d < base + len) continue;
-          list[write++] = d >= base + len ? d - static_cast<std::uint32_t>(len) : d;
-        }
-        list.resize(write);
-      }
-    }
+    // -- Retire the task in every persistent structure (removal always
+    // commits); nothing else is renumbered. --
+    if (!schedulable(idx)) --failing_count_;
+    system_->retire_task(idx);
+    const InterferenceMap::RemoveDelta delta = imap_.retire(*system_, idx);
+    ieert_retire_entries(state_, base, base + len);
+    retired_rows_ += len;
 
     const IeertOptions pass_options = sa_ds_pass_options(*system_, options_);
     PathRecord path{.path = cold_path(pass_options.cap)};
-    if (path.path != EnginePath::kWarm) {
-      converged_ = run_cold();
-    } else {
+    bool cold = path.path != EnginePath::kWarm;
+    if (!cold) {
       path.path = EnginePath::kComponents;
-      converged_ = resolve_components(touched, pass_options, path);
+      converged_ = resolve_components(delta, pass_options, path);
       if (!converged_) {
         path.path = EnginePath::kColdBudget;
-        converged_ = run_cold();
+        cold = true;
       }
+    }
+    if (cold) {
+      compact(path);
+      converged_ = run_cold();
+      refresh_outcomes(converged_);
+    } else if (retired_rows_ * kCompactionDivisor >= imap_.subtask_count()) {
+      compact(path);
     }
     cap_ = pass_options.cap;
     path.evaluations = state_.evaluations;
-    refresh_outcomes(converged_);
     if (failing_count_ == 0) return {true, std::nullopt, path};
     return {false, failure_of(std::nullopt), path};
   }
 
   std::uint64_t fold_bounds(std::uint64_t acc) const override {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (retired(i)) continue;
       acc = detail::fold_task_bounds(acc, eers_[i], table_.row(i));
     }
     return acc;
@@ -349,6 +269,7 @@ class IncrementalDsEngine final : public Engine {
   double margin() const override {
     double worst = 0.0;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (retired(i)) continue;
       worst = std::max(
           worst, detail::margin_ratio(eers_[i], system_->tasks()[i].relative_deadline));
     }
@@ -357,11 +278,24 @@ class IncrementalDsEngine final : public Engine {
 
   const char* name() const noexcept override { return "incremental"; }
 
+  /// Hashes the live rows in compacted numbering: with holes present, of
+  /// compacted copies (a test-only path), so a digest equals the one of
+  /// structures built fresh from the live set.
   std::optional<StructureDigest> structure_digest() const override {
     if (!system_.has_value()) return std::nullopt;
-    return StructureDigest{.interference_hash = imap_.content_hash(),
-                           .table_hash = table_.content_hash(),
-                           .dependency_hash = ieert_dependency_hash(state_)};
+    const auto digest = [](const InterferenceMap& imap, const SubtaskTable& table,
+                           const IeertIncrementalState& index) {
+      return StructureDigest{.interference_hash = imap.content_hash(),
+                             .table_hash = table.content_hash(),
+                             .dependency_hash = ieert_dependency_hash(index)};
+    };
+    if (retired_rows_ == 0) return digest(imap_, table_, state_);
+    TaskSystem system = *system_;
+    InterferenceMap imap = imap_;
+    SubtaskTable table = table_;
+    IeertIncrementalState index = state_;
+    compact_structures(system, imap, table, index);
+    return digest(imap, table, index);
   }
 
  private:
@@ -393,6 +327,146 @@ class IncrementalDsEngine final : public Engine {
     return {false, std::move(failure), path};
   }
 
+  /// What grow() added to the persistent structures: enough for shrink()
+  /// to take it out again byte-for-byte.
+  struct Growth {
+    std::size_t old_tasks = 0;
+    std::size_t old_count = 0;
+    TaskSystem::Aggregates old_aggregates;
+    std::vector<InterferenceMap::AdmitDelta> imap_deltas;
+    /// (resident flat, dependencies pushed onto its tail), one per resident.
+    std::vector<std::pair<std::size_t, std::uint32_t>> dep_pushes;
+  };
+
+  /// Grows every persistent structure by the whole batch, with the
+  /// candidates' rows at their optimistic init and cold seeds.
+  Growth grow(std::uint32_t first_slot, std::span<const TaskSpec> specs) {
+    Growth g{.old_tasks = system_->task_count(),
+             .old_count = imap_.subtask_count(),
+             .old_aggregates = system_->aggregates()};
+    g.imap_deltas.reserve(specs.size());
+    for (const TaskSpec& spec : specs) {
+      system_->append_task(task_from_spec(spec));
+      g.imap_deltas.push_back(imap_.apply_admit(*system_));
+      // Residents that gained interferers gain their predecessors as
+      // dependencies. The new dep flats all index candidate subtasks
+      // (>= the resident's old dep entries), so plain push_back keeps
+      // the lists deduplicated and in fresh-construction order. Earlier
+      // batch members count as residents for later ones (flat >=
+      // old_count); skip them -- every candidate row gets a freshly
+      // built dep list below, after the whole batch is mapped.
+      for (const auto& [flat, appended] : g.imap_deltas.back().appended) {
+        if (flat >= g.old_count) continue;
+        const std::span<const Interferer> hp = imap_.of(imap_.ref_of(flat));
+        std::uint32_t pushed = 0;
+        for (std::size_t k = hp.size() - appended; k < hp.size(); ++k) {
+          if (hp[k].ref.index <= 0) continue;
+          state_.deps[flat].push_back(static_cast<std::uint32_t>(
+              imap_.flat_index(SubtaskRef{hp[k].ref.task, hp[k].ref.index - 1})));
+          ++pushed;
+        }
+        if (pushed > 0) g.dep_pushes.emplace_back(flat, pushed);
+      }
+    }
+    const std::size_t count = imap_.subtask_count();
+    state_.deps.resize(count);
+    state_.rdeps.resize(count);
+    state_.warm.resize(count);
+    for (std::size_t ti = g.old_tasks; ti < system_->task_count(); ++ti) {
+      const Task& t = system_->tasks()[ti];
+      table_.append_row(t.subtasks.size(), 0);
+      Duration cumulative = 0;  // Figure 11 step 1: optimistic init
+      for (const Subtask& s : t.subtasks) {
+        cumulative += s.execution_time;
+        table_.set(s.ref, cumulative);
+        const std::size_t flat = imap_.flat_index(s.ref);
+        state_.deps[flat] = ieert_table_inputs(imap_, s.ref, imap_.of(s.ref));
+        state_.warm[flat] = IeertWarmEntry{};
+      }
+      slots_.push_back(first_slot + static_cast<std::uint32_t>(ti - g.old_tasks));
+    }
+    // A resident that gained interferers from several batch members has
+    // one entry per member, all pushed onto the same tail: merge them so
+    // the loop below walks each resident's whole tail exactly once.
+    std::vector<std::pair<std::size_t, std::uint32_t>>& pushes = g.dep_pushes;
+    std::sort(pushes.begin(), pushes.end());
+    std::size_t merged = 0;
+    for (std::size_t i = 0; i < pushes.size(); ++i) {
+      if (merged > 0 && pushes[merged - 1].first == pushes[i].first) {
+        pushes[merged - 1].second += pushes[i].second;
+      } else {
+        pushes[merged++] = pushes[i];
+      }
+    }
+    pushes.resize(merged);
+    // Reverse index, kept ascending (what ieert_index_dependencies
+    // builds): resident lists gain candidate readers at the tail in flat
+    // order; the candidates' own lists are new and sorted once.
+    for (const auto& [flat, pushed] : pushes) {
+      const std::vector<std::uint32_t>& list = state_.deps[flat];
+      for (std::size_t k = list.size() - pushed; k < list.size(); ++k) {
+        state_.rdeps[list[k]].push_back(static_cast<std::uint32_t>(flat));
+      }
+    }
+    for (std::size_t f = g.old_count; f < count; ++f) {
+      for (const std::uint32_t d : state_.deps[f]) {
+        state_.rdeps[d].push_back(static_cast<std::uint32_t>(f));
+      }
+    }
+    for (std::size_t f = g.old_count; f < count; ++f) {
+      std::sort(state_.rdeps[f].begin(), state_.rdeps[f].end());
+    }
+    return g;
+  }
+
+  /// Takes a grow() back out of the structures (a rejected trial, or a
+  /// compaction before a cold one). The table's and warm seeds'
+  /// resident entries must already hold their pre-trial values.
+  void shrink(const Growth& g) {
+    const std::size_t count = imap_.subtask_count();
+    table_.pop_rows(system_->task_count() - g.old_tasks);
+    system_->pop_last_tasks(system_->task_count() - g.old_tasks, g.old_aggregates);
+    for (std::size_t f = g.old_count; f < count; ++f) {
+      for (const std::uint32_t d : state_.deps[f]) {
+        if (d >= g.old_count) continue;
+        std::vector<std::uint32_t>& readers = state_.rdeps[d];
+        while (!readers.empty() && readers.back() >= g.old_count) readers.pop_back();
+      }
+    }
+    state_.warm.resize(g.old_count);
+    state_.deps.resize(g.old_count);
+    state_.rdeps.resize(g.old_count);
+    for (const auto& [flat, pushed] : g.dep_pushes) {
+      state_.deps[flat].resize(state_.deps[flat].size() - pushed);
+    }
+    for (auto it = g.imap_deltas.rbegin(); it != g.imap_deltas.rend(); ++it) {
+      imap_.revert_admit(*it);
+    }
+    slots_.resize(g.old_tasks);
+  }
+
+  /// Drops every retired task's rows from the persistent structures
+  /// (a no-op without any), renumbering the survivors in order.
+  void compact(PathRecord& path) {
+    if (retired_rows_ == 0) return;
+    std::size_t write = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (retired(i)) continue;
+      slots_[write] = slots_[i];
+      eers_[write] = eers_[i];
+      ++write;
+    }
+    slots_.resize(write);
+    eers_.resize(write);
+    compact_structures(*system_, imap_, table_, state_);
+    retired_rows_ = 0;
+    path.compacted = true;
+  }
+
+  [[nodiscard]] bool retired(std::size_t task) const {
+    return system_->retired(TaskId{static_cast<std::int32_t>(task)});
+  }
+
   /// The cold path a request must take, or kWarm when the committed
   /// table is a valid seed: a moved divergence cap invalidates even
   /// infinite entries, and a non-converged table is not a fixpoint.
@@ -403,36 +477,40 @@ class IncrementalDsEngine final : public Engine {
   }
 
   /// Remove re-analysis by dependency components (docs/admission.md,
-  /// "Removal by dependency components"). The entries on the `touched` processors are forced:
-  /// their interference sets shrank and their blocking terms may have
-  /// moved. Their closure under reverse IEERT dependencies is the dirty
-  /// cone; outside it no input changed, so old values stay exact. One
-  /// Tarjan walk along `rdeps` from the forced entries visits exactly the
-  /// cone and emits its strongly connected components readers first, so
-  /// walking the emission backwards meets every component after all of
-  /// its inputs are final. A component whose members are unforced and
-  /// whose inputs kept their values keeps its old values; any other
-  /// restarts from the optimistic init and is iterated on its own.
-  /// Returns false when a component exhausts the pass budget (the table
-  /// is then mid-iteration and the caller runs cold).
-  [[nodiscard]] bool resolve_components(std::span<const int> touched,
+  /// "Removal by dependency components"). The entries `delta` lists are
+  /// forced: they lost an interferer or their blocking term fell, and no
+  /// other entry's equation changed. Their closure under reverse IEERT
+  /// dependencies is the dirty cone; outside it no input changed, so old
+  /// values stay exact. One Tarjan walk along `rdeps` from the forced
+  /// entries visits exactly the cone and emits its strongly connected
+  /// components readers first, so walking the emission backwards meets
+  /// every component after all of its inputs are final. A component
+  /// whose members are unforced and whose inputs kept their values keeps
+  /// its old values; any other restarts from the optimistic init and is
+  /// iterated on its own. Returns false when a component exhausts the
+  /// pass budget (the table is then mid-iteration and the caller runs
+  /// cold). The walk's work, including resetting its node marks, is
+  /// proportional to the cone.
+  [[nodiscard]] bool resolve_components(const InterferenceMap::RemoveDelta& delta,
                                         const IeertOptions& options, PathRecord& path) {
-    nodes_.assign(imap_.subtask_count(), ComponentNode{});
+    if (nodes_.size() < imap_.subtask_count()) nodes_.resize(imap_.subtask_count());
     members_.clear();
     component_begin_.clear();
     visited_ = 0;
     finished_ = 0;
-    for (const int p : touched) {
-      for (const SubtaskRef ref : system_->subtasks_on(ProcessorId{p})) {
-        const auto flat = static_cast<std::uint32_t>(imap_.flat_index(ref));
+    for (const std::vector<std::uint32_t>* rows : {&delta.lost, &delta.reblocked}) {
+      for (const std::uint32_t flat : *rows) {
+        if (nodes_[flat].forced != 0) continue;
         nodes_[flat].forced = 1;
+        ++path.forced;
         if (nodes_[flat].index == 0) emit_components(flat);
       }
     }
     component_begin_.push_back(static_cast<std::uint32_t>(members_.size()));
     path.cone = visited_;
 
-    for (std::size_t c = component_begin_.size() - 1; c-- > 0;) {
+    bool solved = true;
+    for (std::size_t c = component_begin_.size() - 1; solved && c-- > 0;) {
       const std::span<const std::uint32_t> component{
           members_.data() + component_begin_[c], members_.data() + component_begin_[c + 1]};
       const bool dirty = std::any_of(component.begin(), component.end(),
@@ -447,11 +525,12 @@ class IncrementalDsEngine final : public Engine {
       }
       ++path.resolved;
       path.largest = std::max(path.largest, static_cast<std::uint32_t>(component.size()));
-      if (!solve_component(component, static_cast<std::uint32_t>(c), options)) {
-        return false;
-      }
+      solved = solve_component(component, static_cast<std::uint32_t>(c), options);
     }
-    return true;
+    // Every entry the walk reached is a member: clearing them leaves
+    // nodes_ all default for the next remove.
+    for (const std::uint32_t flat : members_) nodes_[flat] = ComponentNode{};
+    return solved;
   }
 
   /// Iterative Tarjan from `root` along reverse dependencies: appends
@@ -539,8 +618,14 @@ class IncrementalDsEngine final : public Engine {
       }
     }
     for (std::size_t k = 0; k < component.size(); ++k) {
-      nodes_[component[k]].changed =
-          table_.at(imap_.ref_of(component[k])) != old_values_[k] ? 1 : 0;
+      const SubtaskRef ref = imap_.ref_of(component[k]);
+      const Duration value = table_.at(ref);
+      if (value == old_values_[k]) continue;
+      nodes_[component[k]].changed = 1;
+      const std::size_t task = ref.task.index();
+      if (static_cast<std::size_t>(ref.index) + 1 == system_->tasks()[task].subtasks.size()) {
+        set_eer(task, value);  // the task's last entry: its EER moved
+      }
     }
     return true;
   }
@@ -562,6 +647,7 @@ class IncrementalDsEngine final : public Engine {
     state_ = IeertIncrementalState{};
     slots_.clear();
     eers_.clear();
+    retired_rows_ = 0;
     failing_count_ = 0;
     cap_ = -1;
     converged_ = true;
@@ -609,7 +695,9 @@ class IncrementalDsEngine final : public Engine {
   /// Per-task EERs from the table: the last subtask's IEER bound when
   /// converged, infinity otherwise (matching analyze_sa_ds's
   /// non-convergence semantics), and the count of unschedulable tasks.
+  /// Runs only after cold analyses, which compact first.
   void refresh_outcomes(bool converged) {
+    E2E_ASSERT(retired_rows_ == 0, "refresh_outcomes: holes present");
     const std::size_t n = system_.has_value() ? system_->task_count() : 0;
     eers_.assign(n, kTimeInfinity);
     if (converged) {
@@ -635,10 +723,15 @@ class IncrementalDsEngine final : public Engine {
           static_cast<std::size_t>(e.ref.index) + 1 != system_->tasks()[i].subtasks.size()) {
         continue;
       }
-      if (!schedulable(i)) --failing_count_;
-      eers_[i] = table_.at(e.ref);
-      if (!schedulable(i)) ++failing_count_;
+      set_eer(i, table_.at(e.ref));
     }
+  }
+
+  /// Sets task `i`'s EER, keeping the failing count in step.
+  void set_eer(std::size_t i, Duration eer) {
+    if (!schedulable(i)) --failing_count_;
+    eers_[i] = eer;
+    if (!schedulable(i)) ++failing_count_;
   }
 
   [[nodiscard]] bool schedulable(std::size_t i) const {
@@ -653,7 +746,7 @@ class IncrementalDsEngine final : public Engine {
       std::optional<std::uint32_t> first_candidate_slot) {
     TrialFailure failure;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (schedulable(i)) continue;
+      if (retired(i) || schedulable(i)) continue;
       failure.slot = slots_[i];
       failure.is_candidate = first_candidate_slot.has_value() &&
                              failure.slot >= *first_candidate_slot;
@@ -670,18 +763,23 @@ class IncrementalDsEngine final : public Engine {
   const SaDsOptions options_;
   // Persistent committed structures; all empty iff system_ is empty.
   std::optional<TaskSystem> system_;
-  std::vector<std::uint32_t> slots_;  ///< per task index, ascending
+  std::vector<std::uint32_t> slots_;  ///< per task index (holes too), ascending
   InterferenceMap imap_;
   SubtaskTable table_;           ///< committed (converged) IEER bounds
   IeertIncrementalState state_;  ///< persistent deps + warm seeds
-  std::vector<Duration> eers_;   ///< per task index
-  std::size_t failing_count_ = 0;  ///< tasks whose EER misses the deadline
+  std::vector<Duration> eers_;   ///< per task index; a hole's is stale
+  std::size_t failing_count_ = 0;  ///< live tasks whose EER misses the deadline
+  std::size_t retired_rows_ = 0;   ///< hole rows awaiting compaction
   Time cap_ = -1;        ///< divergence cap of the committed analysis; -1 = none
   bool converged_ = true;  ///< committed table reached a fixpoint
   IeertSweepUndo undo_;    ///< reusable trial journal
   std::vector<Duration> failure_bounds_;  ///< backs the last TrialFailure
 
-  // Remove scratch, reused across requests (resolve_components).
+  /// Compaction runs once the holes are 1/kCompactionDivisor of the rows.
+  static constexpr std::size_t kCompactionDivisor = 4;
+
+  // Remove scratch, reused across requests (resolve_components); every
+  // node is default between removes.
   static constexpr std::uint32_t kNoComponent = 0xFFFFFFFFu;
   struct ComponentNode {
     std::uint32_t index = 0;   ///< Tarjan visit order, 1-based; 0 = not in the cone
@@ -696,7 +794,7 @@ class IncrementalDsEngine final : public Engine {
     std::uint32_t node = 0;
     std::size_t edge = 0;  ///< next position in rdeps[node]
   };
-  std::vector<ComponentNode> nodes_;            ///< per flat index
+  std::vector<ComponentNode> nodes_;            ///< per flat index, grown on demand
   std::vector<std::uint32_t> members_;          ///< components' members, emission order
   std::vector<std::uint32_t> component_begin_;  ///< per component, into members_
   std::vector<std::uint32_t> tarjan_stack_;

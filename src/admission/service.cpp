@@ -100,12 +100,14 @@ std::string render_json(const std::vector<Outcome>& outcomes,
     if (o.verb == Verb::kQuery) out << ", \"margin\": " << TextTable::fmt(o.margin, 6);
     out << ", \"path\": " << json_str(to_string(o.path.path))
         << ", \"evaluations\": " << o.path.evaluations;
-    if (o.path.cone > 0) {  // a component re-solve ran (possibly then cold)
-      out << ", \"cone\": " << o.path.cone
+    if (o.path.path == EnginePath::kComponents || o.path.cone > 0) {
+      // A component re-solve ran (possibly then cold).
+      out << ", \"forced\": " << o.path.forced << ", \"cone\": " << o.path.cone
           << ", \"components_resolved\": " << o.path.resolved
           << ", \"components_skipped\": " << o.path.skipped
           << ", \"largest_component\": " << o.path.largest;
     }
+    if (o.path.compacted) out << ", \"compacted\": true";
     out << ", \"message\": " << json_str(o.message) << "}"
         << (i + 1 < outcomes.size() ? ",\n" : "\n");
   }

@@ -56,6 +56,11 @@ struct PathRecord {
   std::uint32_t resolved = 0;  ///< dependency components re-solved
   std::uint32_t skipped = 0;   ///< dependency components kept as they were
   std::uint32_t largest = 0;   ///< members of the largest re-solved component
+  /// Entries whose equation the removal changed (the walk's roots): the
+  /// rows that lost an interferer or whose blocking term fell.
+  std::uint32_t forced = 0;
+  /// The request compacted the SA/DS engine's retired rows away.
+  bool compacted = false;
 };
 
 /// One stage of a candidate task (maps onto task/model.h's Subtask).

@@ -21,9 +21,20 @@ void SubtaskTable::append_row(std::size_t chain_length, Duration initial) {
   values_.emplace_back().assign(chain_length, initial);
 }
 
-void SubtaskTable::remove_row(std::size_t task_index) {
-  E2E_ASSERT(task_index < values_.size(), "SubtaskTable: task out of range");
-  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(task_index));
+void SubtaskTable::pop_rows(std::size_t count) {
+  E2E_ASSERT(count <= values_.size(), "SubtaskTable: popping more rows than it has");
+  values_.resize(values_.size() - count);
+}
+
+void SubtaskTable::compact(const TaskSystem& system) {
+  E2E_ASSERT(values_.size() == system.task_count(), "SubtaskTable: not shaped like system");
+  std::size_t write = 0;
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    if (system.retired(TaskId{static_cast<std::int32_t>(i)})) continue;
+    if (write != i) values_[write] = std::move(values_[i]);
+    ++write;
+  }
+  values_.resize(write);
 }
 
 std::uint64_t SubtaskTable::content_hash() const noexcept {

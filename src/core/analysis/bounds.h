@@ -56,9 +56,14 @@ class SubtaskTable {
   /// companion of TaskSystem::append_task.
   void append_row(std::size_t chain_length, Duration initial);
 
-  /// Removes row `task_index`; later rows shift down, matching
-  /// TaskSystem::remove_task's renumbering.
-  void remove_row(std::size_t task_index);
+  /// Pops the last `count` rows -- the shape companion of
+  /// TaskSystem::pop_last_tasks.
+  void pop_rows(std::size_t count);
+
+  /// Drops the rows of the tasks `system` has retired; later rows shift
+  /// down. Call it before TaskSystem::compact(), whose renumbering it
+  /// matches.
+  void compact(const TaskSystem& system);
 
   /// Order-dependent hash over shape and every entry, for proving a
   /// delta-maintained table equal to a freshly computed one.

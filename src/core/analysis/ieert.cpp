@@ -119,6 +119,60 @@ void ieert_index_dependencies(const TaskSystem& system,
   }
 }
 
+void ieert_retire_entries(IeertIncrementalState& state, std::uint32_t begin,
+                          std::uint32_t end) {
+  const auto outside = [begin, end](std::uint32_t f) { return f < begin || f >= end; };
+  for (std::uint32_t f = begin; f < end; ++f) {
+    for (const std::uint32_t d : state.deps[f]) {
+      if (!outside(d)) continue;
+      std::vector<std::uint32_t>& readers = state.rdeps[d];  // ascending
+      const auto it = std::lower_bound(readers.begin(), readers.end(), f);
+      E2E_ASSERT(it != readers.end() && *it == f, "ieert_retire_entries: index out of step");
+      readers.erase(it);
+    }
+    for (const std::uint32_t r : state.rdeps[f]) {
+      if (!outside(r)) continue;
+      std::vector<std::uint32_t>& inputs = state.deps[r];
+      const auto it = std::find(inputs.begin(), inputs.end(), f);
+      E2E_ASSERT(it != inputs.end(), "ieert_retire_entries: index out of step");
+      inputs.erase(it);
+    }
+  }
+  for (std::uint32_t f = begin; f < end; ++f) {
+    state.deps[f].clear();
+    state.rdeps[f].clear();
+    state.warm[f] = IeertWarmEntry{};
+  }
+}
+
+void ieert_compact_index(IeertIncrementalState& state,
+                         std::span<const std::uint32_t> new_flat) {
+  E2E_ASSERT(new_flat.size() == state.deps.size() && new_flat.size() == state.rdeps.size() &&
+                 new_flat.size() == state.warm.size(),
+             "ieert_compact_index: index not shaped like the map");
+  std::size_t write = 0;
+  for (std::size_t f = 0; f < new_flat.size(); ++f) {
+    if (new_flat[f] == InterferenceMap::kDroppedFlat) continue;
+    if (write != f) {
+      state.deps[write] = std::move(state.deps[f]);
+      state.rdeps[write] = std::move(state.rdeps[f]);
+      state.warm[write] = std::move(state.warm[f]);
+    }
+    ++write;
+  }
+  state.deps.resize(write);
+  state.rdeps.resize(write);
+  state.warm.resize(write);
+  for (auto* index : {&state.deps, &state.rdeps}) {
+    for (std::vector<std::uint32_t>& list : *index) {
+      for (std::uint32_t& f : list) f = new_flat[f];
+    }
+  }
+  state.changed.clear();
+  state.force.clear();
+  state.pending.clear();  // all zero between sweeps; resized by the next one
+}
+
 std::uint64_t ieert_dependency_hash(const IeertIncrementalState& state) {
   std::uint64_t h = 0;
   for (const auto* index : {&state.deps, &state.rdeps}) {

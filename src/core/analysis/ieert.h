@@ -115,6 +115,20 @@ void ieert_index_dependencies(const TaskSystem& system,
                               const InterferenceMap& interference,
                               IeertIncrementalState& state);
 
+/// Drops the entries [begin, end) -- the rows of one task retired by
+/// InterferenceMap::retire -- from the dependency index. An entry
+/// appears only in the lists its own `deps` and `rdeps` name, so only
+/// those lists change; its own lists and warm seed empty out, and no
+/// entry is renumbered.
+void ieert_retire_entries(IeertIncrementalState& state, std::uint32_t begin,
+                          std::uint32_t end);
+
+/// Renumbers the index after InterferenceMap::compact, whose result
+/// `new_flat` is: every live entry moves to its new flat index, and the
+/// retired ones (emptied by ieert_retire_entries) go. O(n).
+void ieert_compact_index(IeertIncrementalState& state,
+                         std::span<const std::uint32_t> new_flat);
+
 /// Order-dependent hash of `state.deps` and `state.rdeps`, for proving a
 /// delta-maintained index equal to a fresh ieert_index_dependencies one.
 [[nodiscard]] std::uint64_t ieert_dependency_hash(const IeertIncrementalState& state);

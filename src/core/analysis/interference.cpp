@@ -33,6 +33,15 @@ Duration predecessor_best_case(const Task& task, SubtaskRef ref) {
   return sum;
 }
 
+/// True if chain position `j` is the first of `task`'s subtasks on its
+/// processor: walking those positions visits each processor once.
+bool first_on_its_processor(const Task& task, std::size_t j) {
+  for (std::size_t prev = 0; prev < j; ++prev) {
+    if (task.subtasks[prev].processor == task.subtasks[j].processor) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 InterferenceMap::Row InterferenceMap::build_row(const TaskSystem& system,
@@ -60,6 +69,7 @@ InterferenceMap::Row InterferenceMap::build_row(const TaskSystem& system,
 }
 
 InterferenceMap::InterferenceMap(const TaskSystem& system) {
+  E2E_ASSERT(system.retired_count() == 0, "InterferenceMap: compact the system first");
   rows_.reserve(system.subtask_count());
   task_base_.reserve(system.task_count() + 1);
   for (const Task& t : system.tasks()) {
@@ -82,16 +92,8 @@ InterferenceMap::AdmitDelta InterferenceMap::apply_admit(const TaskSystem& syste
   // (candidate refs last, builder layout) would have put them. Lower
   // priority non-preemptible candidates raise the blocking term instead.
   for (std::size_t cj = 0; cj < cand.subtasks.size(); ++cj) {
+    if (!first_on_its_processor(cand, cj)) continue;
     const ProcessorId proc = cand.subtasks[cj].processor;
-    // Handle each distinct processor once, at its first chain occurrence.
-    bool first_occurrence = true;
-    for (std::size_t prev = 0; prev < cj; ++prev) {
-      if (cand.subtasks[prev].processor == proc) {
-        first_occurrence = false;
-        break;
-      }
-    }
-    if (!first_occurrence) continue;
     for (const SubtaskRef ref : system.subtasks_on(proc)) {
       if (ref.task == cand.id) continue;  // candidate rows built below
       const Subtask& s = system.subtask(ref);
@@ -144,46 +146,84 @@ void InterferenceMap::revert_admit(const AdmitDelta& delta) {
   for (const auto& [flat, blocking] : delta.old_blocking) rows_[flat].blocking = blocking;
 }
 
-void InterferenceMap::apply_remove(const TaskSystem& system, std::size_t removed) {
-  E2E_ASSERT(removed + 1 < task_base_.size(), "apply_remove: task out of range");
-  const std::size_t begin = task_base_[removed];
-  const std::size_t len = task_base_[removed + 1] - begin;
-  std::vector<ProcessorId> touched;
-  for (std::size_t f = begin; f < begin + len; ++f) {
-    if (std::find(touched.begin(), touched.end(), rows_[f].processor) == touched.end()) {
-      touched.push_back(rows_[f].processor);
+InterferenceMap::RemoveDelta InterferenceMap::retire(const TaskSystem& system,
+                                                     std::size_t task) {
+  E2E_ASSERT(task + 1 < task_base_.size(), "retire: task out of range");
+  E2E_ASSERT(system.retired(TaskId{static_cast<std::int32_t>(task)}),
+             "retire: the system has not retired the task");
+  const Task& gone = system.tasks()[task];
+  RemoveDelta delta;
+  for (std::size_t gj = 0; gj < gone.subtasks.size(); ++gj) {
+    if (!first_on_its_processor(gone, gj)) continue;
+    const ProcessorId proc = gone.subtasks[gj].processor;
+    for (const SubtaskRef ref : system.subtasks_on(proc)) {
+      const Subtask& s = system.subtask(ref);
+      const auto flat = static_cast<std::uint32_t>(flat_index(ref));
+      Row& row = rows_[flat];
+      bool interfered = false;
+      bool held_blocking = false;
+      for (const Subtask& g : gone.subtasks) {
+        if (g.processor != proc) continue;
+        if (higher_or_equal_priority(g.priority, s.priority)) {
+          interfered = true;
+        } else if (!g.preemptible && g.execution_time - 1 == row.blocking &&
+                   row.blocking > 0) {
+          held_blocking = true;
+        }
+      }
+      if (interfered) {
+        std::size_t write = 0;
+        for (std::size_t read = 0; read < row.set.size(); ++read) {
+          if (row.set[read].ref.task.index() == task) continue;
+          row.set[write] = row.set[read];
+          row.periods[write] = row.periods[read];
+          row.execs[write] = row.execs[read];
+          row.jitters[write] = row.jitters[read];
+          ++write;
+        }
+        row.truncate(write);
+        delta.lost.push_back(flat);
+      }
+      // The retired subtasks may have been the maximal blockers here.
+      if (held_blocking) {
+        const Duration blocking = blocking_term(system, s);
+        if (blocking != row.blocking) {
+          row.blocking = blocking;
+          delta.reblocked.push_back(flat);
+        }
+      }
     }
   }
-  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(begin),
-              rows_.begin() + static_cast<std::ptrdiff_t>(begin + len));
-  task_base_.erase(task_base_.begin() + static_cast<std::ptrdiff_t>(removed));
-  for (std::size_t t = removed; t < task_base_.size(); ++t) task_base_[t] -= len;
+  return delta;
+}
 
-  const auto removed_id = static_cast<std::int32_t>(removed);
-  const auto renumber = [removed_id](SubtaskRef& ref) {
-    if (ref.task.value() > removed_id) ref.task = TaskId{ref.task.value() - 1};
-  };
-  for (Row& row : rows_) {
-    renumber(row.ref);
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < row.set.size(); ++read) {
-      Interferer h = row.set[read];
-      if (h.ref.task.value() == removed_id) continue;
-      renumber(h.ref);
-      row.set[write] = h;
-      row.periods[write] = row.periods[read];
-      row.execs[write] = row.execs[read];
-      row.jitters[write] = row.jitters[read];
+std::vector<std::uint32_t> InterferenceMap::compact(const TaskSystem& system) {
+  const std::size_t tasks = task_base_.size() - 1;
+  E2E_ASSERT(system.task_count() == tasks, "compact: system not shaped like the map");
+  std::vector<std::uint32_t> new_flat(rows_.size(), kDroppedFlat);
+  std::vector<std::int32_t> new_task(tasks, -1);
+  std::size_t write = 0;
+  std::size_t kept_tasks = 0;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t begin = task_base_[t];
+    const std::size_t end = task_base_[t + 1];
+    task_base_[kept_tasks] = write;
+    if (system.retired(TaskId{static_cast<std::int32_t>(t)})) continue;
+    new_task[t] = static_cast<std::int32_t>(kept_tasks++);
+    for (std::size_t f = begin; f < end; ++f) {
+      new_flat[f] = static_cast<std::uint32_t>(write);
+      if (write != f) rows_[write] = std::move(rows_[f]);
       ++write;
     }
-    row.truncate(write);
   }
-  // The departed subtasks may have been the maximal blockers there.
-  for (const ProcessorId p : touched) {
-    for (const SubtaskRef ref : system.subtasks_on(p)) {
-      rows_[flat_index(ref)].blocking = blocking_term(system, system.subtask(ref));
-    }
+  task_base_[kept_tasks] = write;
+  task_base_.resize(kept_tasks + 1);
+  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(write), rows_.end());
+  for (Row& row : rows_) {
+    row.ref.task = TaskId{new_task[row.ref.task.index()]};
+    for (Interferer& h : row.set) h.ref.task = TaskId{new_task[h.ref.task.index()]};
   }
+  return new_flat;
 }
 
 std::uint64_t InterferenceMap::content_hash() const noexcept {

@@ -53,15 +53,18 @@ struct Interferer {
 ///
 /// Besides one-shot construction, the map supports delta maintenance for
 /// the admission engines: apply_admit() patches in one task appended at
-/// the back of the system, apply_remove() patches out one removed task,
-/// and revert_admit() undoes a rejected trial. All three leave the map
-/// bit-identical to fresh construction over the mutated system (the
-/// admission property tests pin this via content_hash()): the builder
-/// lays per-processor resident lists out task-major, so an appended
-/// task's subtasks land at the END of every scan a fresh constructor
-/// would do -- appends patch each touched row in place as a pure suffix,
-/// and removals as order-preserving compaction. Blocking terms change
-/// only on the admitted or removed task's processors.
+/// the back of the system, revert_admit() undoes a rejected trial, and
+/// retire() patches out one task the system retired in place, leaving
+/// its rows behind as inert holes until compact() drops them. Admits and
+/// reverts leave the map bit-identical to fresh construction over the
+/// mutated system, and a compacted map is bit-identical to fresh
+/// construction over the live tasks (the admission property tests pin
+/// this via content_hash()): the builder lays per-processor resident
+/// lists out task-major, so an appended task's subtasks land at the END
+/// of every scan a fresh constructor would do -- appends patch each
+/// touched row in place as a pure suffix, and retirements as
+/// order-preserving erasure. Blocking terms change only on the admitted
+/// or retired task's processors.
 class InterferenceMap {
  public:
   /// Empty map; delta-populate via apply_admit or assign a fresh one.
@@ -133,12 +136,31 @@ class InterferenceMap {
   /// admits revert in reverse order of application.
   void revert_admit(const AdmitDelta& delta);
 
-  /// Patches the map for the removal of task `removed`: drops its rows and
-  /// every Interferer it contributed, renumbering later tasks down by
-  /// one, and recomputes the blocking terms on its processors. `system`
-  /// is the shrunk system (TaskSystem::remove_task already applied).
-  /// Bit-identical to fresh construction over it.
-  void apply_remove(const TaskSystem& system, std::size_t removed);
+  /// What one retire() changed, as flat indices of live rows in the scan
+  /// order of the retired task's processors: exactly the rows whose
+  /// equations moved, the remove-side counterpart of AdmitDelta.
+  struct RemoveDelta {
+    /// Rows that lost at least one interferer (the retired task's).
+    std::vector<std::uint32_t> lost;
+    /// Rows whose blocking term fell (the retired task held its maximum).
+    std::vector<std::uint32_t> reblocked;
+  };
+
+  /// Patches the map for task `task`, which `system` has just retired
+  /// (TaskSystem::retire_task): its interferers leave the rows on its own
+  /// processors, the blocking terms it held there are recomputed, and
+  /// its own rows stay as holes -- nothing is renumbered, so every flat
+  /// index stays valid. Touches only rows on the retired task's
+  /// processors.
+  RemoveDelta retire(const TaskSystem& system, std::size_t task);
+
+  /// Drops the rows of every task `system` has retired and renumbers the
+  /// survivors; call it before TaskSystem::compact(). The result is
+  /// bit-identical to fresh construction over the compacted system.
+  /// Returns each old flat index's new one, or kDroppedFlat for a
+  /// dropped row, for the structures keyed on flat indices. O(n).
+  static constexpr std::uint32_t kDroppedFlat = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> compact(const TaskSystem& system);
 
   /// Order-dependent hash of every row: the interference set (refs +
   /// parameters), its SoA arrays and the blocking term -- the

@@ -11,6 +11,7 @@ SaDsResult analyze_sa_ds(const TaskSystem& system, const SaDsOptions& options) {
 
 SaDsResult analyze_sa_ds(const TaskSystem& system, const InterferenceMap& interference,
                          const SaDsOptions& options) {
+  E2E_ASSERT(system.retired_count() == 0, "analyze_sa_ds: compact the system first");
   SaDsResult result;
 
   // Initialization (Figure 11 step 1): R_{i,j} = sum of own and

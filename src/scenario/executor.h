@@ -36,7 +36,14 @@ class ScenarioExecutor {
   /// clones, collectors) via scratch_as():
   /// steady-state runs then recycle every allocation instead of
   /// rebuilding per work item.
-  struct WorkerSlot {
+  ///
+  /// Each slot starts on its own cache lines and fills whole lines, so
+  /// two workers' engines never share one: the engine's hot fields are
+  /// written on every simulated event, and with the vector's default
+  /// 8-byte alignment neighbouring slots could false-share (fig14 at
+  /// four threads burned ~1.7x the CPU of aligned slots). 128 bytes
+  /// covers the adjacent-line prefetcher's pairs, not just one 64-byte line.
+  struct alignas(128) WorkerSlot {
     /// Empty until the worker's first engine_for().
     std::optional<Engine> engine;
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -128,12 +129,31 @@ class TaskSystem {
   /// admission engines' exit for rejected candidates.
   void pop_last_tasks(std::size_t count, const Aggregates& before);
 
-  /// Removes the task at `index`, renumbering later tasks (and their
-  /// subtasks' refs) down by one. The per-processor resident lists are
-  /// compacted preserving relative order, which again matches a fresh
-  /// builder pass over the surviving tasks; aggregates are recomputed in
-  /// O(tasks). The system must keep at least one task.
-  void remove_task(std::size_t index);
+  /// Retires the task at `index` in place, for the admission engines'
+  /// removals: its refs leave the resident lists of its own processors
+  /// (the survivors keep their order) and the cached aggregates are
+  /// brought to the live tasks'. Nothing is renumbered: the retired
+  /// task keeps its TaskId and its entry in tasks() as a hole, so every
+  /// structure keyed on task or subtask indices stays valid, and its
+  /// data stays readable until compact(). O(its processors' resident
+  /// lists) plus a scan of the tasks that stops once no aggregate can
+  /// move. At least one live task must remain.
+  ///
+  /// A system with holes is the engines' own state: analyses and the
+  /// simulator require a system without retired tasks (compact() first).
+  void retire_task(std::size_t index);
+
+  /// True if the task `id` was retired and not yet compacted away.
+  [[nodiscard]] bool retired(TaskId id) const noexcept {
+    return id.index() < retired_.size() && retired_[id.index()] != 0;
+  }
+  /// Number of retired tasks (holes in tasks()).
+  [[nodiscard]] std::size_t retired_count() const noexcept { return retired_count_; }
+
+  /// Drops every retired task, renumbering the survivors (and their
+  /// subtasks' refs) down in order. The resident lists keep their order,
+  /// so the system equals a fresh builder pass over the live tasks. O(n).
+  void compact();
 
   /// True if `ref` names an existing subtask.
   [[nodiscard]] bool contains(SubtaskRef ref) const noexcept {
@@ -148,6 +168,10 @@ class TaskSystem {
 
   std::vector<Task> tasks_;
   std::vector<std::vector<SubtaskRef>> per_processor_;
+  /// Per TaskId: 1 if retired. Sized lazily by retire_task; indices past
+  /// its end are live.
+  std::vector<std::uint8_t> retired_;
+  std::size_t retired_count_ = 0;
   std::size_t processor_count_ = 0;
   std::size_t subtask_count_ = 0;
   Duration hyperperiod_ = 0;

@@ -113,6 +113,8 @@ struct RemovePaths {
   std::size_t component_removes = 0;
   std::size_t multi_member_resolves = 0;  ///< removes that re-solved a cycle
   std::size_t skipped_components = 0;
+  std::size_t compactions = 0;  ///< requests that compacted retired rows away
+  std::size_t removes_over_holes = 0;  ///< component removes with holes already present
 };
 
 void run_lockstep(Policy policy, std::uint64_t seed, const ChurnShape& shape,
@@ -133,6 +135,7 @@ void run_lockstep(Policy policy, std::uint64_t seed, const ChurnShape& shape,
   bool saw_reject = false;
   bool saw_remove = false;
   bool saw_batch = false;
+  bool holes = false;  // a remove left retired rows no compaction has dropped yet
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const Outcome a = full.submit(stream[i]);
     const Outcome b = incremental.submit(stream[i]);
@@ -145,6 +148,13 @@ void run_lockstep(Policy policy, std::uint64_t seed, const ChurnShape& shape,
       ++paths->component_removes;
       paths->multi_member_resolves += b.path.largest >= 2 ? 1 : 0;
       paths->skipped_components += b.path.skipped;
+      paths->removes_over_holes += holes ? 1 : 0;
+    }
+    if (b.path.compacted) {
+      holes = false;
+      if (paths != nullptr) ++paths->compactions;
+    } else if (b.path.path == EnginePath::kComponents) {
+      holes = true;
     }
     saw_reject |= (!a.accepted && a.reason == ReasonCode::kBoundFailure);
     saw_remove |= (a.verb == Verb::kRemove && a.accepted);
@@ -212,6 +222,24 @@ TEST(AdmissionProperty, CyclicRemovalsMatch) {
     EXPECT_GT(paths.component_removes, 0u) << to_string(policy);
     EXPECT_GT(paths.multi_member_resolves, 0u) << to_string(policy);
     EXPECT_GT(paths.skipped_components, 0u) << to_string(policy);
+  }
+}
+
+// A remove-heavy stream long enough that the SA/DS engines compact their
+// retired rows several times, with batch groups arriving between removes:
+// warm removes over holes, admits and batches appended behind them, and
+// every compaction stay in lockstep with full recompute, and the digest
+// matches fresh construction after every request.
+TEST(AdmissionProperty, RepeatedCompactionsMatch) {
+  ChurnShape shape = lockstep_shape(0.2);
+  shape.requests = 420;
+  shape.remove_fraction = 0.45;
+  for (const auto& [policy, seed] : {std::pair{Policy::kDs, 0xC0A1E5C0u},
+                                     std::pair{Policy::kHolistic, 0xC0A1E5C1u}}) {
+    RemovePaths paths;
+    run_lockstep(policy, seed, shape, &paths);
+    EXPECT_GE(paths.compactions, 3u) << to_string(policy);
+    EXPECT_GT(paths.removes_over_holes, 0u) << to_string(policy);
   }
 }
 

@@ -439,6 +439,117 @@ TEST(Controller, DsRemoveResolvesADependencyCycle) {
   }
 }
 
+// SA/DS removes retire tasks in place. Removing R3 (one row of ten)
+// leaves a hole below the compaction threshold; single and batched admits,
+// accepted and rejected, then append behind it. Every cold path compacts
+// first, so its table is the offline analysis's over the slot-ordered
+// build: Doomed's admit raises the divergence cap and is rejected,
+// Longer's raises it and is accepted, and removing Longer lowers it
+// again, each with a fresh hole present. After every request both
+// engines agree and the digest equals structures built fresh from the
+// live set.
+TEST(Controller, DsRemovesLeaveHolesUntilACapMoveCompacts) {
+  for (const Policy policy : {Policy::kDs, Policy::kHolistic}) {
+    SCOPED_TRACE(to_string(policy));
+    ControllerOptions options = pm_options();
+    options.policy = policy;
+    options.full_recompute = true;
+    AdmissionController full{options};
+    options.full_recompute = false;
+    AdmissionController incremental{options};
+    const auto expect_fresh = [&](const char* step) {
+      EXPECT_EQ(full.result_hash(), incremental.result_hash()) << step;
+      const SystemState::Built built =
+          incremental.state().build_with(nullptr, 0, std::nullopt);
+      const InterferenceMap fresh_map{built.system};
+      IeertIncrementalState fresh_index;
+      ieert_index_dependencies(built.system, fresh_map, fresh_index);
+      const SaDsResult fresh = analyze_sa_ds(
+          built.system, fresh_map,
+          SaDsOptions{.refine_jitter_with_best_case = policy == Policy::kHolistic});
+      const std::optional<Engine::StructureDigest> digest = incremental.structure_digest();
+      ASSERT_TRUE(digest.has_value()) << step;
+      EXPECT_EQ(digest->interference_hash, fresh_map.content_hash()) << step;
+      EXPECT_EQ(digest->dependency_hash, ieert_dependency_hash(fresh_index)) << step;
+      EXPECT_EQ(digest->table_hash, fresh.analysis.subtask_bounds.content_hash()) << step;
+    };
+    const auto both_admit = [&](const TaskSpec& spec) {
+      const Outcome x = full.admit(spec);
+      const Outcome y = incremental.admit(spec);
+      EXPECT_EQ(x.accepted, y.accepted) << spec.name;
+      expect_fresh(spec.name.c_str());
+      return y;
+    };
+    const auto both_remove = [&](const std::string& name) {
+      const Outcome x = full.remove(name);
+      const Outcome y = incremental.remove(name);
+      EXPECT_EQ(x.accepted, y.accepted) << name;
+      EXPECT_EQ(x.remaining_schedulable, y.remaining_schedulable) << name;
+      expect_fresh(name.c_str());
+      return y;
+    };
+
+    const auto both_batch = [&](const std::vector<TaskSpec>& specs) {
+      EXPECT_TRUE(full.batch_begin().accepted);
+      EXPECT_TRUE(incremental.batch_begin().accepted);
+      for (const TaskSpec& spec : specs) {
+        (void)full.admit(spec);
+        (void)incremental.admit(spec);
+      }
+      const Outcome x = full.batch_commit();
+      const Outcome y = incremental.batch_commit();
+      EXPECT_EQ(x.accepted, y.accepted);
+      EXPECT_EQ(x.culprit_task, y.culprit_task);
+      expect_fresh("batch");
+      return y;
+    };
+
+    for (int i = 0; i < 9; ++i) {
+      (void)both_admit(make_spec("R" + std::to_string(i), 100, {{i % 2, 3, i}}));
+    }
+    (void)both_admit(make_spec("Long", 1000, {{0, 3, 20}}));
+
+    const Outcome hole = both_remove("R3");
+    EXPECT_EQ(hole.path.path, EnginePath::kComponents);
+    EXPECT_FALSE(hole.path.compacted);
+    EXPECT_GT(hole.path.forced, 0u);
+
+    EXPECT_EQ(both_admit(make_spec("X", 100, {{1, 3, 4}})).path.path, EnginePath::kWarm);
+    EXPECT_TRUE(both_batch({make_spec("Y", 100, {{0, 2, 5}}),
+                            make_spec("Z", 100, {{1, 2, 6}, {0, 2, 7}})})
+                    .accepted);
+    // A batch whose second member misses its 4-tick deadline under the
+    // residents above it on processor 1: rejected, and nothing commits.
+    const Outcome rejected = both_batch(
+        {make_spec("P", 100, {{0, 1, 30}}), make_spec("Q", 100, {{1, 3, 25}}, 4)});
+    EXPECT_FALSE(rejected.accepted);
+    EXPECT_EQ(rejected.culprit_task, "Q");
+
+    // Cold trials compact first, whether the admit is rejected...
+    const Outcome doomed = both_admit(make_spec("Doomed", 3000, {{0, 3, 40}}, 5));
+    EXPECT_FALSE(doomed.accepted);
+    EXPECT_EQ(doomed.path.path, EnginePath::kColdCap);
+    EXPECT_TRUE(doomed.path.compacted);
+    EXPECT_FALSE(both_remove("R5").path.compacted);
+    // ...or accepted.
+    const Outcome longer = both_admit(make_spec("Longer", 2000, {{1, 1, 50}}));
+    EXPECT_TRUE(longer.accepted);
+    EXPECT_EQ(longer.path.path, EnginePath::kColdCap);
+    EXPECT_TRUE(longer.path.compacted);
+    EXPECT_FALSE(both_remove("R7").path.compacted);
+
+    // Removing the only task with the largest period lowers the cap.
+    const Outcome cap = both_remove("Longer");
+    EXPECT_EQ(cap.path.path, EnginePath::kColdCap);
+    EXPECT_TRUE(cap.path.compacted);
+
+    // Compacted: the next warm remove starts from a table without holes.
+    const Outcome after = both_remove("R1");
+    EXPECT_EQ(after.path.path, EnginePath::kComponents);
+    EXPECT_FALSE(after.path.compacted);
+  }
+}
+
 // A non-preemptible candidate *below* resident R on processor 0 changes
 // only R's blocking term: R's interference set, the cap (S keeps the
 // largest period) and every other equation stay as they were. A warm

@@ -180,6 +180,84 @@ TEST(TaskSystem, PopLastTasksUndoesAppends) {
   }
 }
 
+/// A builder pass over `tasks`, in order: the reference a retired and
+/// compacted system must equal.
+TaskSystem build_from(std::size_t processors, const std::vector<Task>& tasks) {
+  TaskSystemBuilder builder{processors};
+  for (const Task& t : tasks) {
+    auto handle = builder.add_task({.period = t.period,
+                                    .phase = t.phase,
+                                    .deadline = t.relative_deadline,
+                                    .release_jitter = t.release_jitter,
+                                    .name = t.name});
+    for (const Subtask& s : t.subtasks) {
+      handle.subtask(s.processor, s.execution_time, s.priority, s.name);
+      if (!s.preemptible) handle.non_preemptible();
+    }
+  }
+  return std::move(builder).build();
+}
+
+// Retiring tasks one by one keeps the aggregates and every resident list
+// equal to a fresh build over the live tasks (holes aside, refs keep
+// their numbering), appends land behind the holes, and compact() then
+// yields exactly that fresh build -- including retirements of the tasks
+// holding the largest and smallest period and the largest phase, and a
+// live lcm that un-saturates.
+TEST(TaskSystem, RetireAndCompactMatchAFreshBuild) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng{seed};
+    const auto processors = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    std::vector<Task> live;
+    const auto count = rng.uniform_int(2, 12);
+    for (std::int64_t i = 0; i < count; ++i) {
+      live.push_back(random_task(rng, processors, seed % 5 == 0 && i == 0));
+      live.back().name = "T" + std::to_string(i);
+      live.back().phase = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(1, 50) : 0;
+    }
+    TaskSystem system = build_from(processors, live);
+    std::vector<std::int32_t> ids;  // TaskId in `system` of each live task
+    for (std::int64_t i = 0; i < count; ++i) ids.push_back(static_cast<std::int32_t>(i));
+    while (live.size() > 1) {
+      if (rng.uniform_int(0, 2) == 0) {
+        Task t = random_task(rng, processors, false);
+        t.name = "A" + std::to_string(system.task_count());
+        ids.push_back(static_cast<std::int32_t>(system.task_count()));
+        live.push_back(t);
+        system.append_task(std::move(t));
+      }
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      system.retire_task(static_cast<std::size_t>(ids[k]));
+      EXPECT_TRUE(system.retired(TaskId{ids[k]}));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(k));
+      const TaskSystem fresh = build_from(processors, live);
+      EXPECT_EQ(system.aggregates(), fresh.aggregates());
+      EXPECT_EQ(system.task_count() - system.retired_count(), live.size());
+      for (std::size_t p = 0; p < processors; ++p) {
+        const ProcessorId proc{static_cast<std::int32_t>(p)};
+        const auto got = system.subtasks_on(proc);
+        const auto want = fresh.subtasks_on(proc);
+        ASSERT_EQ(got.size(), want.size()) << "processor " << p;
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          EXPECT_EQ(got[r].task.value(), ids[want[r].task.index()]) << "processor " << p;
+          EXPECT_EQ(got[r].index, want[r].index) << "processor " << p;
+        }
+      }
+      if (rng.uniform_int(0, 3) == 0) {
+        system.compact();
+        expect_same_system(system, fresh);
+        for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<std::int32_t>(i);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    system.compact();
+    expect_same_system(system, build_from(processors, live));
+  }
+}
+
 TEST(PaperExample2, MatchesFigure2Parameters) {
   const TaskSystem sys = paper::example2();
   ASSERT_EQ(sys.task_count(), 3u);

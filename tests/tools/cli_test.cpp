@@ -779,7 +779,8 @@ TEST(Cli, AdmitReportsTheEnginePath) {
       "admit name=B period=100 sub=1:5:2 sub=0:5:2\n"
       "admit name=C period=100 sub=0:5:0\n"
       "remove name=C\n"
-      "query\n";
+      "query\n"
+      "remove name=B\n";
   const CliResult json =
       run_cli({"admit", "--processors=2", "--policy=ds", "--report=json"}, stream);
   EXPECT_EQ(json.exit_code, 0) << json.err;
@@ -789,6 +790,13 @@ TEST(Cli, AdmitReportsTheEnginePath) {
             std::string::npos);
   EXPECT_NE(json.out.find("\"cone\": "), std::string::npos);
   EXPECT_NE(json.out.find("\"components_skipped\": "), std::string::npos);
+  // A remove reports how many equations it changed. Removing C leaves one
+  // retired row of five; removing B then reaches a quarter and compacts.
+  EXPECT_NE(json.out.find("\"forced\": "), std::string::npos);
+  const std::size_t compacted = json.out.find("\"compacted\": true");
+  EXPECT_NE(compacted, std::string::npos);
+  EXPECT_EQ(json.out.find("\"compacted\": true", compacted + 1), std::string::npos);
+  EXPECT_NE(json.out.rfind("\"task\": \"B\"", compacted), std::string::npos);
   // The query ran no analysis.
   EXPECT_NE(json.out.find("\"path\": \"none\", \"evaluations\": 0,"), std::string::npos);
 

@@ -2,14 +2,12 @@
 # Sanitizer gate: configures a build with
 # E2E_SANITIZE=address,undefined,float-cast-overflow and warnings as
 # errors (E2E_WARNINGS_AS_ERRORS, so a helper left unused by a deletion
-# fails here), builds, and runs the
-# scenario-, bench-smoke-, timesvc-, admission-, parser-, analysis-,
-# engine- and examples-labelled tests under it (analysis and engine cover
-# the analysis kernels and the simulator's hot path; examples runs every
-# example binary against its golden output; bench-smoke times
-# montecarlo_example2.e2es and partition.e2es through `e2e run
-# --perf-json`, plus a tiny bench_admission workload; scenario includes
-# the bench specs' hash pins in scenario_parity_test).
+# fails here), builds, and runs every test but the perf-labelled timing
+# gates under it (`-LE perf`: those time the host, and wall-clock under
+# ASan says nothing; bench-smoke still runs montecarlo_example2.e2es and
+# partition.e2es through `e2e run --perf-json`, plus a tiny
+# bench_admission workload, and scenario includes the bench specs' hash
+# pins in scenario_parity_test).
 # Catches the lifetime bugs the executor's engine recycling and
 # cross-cell reuse could introduce, and undefined arithmetic. Every
 # finding is fatal: GCC's `undefined` group leaves out
@@ -18,8 +16,7 @@
 # The sanitizer tree also drops NDEBUG (RelWithDebInfo's flags without
 # -DNDEBUG), so the analysis kernels' `#ifndef NDEBUG` invariant checks
 # (monotone demand iterates, completion seeds <= the busy period) run
-# under the analysis and admission labels; every other tree compiles
-# them out.
+# in every test that reaches them; every other tree compiles them out.
 #
 # Usage: tools/check.sh
 #   CHECK_BUILD_DIR (default: build-check) -- sanitizer build tree
@@ -47,8 +44,7 @@ cmake -B "${CHECK_BUILD_DIR}" -S . \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "${CHECK_BUILD_DIR}" -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure \
-  -L "scenario|bench-smoke|timesvc|admission|parser|analysis|engine|examples"
+  ctest --test-dir "${CHECK_BUILD_DIR}" --output-on-failure -LE perf
 
 # Data-race gate (E2E_TSAN=0 opts out): the tests that drive the thread
 # pool (directly, through the scenario executor, or through sharded
